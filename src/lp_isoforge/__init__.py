@@ -10,7 +10,8 @@ nu_j ~ j^(2-p) is what the complementation analysis feeds on.
 Layout:
 
 * `moments`: exact even moments of sums of independent symmetric
-  variables, and the brute-force convolution oracle.
+  variables by a term-by-term fold, and the brute-force convolution
+  oracle.
 * `momentpoly`: the moment polynomials H_m and F_m^(j) in the masses,
   their gradients and Jacobians, and the Vandermonde determinant check.
 * `solver`: the solvable box around a base point, the damped Newton
@@ -66,6 +67,7 @@ from .moments import (
     convolve,
     even_moment_from_tables,
     even_moment_of_sum,
+    fold_even_moments,
     moment_coefficients,
 )
 from .numeric import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, mpf_to_fraction, to_mpf

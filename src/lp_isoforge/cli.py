@@ -38,7 +38,6 @@ from .analysis import (
     isometry_check,
     projection_norm_grid_search,
     projection_norm_lower_bound,
-    render_uncomplemented_report,
     uncomplemented_certificate,
 )
 from .errors import CapExceededError, LpIsoforgeError, SchemaError
@@ -56,12 +55,9 @@ from .numeric import (
     mpf_to_fraction,
     parse_fraction,
     real_to_str,
-    to_mpf,
 )
 from .p4 import build_p4_table, render_p4_report, render_p4_text
 from .serialize import (
-    cert_to_dict,
-    dump_json,
     dumps_json,
     isometry_to_dict,
     load_certificate,

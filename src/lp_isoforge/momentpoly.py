@@ -43,12 +43,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import mpmath
 from mpmath import mp
 
 from .errors import DegenerateInputError, SingularJacobianError
+from .moments import _even_multinomial
 from .numeric import Scalar, det_exact, det_mpf, to_mpf, workprec
 
 __all__ = [
@@ -75,15 +76,6 @@ def _positive_compositions(m: int, alpha: int) -> Iterator[tuple]:
     for first in range(1, m - alpha + 2):
         for rest in _positive_compositions(m - first, alpha - 1):
             yield (first,) + rest
-
-
-def _even_multinomial(parts: Sequence[int]) -> int:
-    remaining = 2 * sum(parts)
-    coeff = 1
-    for part in parts:
-        coeff *= math.comb(remaining, 2 * part)
-        remaining -= 2 * part
-    return coeff
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,24 @@ P(f = a) = P(f = -a) = mass/2, so its moments are
 
     E f^(2l) = a^(2l) * mass,   E f^(2l+1) = 0.
 
-For independent symmetric f_1, ..., f_n all odd cross terms of
-(f_1 + ... + f_n)^(2k) vanish and the multinomial expansion collapses to
+For independent symmetric S and X every odd cross term of (S + X)^(2m)
+vanishes, so the binomial expansion keeps only even parts:
+
+    E (S + X)^(2m) = sum_{l=0}^{m} binom(2m, 2l) * E S^(2(m-l)) * E X^(2l).
+
+`fold_even_moments` folds the summands in one at a time with this rule,
+carrying the whole vector [E S^0, E S^2, ..., E S^(2k)] of the partial
+sum.  Each summand costs O(k^2) multiplications, so n summands cost
+O(n k^2), where expanding the multinomial
 
     E (sum f_j)^(2k)
-        = sum_{k_1+...+k_n=k} (2k)! / prod_j (2k_j)! * prod_j E f_j^(2k_j),
+        = sum_{k_1+...+k_n=k} (2k)! / prod_j (2k_j)! * prod_j E f_j^(2k_j)
 
-with the convention E f^0 = 1 for zero parts.  Everything here is exact
-when the inputs are rational: coefficients are integers and the per-term
-moments are Fractions.
+term by term would visit O(n^k) supports.  Both give the same number;
+`moment_coefficients` still lists the multinomial coefficients, and the
+tests use it as a brute-force oracle for the fold.  Everything here is
+exact when the inputs are rational: coefficients are integers and the
+per-term moments are Fractions.
 
 `convolve` is the independent oracle for the same quantity: it builds the
 full distribution of the sum by direct convolution (atoms merged on equal
@@ -38,7 +47,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import CapExceededError, DegenerateInputError
-from .numeric import Scalar, frac_to_str, parse_fraction, parse_real, real_to_str, to_mpf
+from .numeric import Scalar, to_mpf
 
 DEFAULT_ATOM_CAP = 3 ** 16
 
@@ -49,6 +58,8 @@ __all__ = [
     "DEFAULT_ATOM_CAP",
     "even_moment_single",
     "moment_coefficients",
+    "term_tables",
+    "fold_even_moments",
     "even_moment_of_sum",
     "even_moment_from_tables",
     "convolve",
@@ -156,34 +167,37 @@ def moment_coefficients(k: int, n: int) -> list[tuple[tuple, int]]:
     return [(comp, _even_multinomial(comp)) for comp in _compositions(k, n)]
 
 
-def _positive_supports(k: int, n: int) -> Iterator[tuple[tuple, tuple]]:
-    """(indices, positive parts) pairs; equivalent to skipping zero parts."""
-
-    def rec(start: int, remaining: int):
-        for idx in range(start, n):
-            for part in range(1, remaining + 1):
-                if part == remaining:
-                    yield (idx,), (part,)
-                else:
-                    for tail_idx, tail_parts in rec(idx + 1, remaining - part):
-                        yield (idx,) + tail_idx, (part,) + tail_parts
-
-    if k == 0:
-        return
-    yield from rec(0, k)
+def term_tables(spec: IndependentSumSpec, k: int) -> list:
+    """Per-term tables [1, E f^2, ..., E f^(2k)] of spec, fold input."""
+    return [
+        [Fraction(1)] + [even_moment_single(t, 2 * l) for l in range(1, k + 1)]
+        for t in spec.terms
+    ]
 
 
-def _combine_tables(tables, k: int, supports=None) -> Scalar:
-    """Multinomial combination of per-term even-moment tables at order 2k."""
-    total = Fraction(0)
-    if supports is None:
-        supports = _positive_supports(k, len(tables))
-    for indices, parts in supports:
-        term = Fraction(_even_multinomial(parts))
-        for idx, part in zip(indices, parts):
-            term = term * tables[idx][part]
-        total = total + term
-    return total
+def fold_even_moments(tables, k: int) -> list:
+    """[E S^0, E S^2, ..., E S^(2k)] for S the sum of independent terms.
+
+    tables[i][l] = E f_i^(2l) for l = 1..k.  The entries need not come
+    from probability-valid variables; the fold only consumes the numbers.
+    tables[i][0] is ignored (every summand has E f^0 = 1) but must be
+    present so that index l addresses order 2l.  Each table is folded in
+    with E (S + X)^(2m) = sum_l binom(2m, 2l) E S^(2(m-l)) E X^(2l), so
+    the cost is O(len(tables) * k^2) multiplications.
+    """
+    if any(len(t) < k + 1 for t in tables):
+        raise ValueError(f"each table must cover orders up to {2 * k}")
+    binoms = [[math.comb(2 * m, 2 * l) for l in range(m + 1)] for m in range(k + 1)]
+    acc = [Fraction(1)] + [Fraction(0)] * k
+    for table in tables:
+        # descending m reads acc[m - l] before it is overwritten
+        for m in range(k, 0, -1):
+            row = binoms[m]
+            total = acc[m]
+            for l in range(1, m + 1):
+                total = total + row[l] * acc[m - l] * table[l]
+            acc[m] = total
+    return acc
 
 
 def even_moment_from_tables(tables, order: int) -> Scalar:
@@ -197,21 +211,15 @@ def even_moment_from_tables(tables, order: int) -> Scalar:
     if order < 2 or order % 2 != 0:
         raise ValueError(f"order must be even and >= 2, got {order}")
     k = order // 2
-    if any(len(t) < k + 1 for t in tables):
-        raise ValueError(f"each table must cover orders up to {order}")
-    return _combine_tables(tables, k)
+    return fold_even_moments(tables, k)[k]
 
 
 def even_moment_of_sum(spec: IndependentSumSpec, order: int) -> Scalar:
-    """E (sum of spec)^order for even order >= 2, by the multinomial formula."""
+    """E (sum of spec)^order for even order >= 2, by the even-moment fold."""
     if order < 2 or order % 2 != 0:
         raise ValueError(f"order must be even and >= 2, got {order}")
     k = order // 2
-    tables = [
-        [Fraction(1)] + [even_moment_single(t, 2 * l) for l in range(1, k + 1)]
-        for t in spec.terms
-    ]
-    return _combine_tables(tables, k)
+    return fold_even_moments(term_tables(spec, k), k)[k]
 
 
 def convolve(spec: IndependentSumSpec, cap: int = DEFAULT_ATOM_CAP) -> "DiscreteDistribution":
@@ -273,32 +281,6 @@ class DiscreteDistribution:
         if order < 0:
             raise ValueError("order must be >= 0")
         return sum((p * v ** order for v, p in self.atoms), Fraction(0))
-
-    def to_dict(self, precision_bits: int) -> list[dict]:
-        out = []
-        for v, p in self.atoms:
-            value = frac_to_str(v) if _is_rational(v) else real_to_str(v, precision_bits)
-            prob = frac_to_str(p) if _is_rational(p) else real_to_str(p, precision_bits)
-            out.append({"value": value, "prob": prob})
-        return out
-
-    @staticmethod
-    def from_dict(rows: Sequence[dict], precision_bits: int) -> "DiscreteDistribution":
-        atoms = []
-        for row in rows:
-            atoms.append((_parse_number(row["value"], precision_bits),
-                          _parse_number(row["prob"], precision_bits)))
-        return DiscreteDistribution(tuple(atoms))
-
-
-def _parse_number(s: str, precision_bits: int):
-    s = s.strip()
-    if "/" in s:
-        return parse_fraction(s)
-    try:
-        return Fraction(int(s))
-    except ValueError:
-        return parse_real(s, precision_bits)
 
 
 def abs_moment(dist: DiscreteDistribution, r) -> Scalar:

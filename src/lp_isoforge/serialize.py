@@ -15,7 +15,6 @@ Conventions, fixed across every writer in the package:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import jsonschema
 

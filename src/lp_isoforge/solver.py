@@ -40,10 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
 
 import mpmath
-from mpmath import mp
 
 from .errors import (
     ContinuationFailureError,

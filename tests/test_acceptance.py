@@ -8,15 +8,18 @@ grid search for the projection norm, and subprocess reruns for
 determinism.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 from mpmath import workprec
 
+import lp_isoforge
 from lp_isoforge.analysis import (
     FiniteSpan,
     build_projection,
@@ -264,6 +267,10 @@ def test_criterion_10_weight_sequence_hypotheses(cert_p6, cert_p4):
 
 
 def test_criterion_11_construct_is_byte_deterministic(tmp_path):
+    # the subprocess runs in tmp_path, where a relative PYTHONPATH would
+    # not resolve; point it at the src directory this package came from
+    src_dir = Path(lp_isoforge.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
     certs = []
     stdouts = []
     for name in ("first", "second"):
@@ -275,6 +282,7 @@ def test_criterion_11_construct_is_byte_deterministic(tmp_path):
                 "construct", "--p", "6", "--j-max", "10", "--seed", "7",
             ],
             cwd=workdir,
+            env=env,
             capture_output=True,
             text=True,
         )

@@ -99,10 +99,59 @@ def test_isometry_degenerate_certificate_is_exact():
     assert res.orders_checked == (2, 4, 6)
 
 
+# exact isometry_check(cert_p6, trials=25, seed=1), recorded from the
+# support-enumeration kernel before the even-moment fold replaced it; a
+# change to the draws, the scaling or the set of ratios moves them
+P6_SEED1_RESIDUAL_NUM = int(
+    "4519093604577044057723764820205878936840490448584624685344856129"
+    "4218315317609353494330609350763932061043933648815107104730663595"
+    "4452300722601826827744701504915339161470946740848349508730708329"
+    "4152570813404823478972343745573809213450812641148399979517320819"
+    "9187443935143965243717079520097097518368958567178657278532383712"
+    "00509487899745567"
+)
+P6_SEED1_RESIDUAL_DEN = int(
+    "3565234410199091062983688464967525071769627714371442724203630919"
+    "4107855584547317287911733373216246716190697974263745980457357533"
+    "4831487921236106376010978146015893682622538654011287175852281192"
+    "7586749871073621305080054068093636118029018282584813519184354713"
+    "9521714598335627096809778345242593163526845015057571806217582671"
+    "5874588648607464718811372775836079795094741842477777509099435322"
+    "863792093408569368887951360000"
+)
+P6_SEED1_BOUND_NUM = int(
+    "4829952001334288069158961876994034468195803829677191896015481494"
+    "6711829048053227776452436050938433745938082092659809843581590536"
+    "9600791406413439259946355847708310741541619809652344438128720516"
+    "0307472669415924174403688903538563974671929946631197757847807592"
+    "7790316353128900790160714256482541006538943070804813667687898373"
+    "8146181904241098564281436899148815774337856901496520424855180702"
+    "3809948158890634849405538493205942624393122356600058141444381086"
+    "2586986852340117202686230627097579520762247750381256979222759584"
+    "7179609329463712907341989031804117042012641744599046094385399690"
+    "86960102328119999509335505085439402345934736202279"
+)
+P6_SEED1_BOUND_DEN = int(
+    "5213534483040583350461609010659091086663180430882308332399633603"
+    "1629576043277749547166990753099314719251665875116538285336279784"
+    "7517318454901978998800460430834262253195400791067352553078042564"
+    "7084614159039242363715727105486243180677142503763103718578834648"
+    "6020305621573231756261874718536730217814880893259262338718702810"
+    "8611184707465316164128738532011250437961273109184496444076160651"
+    "4786131017676061714642063054358551015786951433532145028846542462"
+    "2788730402819327308004365172274708137968645221607951529625243861"
+    "3854425360741746749751960644008380376987335774723214634880381917"
+    "6076862520798377847342110103024606445118787831637665060811836047"
+    "5040764636310968353244686473214722458513264173641629696000000"
+)
+
+
 def test_isometry_p6(cert_p6):
     res = isometry_check(cert_p6, trials=25, seed=1)
     assert res.max_rel_residual <= res.bound
     assert res.bound < Fraction(1, 2 ** 100)
+    assert res.max_rel_residual == Fraction(P6_SEED1_RESIDUAL_NUM, P6_SEED1_RESIDUAL_DEN)
+    assert res.bound == Fraction(P6_SEED1_BOUND_NUM, P6_SEED1_BOUND_DEN)
 
 
 def test_isometry_on_closed_form_solutions(cert_p4):

@@ -1,4 +1,4 @@
-"""Even-moment engine against its brute-force convolution oracle."""
+"""Even-moment engine against its brute-force oracles: convolution and expansion."""
 
 import math
 from fractions import Fraction
@@ -18,6 +18,7 @@ from lp_isoforge.moments import (
     even_moment_from_tables,
     even_moment_of_sum,
     even_moment_single,
+    fold_even_moments,
     moment_coefficients,
 )
 from lp_isoforge.numeric import to_mpf
@@ -187,3 +188,42 @@ def test_convolve_symmetry(pairs):
     assert d.moment(1) == 0
     assert d.moment(3) == 0
     assert d.moment(5) == 0
+
+
+def expand_even_moment(tables, k):
+    """E (sum)^(2k) by the full multinomial sum over compositions of k."""
+    total = Fraction(0)
+    for comp, coeff in moment_coefficients(k, len(tables)):
+        term = Fraction(coeff)
+        for table, part in zip(tables, comp):
+            if part:
+                term *= table[part]
+        total += term
+    return total
+
+
+table_entry = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=4),
+    tables=st.lists(st.lists(table_entry, min_size=5, max_size=5), min_size=1, max_size=6),
+)
+def test_fold_matches_multinomial_expansion(k, tables):
+    folded = fold_even_moments(tables, k)
+    assert len(folded) == k + 1
+    assert folded[0] == 1
+    for m in range(1, k + 1):
+        assert folded[m] == expand_even_moment(tables, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=4),
+    tables=st.lists(st.lists(table_entry, min_size=5, max_size=5), min_size=1, max_size=4),
+    zeroth=st.lists(table_entry, min_size=4, max_size=4),
+)
+def test_from_tables_ignores_zeroth_entry(k, tables, zeroth):
+    mangled = [[z] + t[1:] for z, t in zip(zeroth, tables)]
+    assert even_moment_from_tables(mangled, 2 * k) == even_moment_from_tables(tables, 2 * k)
