@@ -57,6 +57,7 @@ from .momentpoly import (
     eval_H,
     grad_H,
     jacobian_F,
+    moment_vector_F,
     vandermonde_check,
 )
 from .moments import (
@@ -87,6 +88,7 @@ from .solver import (
     ball_params,
     closed_form_k2,
     construct_pair,
+    decreasing_above,
     default_base_point,
     nu_schedule_value,
     solve_mu,

@@ -79,6 +79,7 @@ __all__ = [
     "UncomplementedRow",
     "VplCheck",
     "DEFAULT_SPACE_CAP",
+    "reference_generator",
     "reference_span",
     "certificate_span",
     "span_norm",
@@ -132,12 +133,14 @@ class FiniteSpan:
         return self.p // 2
 
 
+def reference_generator(mu_bar: MuVector) -> IndependentSumSpec:
+    """h: k independent unit-scale atoms with the base masses mu_bar."""
+    return IndependentSumSpec([SymmetricAtomVariable(1, m) for m in mu_bar.values])
+
+
 def reference_span(cert: ConstructionCertificate) -> FiniteSpan:
     """The h_j side: one k-atom generator per certificate entry, masses mu_bar."""
-    mu_bar = cert.ball.mu_bar
-    gen = IndependentSumSpec(
-        [SymmetricAtomVariable(1, m) for m in mu_bar.values]
-    )
+    gen = reference_generator(cert.ball.mu_bar)
     return FiniteSpan.build(cert.p, [gen] * len(cert.entries))
 
 

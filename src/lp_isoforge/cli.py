@@ -5,9 +5,11 @@ Commands
 construct   solve the moment-matching system for j = 1..j_max and write
             a certificate JSON (exit 0 only if every scale solved)
 verify      reload a certificate and recheck everything from the stored
-            values alone: exact residual re-evaluation, bracket and
-            ordering, the isometry spot check, and the weight-sequence
-            hypotheses; one PASS/FAIL line per check
+            values alone: exact residuals re-evaluated by the even-moment
+            fold (no code shared with the solver's polynomials), bracket
+            and ordering, completeness of the scales 1..J, the isometry
+            spot check, and the weight-sequence hypotheses; one PASS/FAIL
+            line per check
 p4          the two-generator table for p = 4 with the matched column
             and the printed closed forms side by side
 moments     evaluate even moments of a sum described by a small JSON
@@ -35,13 +37,14 @@ import mpmath
 from .analysis import (
     FiniteSpan,
     build_projection,
+    certificate_span,
     isometry_check,
     projection_norm_grid_search,
     projection_norm_lower_bound,
+    reference_generator,
     uncomplemented_certificate,
 )
 from .errors import CapExceededError, LpIsoforgeError, SchemaError
-from .momentpoly import cm_alpha_table, eval_F, eval_H
 from .moments import (
     IndependentSumSpec,
     SymmetricAtomVariable,
@@ -66,7 +69,7 @@ from .serialize import (
     save_certificate,
     uncomplemented_to_dict,
 )
-from .solver import DEFAULT_NU_FRACTION, construct_pair, default_base_point
+from .solver import DEFAULT_NU_FRACTION, construct_pair, decreasing_above, default_base_point
 
 __all__ = ["RunConfig", "build_parser", "main"]
 
@@ -249,35 +252,31 @@ def cmd_verify(cfg: RunConfig, cert_path: str) -> int:
     cert = load_certificate(cert_path)
     prec = cert.precision_bits
     tol = Fraction(1, 2 ** (prec // 2))
-    table = cm_alpha_table(cert.k)
-    delta = cert.ball.delta
+    targets = cert.target.values
     checks = []
 
-    target_ok = all(
-        eval_H(m, cert.ball.mu_bar, table) == cert.target.values[m - 1]
-        for m in range(1, cert.k + 1)
-    )
-    checks.append(("target moments match the base point", target_ok, ""))
+    # every moment below comes from the even-moment fold, not the solver's polynomials
+    base = FiniteSpan.build(cert.p, [reference_generator(cert.ball.mu_bar)]).tables[0]
+    checks.append(("target moments match the base point", base[1:] == targets, ""))
 
+    span_tables = certificate_span(cert).tables if cert.entries else ()
     worst = Fraction(0)
     stored_ok = True
-    bad_bracket = []
     bad_order = []
-    for e in cert.entries:
-        mu_frac = tuple(mpf_to_fraction(v) for v in e.mu)
-        resid = tuple(
-            eval_F(m, e.j, mu_frac, e.nu, table) - cert.target.values[m - 1]
-            for m in range(1, cert.k + 1)
-        )
+    for e, table in zip(cert.entries, span_tables):
+        resid = tuple(table[m] - t for m, t in enumerate(targets, 1))
         if resid != tuple(e.residuals):
             stored_ok = False
         worst = max(worst, *(abs(r) for r in resid))
-        lower = delta / 2 / Fraction(e.j) ** (cert.p - 2)
-        upper = delta / Fraction(e.j) ** (cert.p - 2)
-        if not lower < e.nu < upper:
-            bad_bracket.append(e.j)
-        if not all(a > b for a, b in zip(mu_frac, mu_frac[1:])) or mu_frac[-1] <= delta:
+        if not decreasing_above(tuple(mpf_to_fraction(v) for v in e.mu), cert.ball.delta):
             bad_order.append(e.j)
+    uc = uncomplemented_certificate(cert)
+    bad_bracket = [r.j for r in uc.rows if not r.bracket_ok]
+    gaps = (
+        ("failed scales", cert.failed_js),
+        ("missing j", cert.missing_js),
+        ("duplicated j", cert.duplicated_js),
+    )
 
     checks.append(
         (
@@ -305,7 +304,7 @@ def cmd_verify(cfg: RunConfig, cert_path: str) -> int:
         (
             "certificate complete",
             cert.complete,
-            f"failed scales: {list(cert.failed_js)}" if cert.failed_js else "",
+            "; ".join(f"{label}: {list(js)}" for label, js in gaps if js),
         )
     )
 
@@ -319,7 +318,6 @@ def cmd_verify(cfg: RunConfig, cert_path: str) -> int:
         )
     )
 
-    uc = uncomplemented_certificate(cert)
     checks.append(("weight bounds from the mass bracket", uc.valid, ""))
     checks.append(
         (

@@ -34,6 +34,9 @@ identically in mu.  `vandermonde_check` computes both determinants
 independently and confirms the ratio, which exercises every coefficient
 of the gradient layer at once.
 
+Every value is a read of two tables built from one elementary-symmetric
+table of the masses: the vector [1, H_1, ..., H_k] and dH_m/dmu_beta.
+
 All functions evaluate exactly on Fraction inputs and in the active
 mpmath precision on mpf inputs.
 """
@@ -62,6 +65,7 @@ __all__ = [
     "elem_sym_excl",
     "eval_H",
     "eval_F",
+    "moment_vector_F",
     "grad_H",
     "jacobian_F",
     "vandermonde_check",
@@ -168,28 +172,14 @@ def _elem_sym_all(values: tuple) -> list:
 
 
 def elem_sym_excl(mu, beta: int, alpha: int) -> Scalar:
-    """e_alpha of the masses with the beta-th left out (beta is 1-based).
-
-    Uses the alternating reduction
-        P_{beta,alpha} = sum_{t=0}^{alpha} (-mu_beta)^t e_{alpha-t}(mu),
-    which needs only the full-vector elementary symmetric values.
-    """
+    """e_alpha of the masses with the beta-th left out (beta is 1-based)."""
     values = _values(mu)
     k = len(values)
     if not 1 <= beta <= k:
         raise ValueError(f"beta must be in 1..{k}, got {beta}")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if alpha > k - 1:
-        return Fraction(0)
-    e = _elem_sym_all(values)
-    mu_beta = values[beta - 1]
-    acc = e[alpha]
-    sign_term = Fraction(1)
-    for t in range(1, alpha + 1):
-        sign_term = sign_term * (-mu_beta)
-        acc = acc + sign_term * e[alpha - t]
-    return acc
+    return _excl_row(values, beta, _elem_sym_all(values), alpha)[alpha]
 
 
 def _excl_row(values: tuple, beta: int, e: list, upto: int) -> list:
@@ -205,38 +195,56 @@ def _excl_row(values: tuple, beta: int, e: list, upto: int) -> list:
     return row
 
 
+def _h_vector(values: tuple, table: CmAlphaTable) -> list:
+    """[H_0 = 1, H_1, ..., H_k] from one elementary-symmetric table."""
+    e = _elem_sym_all(values)
+    return [Fraction(1)] + [
+        sum((table.get(m, a) * e[a] for a in range(1, min(m, len(values)) + 1)), Fraction(0))
+        for m in range(1, table.k + 1)
+    ]
+
+
+def _grad_table(values: tuple, table: CmAlphaTable) -> list:
+    """grad[m][beta-1] = dH_m/dmu_beta for m = 0..k; row 0 is zero (H_0 = 1)."""
+    e = _elem_sym_all(values)
+    excl = [_excl_row(values, beta, e, table.k - 1) for beta in range(1, len(values) + 1)]
+    return [[Fraction(0)] * len(values)] + [
+        [sum((table.get(m, a) * row[a - 1] for a in range(1, m + 1)), Fraction(0)) for row in excl]
+        for m in range(1, table.k + 1)
+    ]
+
+
 def eval_H(m: int, mu, table: CmAlphaTable) -> Scalar:
     """H_m(mu), the 2m-th moment polynomial of the mass vector."""
     if not 1 <= m <= table.k:
         raise ValueError(f"m must be in 1..{table.k}, got {m}")
-    values = _values(mu)
-    e = _elem_sym_all(values)
-    acc = Fraction(0)
-    for alpha in range(1, m + 1):
-        if alpha > len(values):
-            break
-        acc = acc + table.get(m, alpha) * e[alpha]
-    return acc
+    return _h_vector(_values(mu), table)[m]
 
 
 def eval_F(m: int, j: int, mu, nu, table: CmAlphaTable) -> Scalar:
     """F_m^(j)(mu, nu) = H_m + nu * sum_l binom(2m,2l) j^(2l) H_{m-l}."""
+    if not 1 <= m <= table.k:
+        raise ValueError(f"m must be in 1..{table.k}, got {m}")
+    return moment_vector_F(j, mu, nu, table)[m - 1]
+
+
+def moment_vector_F(j: int, mu, nu, table: CmAlphaTable) -> tuple:
+    """(F_1^(j), ..., F_k^(j))(mu, nu), every F_m read from one H vector."""
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j}")
     if not 0 <= nu <= 1:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    if not 1 <= m <= table.k:
-        raise ValueError(f"m must be in 1..{table.k}, got {m}")
-    h = eval_H(m, mu, table)
+    h = _h_vector(_values(mu), table)
     jsq = j * j
-    acc = h
-    jpow = 1
-    h_lower = [None] + [eval_H(i, mu, table) for i in range(1, m)]
-    for l in range(1, m + 1):
-        jpow *= jsq
-        lower = h_lower[m - l] if m - l >= 1 else Fraction(1)
-        acc = acc + nu * math.comb(2 * m, 2 * l) * jpow * lower
-    return acc
+    out = []
+    for m in range(1, table.k + 1):
+        acc = h[m]
+        jpow = 1
+        for l in range(1, m + 1):
+            jpow *= jsq
+            acc = acc + nu * math.comb(2 * m, 2 * l) * jpow * h[m - l]
+        out.append(acc)
+    return tuple(out)
 
 
 def grad_H(m: int, beta: int, mu, table: CmAlphaTable) -> Scalar:
@@ -246,12 +254,7 @@ def grad_H(m: int, beta: int, mu, table: CmAlphaTable) -> Scalar:
     values = _values(mu)
     if not 1 <= beta <= len(values):
         raise ValueError(f"beta must be in 1..{len(values)}, got {beta}")
-    e = _elem_sym_all(values)
-    row = _excl_row(values, beta, e, m - 1)
-    acc = Fraction(0)
-    for alpha in range(1, m + 1):
-        acc = acc + table.get(m, alpha) * row[alpha - 1]
-    return acc
+    return _grad_table(values, table)[m][beta - 1]
 
 
 @dataclass(frozen=True)
@@ -279,25 +282,8 @@ def jacobian_F(j: int, mu, nu, table: CmAlphaTable) -> JacobianF:
     values = _values(mu)
     if len(values) != k:
         raise ValueError(f"mu must have length {k}, got {len(values)}")
-    e = _elem_sym_all(values)
-    excl = [_excl_row(values, beta, e, k - 1) for beta in range(1, k + 1)]
-    # gradH[m][beta-1], m = 0 row unused
-    gradH = [[Fraction(0)] * k]
-    for m in range(1, k + 1):
-        row = []
-        for b in range(k):
-            acc = Fraction(0)
-            for alpha in range(1, m + 1):
-                acc = acc + table.get(m, alpha) * excl[b][alpha - 1]
-            row.append(acc)
-        gradH.append(row)
-    hvals = [Fraction(1)] + [
-        sum(
-            (table.get(m, alpha) * e[alpha] for alpha in range(1, m + 1)),
-            Fraction(0),
-        )
-        for m in range(1, k + 1)
-    ]
+    gradH = _grad_table(values, table)
+    hvals = _h_vector(values, table)
     jsq = j * j
     matrix = []
     nu_column = []

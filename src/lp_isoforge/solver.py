@@ -15,9 +15,9 @@ problem on an explicit box around mu_bar:
   strictly inside the open cone of decreasing positive vectors (the 3/4
   is a fixed safety margin under the strict bound);
 * M bounds |binom(2m,2l) j^(2l) dH_{m-l}/dmu_beta| / j^(2(k-1)) on the
-  box; the bounded quantities are polynomials with positive coefficients,
-  so their maxima over the box sit at corners and checking the 2^k
-  corners plus the center is exhaustive;
+  box; each dH_{m-l}/dmu_beta has nonnegative coefficients and the box
+  lies in the positive orthant (eps_bar < mu_bar_k), so each is
+  nondecreasing in every mass and peaks at the top corner mu_bar + eps_bar;
 * eps0 = eps_bar / (M (k-1)) and delta = min(eps0, mu_bar_k - eps0)
   give the mass budget: any nu_j with
   delta/2 * j^(2-p) < nu_j < delta * j^(2-p) admits a solution mu^(j)
@@ -37,9 +37,9 @@ the (dyadic) returned point rather than trusted from the float loop.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import mpmath
 
@@ -50,7 +50,16 @@ from .errors import (
     NoSolutionError,
     SingularJacobianError,
 )
-from .momentpoly import CmAlphaTable, MuVector, cm_alpha_table, eval_F, eval_H, grad_H, jacobian_F
+from .momentpoly import (
+    CmAlphaTable,
+    MuVector,
+    _grad_table,
+    _values,
+    cm_alpha_table,
+    eval_H,
+    jacobian_F,
+    moment_vector_F,
+)
 from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
@@ -79,6 +88,7 @@ __all__ = [
     "ball_params",
     "nu_schedule_value",
     "closed_form_k2",
+    "decreasing_above",
     "solve_mu",
     "construct_pair",
 ]
@@ -131,13 +141,13 @@ def target_h(mu_bar: MuVector, table: CmAlphaTable) -> HValues:
     return HValues(tuple(eval_H(m, mu_bar, table) for m in range(1, table.k + 1)))
 
 
-def ball_params(mu_bar: MuVector, k: int, p: int, grid_n: int = 0) -> BallParams:
+def ball_params(mu_bar: MuVector, k: int, p: int) -> BallParams:
     """Box radius and mass budget around mu_bar for the order-p construction.
 
-    grid_n > 1 adds a uniform lattice with grid_n points per axis to the
-    corner+center candidate set for M; the corners already dominate (the
-    maximized quantities are monotone in every coordinate), so this is a
-    belt-and-suspenders option, off by default.
+    M is the largest binom(2m,2l) dH_{m-l}/dmu_beta (m = 2..k, l < m) on
+    the box mu_bar +- eps_bar.  Each is a polynomial with nonnegative
+    coefficients in positive masses, hence nondecreasing in every mass, so
+    one gradient table at the top corner mu_bar + eps_bar gives M exactly.
     """
     if mu_bar.k != k:
         raise ValueError(f"mu_bar has length {mu_bar.k}, expected k={k}")
@@ -153,30 +163,14 @@ def ball_params(mu_bar: MuVector, k: int, p: int, grid_n: int = 0) -> BallParams
     eps_bar = Fraction(3, 4) * bound
     eps = eps_bar
 
-    table = cm_alpha_table(k)
-    candidates = set(product(*[(v - eps_bar, v, v + eps_bar) for v in values]))
-    if grid_n is None:
-        grid_n = 0
-    if grid_n == 1:
-        raise ValueError("grid_n must be 0 or >= 2")
-    if grid_n >= 2:
-        axes = []
-        for v in values:
-            lo, hi = v - eps_bar, v + eps_bar
-            axes.append([lo + (hi - lo) * Fraction(t, grid_n - 1) for t in range(grid_n)])
-        candidates.update(product(*axes))
-
-    M = Fraction(0)
-    for point in candidates:
-        for m in range(1, k + 1):
-            for l in range(1, m + 1):
-                if m - l < 1:
-                    continue  # H_0 is constant; its gradient term vanishes
-                c = math.comb(2 * m, 2 * l)
-                for beta in range(1, k + 1):
-                    q = c * grad_H(m - l, beta, point, table)
-                    if q > M:
-                        M = q
+    grad = _grad_table(tuple(v + eps_bar for v in values), cm_alpha_table(k))
+    # H_0 is constant, so l = m contributes no gradient term
+    M = max(
+        math.comb(2 * m, 2 * l) * g
+        for m in range(2, k + 1)
+        for l in range(1, m)
+        for g in grad[m - l]
+    )
     if M <= 0:
         raise DegenerateInputError("mass budget degenerate: M = 0")
     eps0 = eps / (M * (k - 1))
@@ -249,7 +243,7 @@ def solve_mu(
     """
     validate_precision(precision)
     k = table.k
-    init_values = tuple(_values_of(init))
+    init_values = _values(init)
     if len(init_values) != k:
         raise ValueError(f"init must have length {k}")
     _assert_nonsingular(j, init_values, nu, table, precision)
@@ -270,7 +264,7 @@ def solve_mu(
             return [min(max(v, l), h) for v, l, h in zip(vals, lo, hi)]
 
         def residual(vals):
-            return [eval_F(m, j, vals, nu_m, table) - tgt[m - 1] for m in range(1, k + 1)]
+            return [f - t for f, t in zip(moment_vector_F(j, vals, nu_m, table), tgt)]
 
         mu_cur = clip(mu_cur)
         g = residual(mu_cur)
@@ -331,10 +325,6 @@ def solve_mu(
             iterations=iterations,
             precision_bits=precision,
         )
-
-
-def _values_of(mu):
-    return tuple(mu.values) if isinstance(mu, MuVector) else tuple(mu)
 
 
 def closed_form_k2(j: int, nu, target: HValues, precision: int = DEFAULT_PRECISION_BITS) -> MuVector:
@@ -398,8 +388,21 @@ class ConstructionCertificate:
     seed: int | None = None
 
     @property
+    def missing_js(self) -> tuple:
+        """Scales below the largest listed one that no entry or failed_js names."""
+        listed = {e.j for e in self.entries} | set(self.failed_js)
+        return tuple(j for j in range(1, max(listed, default=0) + 1) if j not in listed)
+
+    @property
+    def duplicated_js(self) -> tuple:
+        """Scales listed more than once across the entries and failed_js."""
+        counts = Counter([e.j for e in self.entries] + list(self.failed_js))
+        return tuple(sorted(j for j, c in counts.items() if c > 1))
+
+    @property
     def complete(self) -> bool:
-        return not self.failed_js
+        """Every scale 1..J solved exactly once: no failed, missing or repeated j."""
+        return not (self.failed_js or self.missing_js or self.duplicated_js)
 
     def entry(self, j: int) -> CertEntry:
         for e in self.entries:
@@ -408,12 +411,14 @@ class ConstructionCertificate:
         raise KeyError(f"no entry for j={j}")
 
 
+def decreasing_above(mu: tuple, delta: Fraction) -> bool:
+    """mu_1 > ... > mu_k > delta: the ordering every certified scale must meet."""
+    return all(a > b for a, b in zip(mu, mu[1:])) and mu[-1] > delta
+
+
 def _exact_residuals(j: int, nu: Fraction, mu_values, target: HValues, table: CmAlphaTable) -> tuple:
     mu_frac = tuple(mpf_to_fraction(v) for v in mu_values)
-    return tuple(
-        eval_F(m, j, mu_frac, nu, table) - t
-        for m, t in zip(range(1, table.k + 1), target)
-    )
+    return tuple(f - t for f, t in zip(moment_vector_F(j, mu_frac, nu, table), target))
 
 
 def construct_pair(
@@ -461,9 +466,7 @@ def construct_pair(
         with workprec(precision):
             jac = jacobian_F(j, [to_mpf(v) for v in mu_sol.values], to_mpf(nu_j), table)
             jac_det = det_mpf(jac.matrix)
-        mu_frac = tuple(mpf_to_fraction(v) for v in mu_sol.values)
-        ordered = all(a > b for a, b in zip(mu_frac, mu_frac[1:])) and mu_frac[-1] > ball.delta
-        if not ordered:
+        if not decreasing_above(tuple(mpf_to_fraction(v) for v in mu_sol.values), ball.delta):
             failed.append(j)
             continue
         entries.append(

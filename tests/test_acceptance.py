@@ -8,6 +8,7 @@ grid search for the projection norm, and subprocess reruns for
 determinism.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ import mpmath
 from mpmath import workprec
 
 import lp_isoforge
+from lp_isoforge.cli import main
 from lp_isoforge.analysis import (
     FiniteSpan,
     build_projection,
@@ -291,3 +293,14 @@ def test_criterion_11_construct_is_byte_deterministic(tmp_path):
         stdouts.append(proc.stdout)
     assert certs[0] == certs[1]
     assert stdouts[0] == stdouts[1]
+
+
+def test_construct_p6_certificate_bytes_pinned(tmp_path, capsys):
+    # one moved mpf bit in the Newton iterates moves this hash; refresh it
+    # only for an intended change to the solve
+    out = tmp_path / "cert.json"
+    assert main(["construct", "--p", "6", "--j-max", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6c2773002ff763922cddd6052deac9ea60c2e18876d976a7b528b36410f3c85a"
+    )

@@ -112,6 +112,34 @@ def test_verify_flags_tampered_nu(tmp_path, capsys, cert_p4):
     assert "verdict: FAIL" in text
 
 
+def _verify_edited_entries(tmp_path, capsys, cert, edit):
+    path = tmp_path / "cert.json"
+    save_certificate(cert, path)
+    data = load_json(path)
+    data["entries"] = edit(data["entries"])
+    tampered = tmp_path / "tampered.json"
+    dump_json(data, tampered)
+    return run(capsys, "verify", str(tampered), "--trials", "5")
+
+
+def test_verify_flags_missing_scale(tmp_path, capsys, cert_p6):
+    code, text, _ = _verify_edited_entries(
+        tmp_path, capsys, cert_p6, lambda es: [e for e in es if e["j"] != 5]
+    )
+    assert code == 1
+    assert "FAIL  certificate complete  [missing j: [5]]" in text
+    assert "verdict: FAIL" in text
+
+
+def test_verify_flags_duplicated_scale(tmp_path, capsys, cert_p6):
+    code, text, _ = _verify_edited_entries(
+        tmp_path, capsys, cert_p6, lambda es: es[:3] + [es[2]] + es[3:]
+    )
+    assert code == 1
+    assert "FAIL  certificate complete  [duplicated j: [3]]" in text
+    assert "verdict: FAIL" in text
+
+
 def test_verify_json_payload(tmp_path, capsys, cert_p4):
     path = tmp_path / "cert.json"
     save_certificate(cert_p4, path)

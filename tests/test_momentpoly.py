@@ -24,6 +24,7 @@ from lp_isoforge.momentpoly import (
     eval_H,
     grad_H,
     jacobian_F,
+    moment_vector_F,
     vandermonde_check,
 )
 from lp_isoforge.numeric import to_mpf
@@ -147,6 +148,10 @@ def test_eval_f_frozen():
         eval_F(2, 1, mu, Fraction(-1, 10), t2)
     with pytest.raises(ValueError):
         eval_F(2, 0, mu, Fraction(1, 10), t2)
+    # the vector form validates j and nu the same way
+    for j, nu in ((1, Fraction(11, 10)), (1, Fraction(-1, 10)), (0, Fraction(1, 10))):
+        with pytest.raises(ValueError):
+            moment_vector_F(j, mu, nu, t2)
 
 
 def test_eval_f_matches_moments():
@@ -160,6 +165,9 @@ def test_eval_f_matches_moments():
             s = f_spec(mu, j, nu)
             for m in range(1, k + 1):
                 assert eval_F(m, j, mu, nu, t) == even_moment_of_sum(s, 2 * m)
+            assert moment_vector_F(j, mu, nu, t) == tuple(
+                eval_F(m, j, mu, nu, t) for m in range(1, k + 1)
+            )
 
 
 def test_grad_h_frozen():

@@ -1,7 +1,9 @@
 """Newton construction against the k = 2 closed form and its own invariants."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -12,7 +14,7 @@ from lp_isoforge.errors import (
     LpIsoforgeError,
     NoSolutionError,
 )
-from lp_isoforge.momentpoly import cm_alpha_table, eval_F
+from lp_isoforge.momentpoly import cm_alpha_table, eval_F, grad_H
 from lp_isoforge.numeric import mpf_to_fraction, to_mpf
 from lp_isoforge.solver import (
     HValues,
@@ -73,19 +75,50 @@ def test_ball_params_frozen_k3():
     assert ball.delta == Fraction(1, 3080)
 
 
-def test_ball_params_lower_bound_and_validation():
-    import math
+def test_ball_params_frozen_k4_to_k6():
+    # recorded by maximizing over all 3^k points of the box grid {-1, 0, 1} * eps_bar
+    frozen = {
+        4: (Fraction(202909, 40), Fraction(1, 202909)),
+        5: (Fraction(33877815, 128), Fraction(2, 33877815)),
+        6: (Fraction(1710644355453, 87808), Fraction(1568, 2851073925755)),
+    }
+    for k, (M, delta) in frozen.items():
+        ball = ball_params(default_base_point(k), k, 2 * k)
+        assert (ball.M, ball.delta) == (M, delta)
 
+
+def test_ball_params_matches_lattice_max():
+    # M is read at the top corner; the maximum over a 4-point-per-axis
+    # rational lattice of the whole box (both faces included) must equal it
+    for k in (2, 3, 4):
+        mu_bar = default_base_point(k)
+        ball = ball_params(mu_bar, k, 2 * k)
+        table = cm_alpha_table(k)
+        axes = [
+            [v - ball.eps_bar + ball.eps_bar * Fraction(2 * t, 3) for t in range(4)]
+            for v in mu_bar.values
+        ]
+        best = Fraction(0)
+        for point in product(*axes):
+            grads = {
+                (i, beta): grad_H(i, beta, point, table)
+                for i in range(1, k)
+                for beta in range(1, k + 1)
+            }
+            for m in range(2, k + 1):
+                for l in range(1, m):
+                    for beta in range(1, k + 1):
+                        best = max(best, math.comb(2 * m, 2 * l) * grads[(m - l, beta)])
+        assert best == ball.M
+
+
+def test_ball_params_lower_bound_and_validation():
     for k in (2, 3, 4):
         ball = ball_params(default_base_point(k), k, 2 * k)
         assert ball.M >= math.comb(2 * k, 2)
         assert ball.delta > 0
     with pytest.raises(ValueError):
         ball_params(MU2, 2, 6)
-    with pytest.raises(ValueError):
-        ball_params(MU2, 2, 4, grid_n=1)
-    # the corner candidates already dominate; a lattice cannot raise M
-    assert ball_params(MU2, 2, 4, grid_n=3).M == 6
 
 
 def test_nu_schedule():
