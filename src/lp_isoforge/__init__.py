@@ -29,6 +29,7 @@ from .analysis import (
     IsometryCheckResult,
     ProjectionOperator,
     UncomplementedCertificate,
+    VerifyReport,
     VplCheck,
     build_projection,
     c_k_constant,
@@ -36,6 +37,7 @@ from .analysis import (
     projection_norm_grid_search,
     projection_norm_lower_bound,
     uncomplemented_certificate,
+    verify_certificate,
     vpl_check,
 )
 from .errors import (

@@ -37,12 +37,15 @@ generators and produces evidence:
   by comparison with (1/delta)^(2/(p-2)) * sum j^(-4/(p-2)), a series
   that diverges iff 4/(p-2) <= 1, i.e. p >= 6.  For p = 4 the
   comparator converges and the certificate says so instead of guessing.
+
+* `verify_certificate` rechecks a certificate from its stored values
+  alone and returns a `VerifyReport`; the `verify` command renders it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, log
@@ -63,11 +66,12 @@ from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
     mpf_to_fraction,
+    real_to_str,
     to_mpf,
     validate_precision,
     workprec,
 )
-from .solver import ConstructionCertificate
+from .solver import BallParams, ConstructionCertificate, ball_params, decreasing_above
 
 DEFAULT_SPACE_CAP = 3 ** 9
 
@@ -77,6 +81,7 @@ __all__ = [
     "ProjectionOperator",
     "UncomplementedCertificate",
     "UncomplementedRow",
+    "VerifyReport",
     "VplCheck",
     "DEFAULT_SPACE_CAP",
     "reference_generator",
@@ -91,6 +96,7 @@ __all__ = [
     "projection_norm_grid_search",
     "uncomplemented_certificate",
     "render_uncomplemented_report",
+    "verify_certificate",
 ]
 
 
@@ -162,6 +168,27 @@ def certificate_span(cert: ConstructionCertificate) -> FiniteSpan:
     return FiniteSpan.build(cert.p, gens)
 
 
+def _reference_table(cert: ConstructionCertificate) -> tuple:
+    """[E h^0, E h^2, ..., E h^p] for the reference generator h: one fold."""
+    return FiniteSpan.build(cert.p, [reference_generator(cert.ball.mu_bar)]).tables[0]
+
+
+def _residuals(cert: ConstructionCertificate, per: FiniteSpan) -> tuple:
+    """Exact table[m] - T_m, m = 1..k, one vector per certificate entry."""
+    return tuple(tuple(table[m] - t for m, t in enumerate(cert.target.values, 1)) for table in per.tables)
+
+
+def _scaled_table(table, c, m: int) -> list:
+    """[1, c^2 E g^2, ..., c^(2m) E g^(2m)] for c g; exact for int or rational c."""
+    csq = c * c
+    power = 1 if isinstance(csq, (int, Fraction)) else to_mpf(1)
+    row = [Fraction(1)]
+    for l in range(1, m + 1):
+        power = power * csq
+        row.append(power * table[l])
+    return row
+
+
 def span_norm(span: FiniteSpan, c, order: int) -> Scalar:
     """||sum c_i g_i||_order^order for even order = 2m, m <= p/2.
 
@@ -175,15 +202,7 @@ def span_norm(span: FiniteSpan, c, order: int) -> Scalar:
     if order < 2 or order % 2 != 0 or order > span.p:
         raise ValueError(f"order must be even in 2..{span.p}, got {order}")
     m = order // 2
-    scaled = []
-    for ci, table in zip(c, span.tables):
-        csq = ci * ci
-        row = [Fraction(1)]
-        power = Fraction(1) if isinstance(csq, (int, Fraction)) else to_mpf(1)
-        for l in range(1, m + 1):
-            power = power * csq
-            row.append(power * table[l])
-        scaled.append(row)
+    scaled = [_scaled_table(table, ci, m) for ci, table in zip(c, span.tables)]
     return fold_even_moments(scaled, m)[m]
 
 
@@ -212,17 +231,11 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
         raise DegenerateInputError("certificate has no solved entries")
     k = cert.k
     n = len(cert.entries)
-    ref = reference_span(cert)
+    ref_table = _reference_table(cert)
     per = certificate_span(cert)
 
-    targets = tuple(cert.target.values)
-    eps_hat = Fraction(0)
-    for tab in per.tables:
-        for l in range(1, k + 1):
-            r = abs(tab[l] - targets[l - 1])
-            if r > eps_hat:
-                eps_hat = r
-    h_min = min(targets)
+    eps_hat = max(abs(r) for resid in _residuals(cert, per) for r in resid)
+    h_min = min(cert.target.values)
     bound = (1 + eps_hat / h_min) ** k - 1
 
     rng = random.Random(seed)
@@ -237,22 +250,9 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
                 break
         scale = lcm(*(q.denominator for q in c))
         c_int = [int(q * scale) for q in c]
-        ref_tabs = []
-        per_tabs = []
-        for ci, rt, pt in zip(c_int, ref.tables, per.tables):
-            csq = ci * ci
-            row_r = [Fraction(1)]
-            row_p = [Fraction(1)]
-            power = 1
-            for l in range(1, k + 1):
-                power *= csq
-                row_r.append(power * rt[l])
-                row_p.append(power * pt[l])
-            ref_tabs.append(row_r)
-            per_tabs.append(row_p)
         # one fold per span yields every order 2..p of this combination
-        ref_moments = fold_even_moments(ref_tabs, k)
-        per_moments = fold_even_moments(per_tabs, k)
+        ref_moments = fold_even_moments([_scaled_table(ref_table, ci, k) for ci in c_int], k)
+        per_moments = fold_even_moments([_scaled_table(t, ci, k) for ci, t in zip(c_int, per.tables)], k)
         for m in range(1, k + 1):
             v = ref_moments[m]
             rel = abs(per_moments[m] - v) / v
@@ -410,6 +410,22 @@ def build_projection(span: FiniteSpan, cap: int = DEFAULT_SPACE_CAP) -> Projecti
     return ProjectionOperator(probs=op.probs, basis=op.basis, norms_sq=norms_sq)
 
 
+def _projection_identity_checks(P: ProjectionOperator, trials: int, seed: int) -> tuple:
+    """(name, passed) for the four exact identities of P; `trials` random
+    rational functions from random.Random(seed) test the two that need them."""
+    rng = random.Random(seed)
+    fs = [[Fraction(rng.randint(-100, 100), rng.randint(1, 50)) for _ in P.probs] for _ in range(trials)]
+    pairs = [(f, P.apply(f)) for f in fs]
+    idempotent = all(P.apply(Pf) == Pf for _, Pf in pairs)
+    contractive = all(P.abs_power_moment(Pf, 2) <= P.abs_power_moment(f, 2) for f, Pf in pairs)
+    return (
+        (f"idempotent on {trials} random functions", idempotent),
+        ("fixes every generator", all(P.apply(b) == tuple(b) for b in P.basis)),
+        ("annihilates constants", not any(P.apply([Fraction(1)] * P.atom_count))),
+        (f"2-norm contraction on {trials} random functions", contractive),
+    )
+
+
 def _signed_power(vec, expo):
     out = []
     for v in vec:
@@ -535,7 +551,7 @@ def projection_norm_grid_search(
 
 
 # ---------------------------------------------------------------------------
-# series hypotheses for the weight sequence
+# series hypotheses for the weight sequence, and the verifier
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -708,3 +724,75 @@ def render_uncomplemented_report(uc: UncomplementedCertificate) -> str:
         if uc.offending_js:
             lines.insert(1, f"INVALID: bracket/bound failures at j = {list(uc.offending_js)}")
     return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """The verifier's (name, passed, detail) checks, in order, and their evidence."""
+
+    checks: tuple
+    isometry: IsometryCheckResult
+    weights: UncomplementedCertificate
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
+
+
+def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: int = 0) -> VerifyReport:
+    """Recheck a certificate from its stored values alone.
+
+    Targets and residuals come from the even-moment fold, the ball from
+    ball_params(mu_bar), brackets and weights from `uncomplemented_certificate`.
+    Not rechecked: the provenance fields seed, newton_iters, jac_det and
+    nu_fraction (each nu_j is held to its bracket, not to the schedule),
+    and a dropped top scale J, since no j_max is stored.  Raises
+    DegenerateInputError for a certificate with no entries.
+    """
+    iso = isometry_check(cert, trials=trials, seed=seed)
+    uc = uncomplemented_certificate(cert)
+    prec = cert.precision_bits
+    issues = [] if _reference_table(cert)[1:] == cert.target.values else ["target differs"]
+    try:
+        ball = ball_params(cert.ball.mu_bar, cert.k, cert.p)
+        differ = [f.name for f in fields(BallParams) if getattr(ball, f.name) != getattr(cert.ball, f.name)]
+        issues += [f"ball differs: {', '.join(differ)}"] if differ else []
+    except DegenerateInputError as exc:
+        issues.append(f"ball not recomputable: {exc}")
+    residuals = _residuals(cert, certificate_span(cert))
+    worst = max(abs(r) for resid in residuals for r in resid)
+    bad_bracket = [r.j for r in uc.rows if not r.bracket_ok]
+    bad_order = [e.j for e in cert.entries if not decreasing_above(e.mu, cert.ball.delta)]
+    gaps = (
+        ("failed scales", cert.failed_js), ("missing j", cert.missing_js), ("duplicated j", cert.duplicated_js)
+    )
+
+    def listed(*labelled) -> str:
+        return "; ".join(f"{label}: {list(js)}" for label, js in labelled if js)
+
+    checks = [
+        ("target moments match the base point", not issues, "; ".join(issues)),
+        (
+            "exact residuals below tolerance",
+            worst < Fraction(1, 2 ** (prec // 2)),
+            f"max |residual| = {real_to_str(worst, prec)}, tolerance 2^-{prec // 2}",
+        ),
+        ("stored residuals honest", all(r == tuple(e.residuals) for r, e in zip(residuals, cert.entries)), ""),
+        ("nu_j inside (delta/2, delta) * j^(2-p)", not bad_bracket, listed(("offending j", bad_bracket))),
+        ("mu^(j) strictly decreasing above delta", not bad_order, listed(("offending j", bad_order))),
+        ("certificate complete", cert.complete, listed(*gaps)),
+        (
+            "isometry residual within propagation bound",
+            iso.max_rel_residual <= iso.bound,
+            f"max_rel = {real_to_str(iso.max_rel_residual, prec)}, bound = {real_to_str(iso.bound, prec)}",
+        ),
+        ("weight bounds from the mass bracket", uc.valid, ""),
+        (
+            "sum nu_j converges (tail bound)",
+            uc.convergence_certified,
+            f"total <= {real_to_str(uc.sum_nu_total_bound, prec)}",
+        ),
+    ]
+    if cert.p >= 6:
+        checks.append(("sum w_j^(2p/(p-2)) diverges (comparator)", uc.divergence_certified, uc.divergence_note))
+    return VerifyReport(checks=tuple(checks), isometry=iso, weights=uc)

@@ -4,12 +4,9 @@ Commands
 --------
 construct   solve the moment-matching system for j = 1..j_max and write
             a certificate JSON (exit 0 only if every scale solved)
-verify      reload a certificate and recheck everything from the stored
-            values alone: exact residuals re-evaluated by the even-moment
-            fold (no code shared with the solver's polynomials), bracket
-            and ordering, completeness of the scales 1..J, the isometry
-            spot check, and the weight-sequence hypotheses; one PASS/FAIL
-            line per check
+verify      reload a certificate and recheck it from the stored values
+            alone (analysis.verify_certificate); one PASS/FAIL line per
+            check
 p4          the two-generator table for p = 4 with the matched column
             and the printed closed forms side by side
 moments     evaluate even moments of a sum described by a small JSON
@@ -27,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,13 +32,11 @@ import mpmath
 
 from .analysis import (
     FiniteSpan,
+    _projection_identity_checks,
     build_projection,
-    certificate_span,
-    isometry_check,
     projection_norm_grid_search,
     projection_norm_lower_bound,
-    reference_generator,
-    uncomplemented_certificate,
+    verify_certificate,
 )
 from .errors import CapExceededError, LpIsoforgeError, SchemaError
 from .moments import (
@@ -55,7 +49,6 @@ from .numeric import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
     frac_to_str,
-    mpf_to_fraction,
     parse_fraction,
     real_to_str,
 )
@@ -69,7 +62,7 @@ from .serialize import (
     save_certificate,
     uncomplemented_to_dict,
 )
-from .solver import DEFAULT_NU_FRACTION, construct_pair, decreasing_above, default_base_point
+from .solver import DEFAULT_NU_FRACTION, construct_pair, default_base_point
 
 __all__ = ["RunConfig", "build_parser", "main"]
 
@@ -250,109 +243,24 @@ def cmd_construct(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig, cert_path: str) -> int:
     cert = load_certificate(cert_path)
-    prec = cert.precision_bits
-    tol = Fraction(1, 2 ** (prec // 2))
-    targets = cert.target.values
-    checks = []
-
-    # every moment below comes from the even-moment fold, not the solver's polynomials
-    base = FiniteSpan.build(cert.p, [reference_generator(cert.ball.mu_bar)]).tables[0]
-    checks.append(("target moments match the base point", base[1:] == targets, ""))
-
-    span_tables = certificate_span(cert).tables if cert.entries else ()
-    worst = Fraction(0)
-    stored_ok = True
-    bad_order = []
-    for e, table in zip(cert.entries, span_tables):
-        resid = tuple(table[m] - t for m, t in enumerate(targets, 1))
-        if resid != tuple(e.residuals):
-            stored_ok = False
-        worst = max(worst, *(abs(r) for r in resid))
-        if not decreasing_above(tuple(mpf_to_fraction(v) for v in e.mu), cert.ball.delta):
-            bad_order.append(e.j)
-    uc = uncomplemented_certificate(cert)
-    bad_bracket = [r.j for r in uc.rows if not r.bracket_ok]
-    gaps = (
-        ("failed scales", cert.failed_js),
-        ("missing j", cert.missing_js),
-        ("duplicated j", cert.duplicated_js),
-    )
-
-    checks.append(
-        (
-            "exact residuals below tolerance",
-            worst < tol,
-            f"max |residual| = {real_to_str(worst, prec)}, tolerance 2^-{prec // 2}",
-        )
-    )
-    checks.append(("stored residuals honest", stored_ok, ""))
-    checks.append(
-        (
-            "nu_j inside (delta/2, delta) * j^(2-p)",
-            not bad_bracket,
-            f"offending j: {bad_bracket}" if bad_bracket else "",
-        )
-    )
-    checks.append(
-        (
-            "mu^(j) strictly decreasing above delta",
-            not bad_order,
-            f"offending j: {bad_order}" if bad_order else "",
-        )
-    )
-    checks.append(
-        (
-            "certificate complete",
-            cert.complete,
-            "; ".join(f"{label}: {list(js)}" for label, js in gaps if js),
-        )
-    )
-
-    iso = isometry_check(cert, trials=cfg.trials, seed=cfg.seed)
-    checks.append(
-        (
-            "isometry residual within propagation bound",
-            iso.max_rel_residual <= iso.bound,
-            f"max_rel = {real_to_str(iso.max_rel_residual, prec)}, "
-            f"bound = {real_to_str(iso.bound, prec)}",
-        )
-    )
-
-    checks.append(("weight bounds from the mass bracket", uc.valid, ""))
-    checks.append(
-        (
-            "sum nu_j converges (tail bound)",
-            uc.convergence_certified,
-            f"total <= {real_to_str(uc.sum_nu_total_bound, prec)}",
-        )
-    )
-    if cert.p >= 6:
-        checks.append(
-            (
-                "sum w_j^(2p/(p-2)) diverges (comparator)",
-                uc.divergence_certified,
-                uc.divergence_note,
-            )
-        )
-
-    lines = []
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        lines.append(f"{status}  {name}" + (f"  [{detail}]" if detail else ""))
+    report = verify_certificate(cert, trials=cfg.trials, seed=cfg.seed)
+    lines = [
+        f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else "")
+        for name, ok, detail in report.checks
+    ]
     if cert.p == 4:
-        lines.append(f"note  {uc.divergence_note}")
-    all_ok = all(ok for _, ok, _ in checks)
-    lines.append("verdict: " + ("PASS" if all_ok else "FAIL"))
-
+        lines.append(f"note  {report.weights.divergence_note}")
+    verdict = "PASS" if report.passed else "FAIL"
+    lines.append("verdict: " + verdict)
     payload = {
         "certificate": cert_path,
-        "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in checks],
-        "isometry": isometry_to_dict(iso, prec),
-        "weights": uncomplemented_to_dict(uc),
-        "verdict": "PASS" if all_ok else "FAIL",
+        "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in report.checks],
+        "isometry": isometry_to_dict(report.isometry, cert.precision_bits),
+        "weights": uncomplemented_to_dict(report.weights),
+        "verdict": verdict,
     }
     _emit(cfg, "\n".join(lines), payload)
-    return 0 if all_ok else 1
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -455,27 +363,10 @@ def cmd_project(cfg: RunConfig) -> int:
     span = FiniteSpan.build(cfg.p, [[SymmetricAtomVariable(1, m)] for m in masses])
     P = build_projection(span)
 
-    rng = random.Random(cfg.seed)
-    idempotent = contractive = True
-    for _ in range(cfg.trials):
-        f = [Fraction(rng.randint(-100, 100), rng.randint(1, 50)) for _ in P.probs]
-        Pf = P.apply(f)
-        if P.apply(Pf) != Pf:
-            idempotent = False
-        if P.abs_power_moment(Pf, 2) > P.abs_power_moment(f, 2):
-            contractive = False
-    fixes = all(P.apply(b) == tuple(b) for b in P.basis)
-    zero = tuple(Fraction(0) for _ in P.probs)
-    annihilates = P.apply([Fraction(1)] * P.atom_count) == zero
-
     bound = projection_norm_lower_bound(P, cfg.p, seed=cfg.seed, precision=cfg.precision_bits)
-    checks = [
-        (f"idempotent on {cfg.trials} random functions", idempotent),
-        ("fixes every generator", fixes),
-        ("annihilates constants", annihilates),
-        (f"2-norm contraction on {cfg.trials} random functions", contractive),
+    checks = _projection_identity_checks(P, cfg.trials, cfg.seed) + (
         ("p-norm lower bound >= 1", bound >= 1),
-    ]
+    )
     lines = [
         f"span: {cfg.n} generators, {P.atom_count} atoms, p = {cfg.p}",
         f"masses: {', '.join(frac_to_str(m) for m in masses)}",

@@ -18,7 +18,7 @@ import json
 
 import jsonschema
 
-from .errors import SchemaError
+from .errors import DegenerateInputError, SchemaError
 from .momentpoly import MuVector
 from .numeric import frac_to_str, parse_fraction, parse_real, real_to_str, validate_precision
 from .solver import BallParams, CertEntry, ConstructionCertificate, HValues
@@ -161,41 +161,57 @@ def cert_to_dict(cert: ConstructionCertificate) -> dict:
 def cert_from_dict(data) -> ConstructionCertificate:
     """Validate against CERT_SCHEMA and rebuild the certificate.
 
-    Field invariants beyond JSON shape (brackets, ordering, residual
-    size) are deliberately NOT checked here; that is the verifier's job
-    and it must be able to load a bad certificate in order to reject it.
+    p != 2k, a vector not of length k and masses outside mu in (0, 1],
+    nu in [0, 1] raise SchemaError.  Field invariants (ball, brackets,
+    ordering, residual size) are the verifier's job: it must be able to
+    load a bad certificate in order to reject it.
     """
     try:
         jsonschema.validate(data, CERT_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise SchemaError(f"certificate does not match {CERT_SCHEMA_ID}: {exc.message}") from exc
+    k = data["k"]
+    if data["p"] != 2 * k:
+        raise SchemaError(f"certificate has p = {data['p']}, k = {k}; p must equal 2k")
+    vectors = [("ball.mu_bar", data["ball"]["mu_bar"]), ("target", data["target"])]
+    vectors += [(f"entry j={e['j']} {f}", e[f]) for e in data["entries"] for f in ("mu", "residuals")]
+    for name, vec in vectors:
+        if len(vec) != k:
+            raise SchemaError(f"{name} has length {len(vec)}, expected k = {k}")
     prec = validate_precision(data["precision_bits"])
-    ball = BallParams(
-        mu_bar=MuVector(tuple(parse_fraction(s) for s in data["ball"]["mu_bar"])),
-        eps_bar=parse_fraction(data["ball"]["eps_bar"]),
-        eps=parse_fraction(data["ball"]["eps"]),
-        M=parse_fraction(data["ball"]["M"]),
-        eps0=parse_fraction(data["ball"]["eps0"]),
-        delta=parse_fraction(data["ball"]["delta"]),
-    )
-    entries = tuple(
-        CertEntry(
-            j=e["j"],
-            nu=parse_fraction(e["nu"]),
-            mu=tuple(parse_real(s, prec) for s in e["mu"]),
-            residuals=tuple(parse_fraction(s) for s in e["residuals"]),
-            jac_det=parse_real(e["jac_det"], prec),
-            newton_iters=e["newton_iters"],
+    try:
+        ball = BallParams(
+            mu_bar=MuVector(tuple(parse_fraction(s) for s in data["ball"]["mu_bar"])),
+            eps_bar=parse_fraction(data["ball"]["eps_bar"]),
+            eps=parse_fraction(data["ball"]["eps"]),
+            M=parse_fraction(data["ball"]["M"]),
+            eps0=parse_fraction(data["ball"]["eps0"]),
+            delta=parse_fraction(data["ball"]["delta"]),
         )
-        for e in data["entries"]
-    )
+        target = HValues(tuple(parse_fraction(s) for s in data["target"]))
+        entries = tuple(
+            CertEntry(
+                j=e["j"],
+                nu=parse_fraction(e["nu"]),
+                mu=MuVector(tuple(parse_real(s, prec) for s in e["mu"])).values,
+                residuals=tuple(parse_fraction(s) for s in e["residuals"]),
+                jac_det=parse_real(e["jac_det"], prec),
+                newton_iters=e["newton_iters"],
+            )
+            for e in data["entries"]
+        )
+    except DegenerateInputError as exc:
+        raise SchemaError(f"certificate value out of range: {exc}") from exc
+    bad_nu = [e.j for e in entries if not 0 <= e.nu <= 1]
+    if bad_nu:
+        raise SchemaError(f"nu outside [0, 1] at j = {bad_nu}")
     return ConstructionCertificate(
         p=data["p"],
         k=data["k"],
         precision_bits=prec,
         nu_fraction=parse_fraction(data["nu_fraction"]),
         ball=ball,
-        target=HValues(tuple(parse_fraction(s) for s in data["target"])),
+        target=target,
         entries=entries,
         failed_js=tuple(data["failed_js"]),
         seed=data.get("seed"),

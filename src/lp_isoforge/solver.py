@@ -412,7 +412,8 @@ class ConstructionCertificate:
 
 
 def decreasing_above(mu: tuple, delta: Fraction) -> bool:
-    """mu_1 > ... > mu_k > delta: the ordering every certified scale must meet."""
+    """mu_1 > ... > mu_k > delta on exact values: the ordering every certified scale must meet."""
+    mu = tuple(mpf_to_fraction(v) for v in mu)
     return all(a > b for a, b in zip(mu, mu[1:])) and mu[-1] > delta
 
 
@@ -466,7 +467,7 @@ def construct_pair(
         with workprec(precision):
             jac = jacobian_F(j, [to_mpf(v) for v in mu_sol.values], to_mpf(nu_j), table)
             jac_det = det_mpf(jac.matrix)
-        if not decreasing_above(tuple(mpf_to_fraction(v) for v in mu_sol.values), ball.delta):
+        if not decreasing_above(mu_sol.values, ball.delta):
             failed.append(j)
             continue
         entries.append(

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import workprec
 
 from lp_isoforge.analysis import (
@@ -21,18 +22,21 @@ from lp_isoforge.analysis import (
     render_uncomplemented_report,
     span_norm,
     uncomplemented_certificate,
+    verify_certificate,
     vpl_check,
 )
-from lp_isoforge.errors import CapExceededError, DegenerateInputError
+from lp_isoforge.errors import CapExceededError, DegenerateInputError, SchemaError
 from lp_isoforge.momentpoly import cm_alpha_table, eval_H
 from lp_isoforge.moments import SymmetricAtomVariable
-from lp_isoforge.numeric import to_mpf
+from lp_isoforge.numeric import frac_to_str, mpf_to_fraction, parse_fraction, parse_real, real_to_str, to_mpf
+from lp_isoforge.serialize import cert_from_dict, cert_to_dict
 from lp_isoforge.solver import (
     BallParams,
     CertEntry,
     ConstructionCertificate,
     ball_params,
     closed_form_k2,
+    construct_pair,
     default_base_point,
     target_h,
 )
@@ -400,3 +404,79 @@ def test_uncomplemented_flags_bracket_violation(cert_p6):
     assert not uc.valid
     assert uc.offending_js == (3,)
     assert not uc.rows[2].bracket_ok
+
+
+# ---------------------------------------------------------------------------
+# the verifier
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_cert_dict():
+    return cert_to_dict(construct_pair(6, 4, 256))
+
+
+def test_verify_certificate_passes_honest_certificate(small_cert_dict):
+    report = verify_certificate(cert_from_dict(small_cert_dict), trials=3)
+    assert report.passed
+    assert report.checks[0][0] == "target moments match the base point"
+    assert len(report.checks) == 10
+    assert report.isometry.trials == 3 and report.weights.valid
+
+
+BALL_FIELDS = ("eps_bar", "eps", "M", "eps0", "delta")
+MUTATIONS = BALL_FIELDS + (
+    "mu_bar", "target", "nu", "mu", "residuals", "j", "failed_js", "drop", "k", "p", "precision_bits",
+)
+
+
+def _times(text, r):
+    return frac_to_str(parse_fraction(text) * r)
+
+
+def _mutate(d, field, i, r):
+    """Edit one field that verify rechecks; "drop" spares the top scale (no j_max is stored)."""
+    entry = d["entries"][i % len(d["entries"])]
+    slot = i % d["k"]
+    if field in BALL_FIELDS:
+        d["ball"][field] = _times(d["ball"][field], r)
+    elif field == "mu_bar":
+        d["ball"]["mu_bar"][slot] = _times(d["ball"]["mu_bar"][slot], r)
+    elif field == "target":
+        d["target"][slot] = _times(d["target"][slot], r)
+    elif field == "nu":
+        entry["nu"] = _times(entry["nu"], r)
+    elif field == "mu":
+        prec = d["precision_bits"]
+        entry["mu"][slot] = real_to_str(mpf_to_fraction(parse_real(entry["mu"][slot], prec)) * r, prec)
+    elif field == "residuals":
+        # far below the tolerance: only the honesty check can see it
+        entry["residuals"][slot] = frac_to_str(parse_fraction(entry["residuals"][slot]) + r / 2 ** 300)
+    elif field == "j":
+        entry["j"] += 1 + i % 5
+    elif field == "failed_js":
+        d["failed_js"].append(1 + i % 8)
+    elif field == "drop":
+        del d["entries"][i % (len(d["entries"]) - 1)]
+    elif field == "k":
+        d["k"] += 1 if i % 2 else -1
+    elif field == "p":
+        d["p"] += 2 if i % 2 else -1
+    else:
+        d["precision_bits"] = (128, 192, 384, 512)[i % 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(MUTATIONS),
+    i=st.integers(0, 11),
+    r=st.fractions(Fraction(1, 40), 40, max_denominator=40).filter(lambda r: r != 1),
+)
+def test_single_field_mutation_never_passes(small_cert_dict, field, i, r):
+    d = cert_to_dict(cert_from_dict(small_cert_dict))
+    _mutate(d, field, i, r)
+    assert d != small_cert_dict
+    try:
+        cert = cert_from_dict(d)
+    except SchemaError:
+        return
+    assert not verify_certificate(cert, trials=2).passed

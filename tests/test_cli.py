@@ -112,19 +112,19 @@ def test_verify_flags_tampered_nu(tmp_path, capsys, cert_p4):
     assert "verdict: FAIL" in text
 
 
-def _verify_edited_entries(tmp_path, capsys, cert, edit):
+def _verify_edited(tmp_path, capsys, cert, edit):
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
     data = load_json(path)
-    data["entries"] = edit(data["entries"])
+    edit(data)
     tampered = tmp_path / "tampered.json"
     dump_json(data, tampered)
     return run(capsys, "verify", str(tampered), "--trials", "5")
 
 
 def test_verify_flags_missing_scale(tmp_path, capsys, cert_p6):
-    code, text, _ = _verify_edited_entries(
-        tmp_path, capsys, cert_p6, lambda es: [e for e in es if e["j"] != 5]
+    code, text, _ = _verify_edited(
+        tmp_path, capsys, cert_p6, lambda d: d.update(entries=[e for e in d["entries"] if e["j"] != 5])
     )
     assert code == 1
     assert "FAIL  certificate complete  [missing j: [5]]" in text
@@ -132,12 +132,43 @@ def test_verify_flags_missing_scale(tmp_path, capsys, cert_p6):
 
 
 def test_verify_flags_duplicated_scale(tmp_path, capsys, cert_p6):
-    code, text, _ = _verify_edited_entries(
-        tmp_path, capsys, cert_p6, lambda es: es[:3] + [es[2]] + es[3:]
+    code, text, _ = _verify_edited(
+        tmp_path, capsys, cert_p6, lambda d: d["entries"].insert(3, d["entries"][2])
     )
     assert code == 1
     assert "FAIL  certificate complete  [duplicated j: [3]]" in text
     assert "verdict: FAIL" in text
+
+
+@pytest.mark.parametrize(
+    "ball_edit, detail",
+    [
+        ({"M": "1/1", "eps0": "7/3", "eps_bar": "0/1"}, "ball differs: eps_bar, M, eps0"),
+        ({"eps": "1/7"}, "ball differs: eps"),
+    ],
+    ids=["M eps0 eps_bar", "eps"],
+)
+def test_verify_recomputes_ball(tmp_path, capsys, cert_p6, ball_edit, detail):
+    code, text, _ = _verify_edited(tmp_path, capsys, cert_p6, lambda d: d["ball"].update(ball_edit))
+    assert code == 1
+    assert f"FAIL  target moments match the base point  [{detail}]" in text
+    assert "verdict: FAIL" in text
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(k=2),
+        lambda d: d.update(k=4),
+        lambda d: d.update(target=d["target"][:2]),
+    ],
+    ids=["k=2", "k=4", "short target"],
+)
+def test_verify_rejects_inconsistent_shape(tmp_path, capsys, cert_p6, edit):
+    code, out, err = _verify_edited(tmp_path, capsys, cert_p6, edit)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_verify_json_payload(tmp_path, capsys, cert_p4):

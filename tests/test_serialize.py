@@ -111,6 +111,52 @@ def test_malformed_real_rejected(cert_p4):
         cert_from_dict(d)
 
 
+def test_k_not_half_p_rejected(cert_p4):
+    d = cert_to_dict(cert_p4)
+    d["k"] = 3
+    with pytest.raises(SchemaError, match="p must equal 2k"):
+        cert_from_dict(d)
+
+
+def test_mu_bar_length_rejected(cert_p6):
+    d = cert_to_dict(cert_p6)
+    d["ball"]["mu_bar"] = d["ball"]["mu_bar"][:2]
+    with pytest.raises(SchemaError, match="ball.mu_bar has length 2"):
+        cert_from_dict(d)
+
+
+def test_target_length_rejected(cert_p6):
+    d = cert_to_dict(cert_p6)
+    d["target"].append("1/1")
+    with pytest.raises(SchemaError, match="target has length 4"):
+        cert_from_dict(d)
+
+
+@pytest.mark.parametrize("field", ["mu", "residuals"])
+def test_entry_vector_length_rejected(cert_p6, field):
+    d = cert_to_dict(cert_p6)
+    d["entries"][1][field] = d["entries"][1][field][:2]
+    with pytest.raises(SchemaError, match=f"entry j=2 {field} has length 2"):
+        cert_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["ball"]["mu_bar"].__setitem__(0, "3/2"),
+        lambda d: d["entries"][0]["mu"].__setitem__(0, "1.5"),
+        lambda d: d["entries"][0].update(nu="-1/48"),
+        lambda d: d["target"].__setitem__(0, "0/1"),
+    ],
+    ids=["mu_bar above 1", "mu above 1", "negative nu", "zero target"],
+)
+def test_values_outside_domain_rejected(cert_p4, edit):
+    d = cert_to_dict(cert_p4)
+    edit(d)
+    with pytest.raises(SchemaError):
+        cert_from_dict(d)
+
+
 def test_truncated_file_rejected(cert_p4, tmp_path):
     path = tmp_path / "cert.json"
     save_certificate(cert_p4, path)
