@@ -47,10 +47,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, lcm, log
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_rational,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_neg,
+    mpf_pow,
+    mpf_pow_int,
+    mpf_shift,
+    round_nearest,
+)
 
 from .errors import CapExceededError, DegenerateInputError
 from .moments import (
@@ -334,6 +351,11 @@ class ProjectionOperator:
     generator i there; norms_sq[i] = ||h_i||_2^2.  All exact for
     rational generator data, so P o P = P is an identity, not an
     approximation.
+
+    P runs as one integer kernel: over a common denominator den,
+    B[i][a] ~ basis[i][a] and W[i][a] ~ basis[i][a] probs[a] / norms_sq[i]
+    are integers, and for f = F/L with integer F,
+    (Pf)[a] = sum_i B[i][a] sum_a' F[a'] W[i][a'] / (den L).
     """
 
     probs: tuple
@@ -351,22 +373,36 @@ class ProjectionOperator:
     def inner(self, f, g) -> Scalar:
         return sum((fa * ga * pa for fa, ga, pa in zip(f, g, self.probs)), Fraction(0))
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """(columns, W, den): columns[a][i] = B[i][a], the kernel's integer tables."""
+        weights = [[v * pa / ns for v, pa in zip(b, self.probs)] for b, ns in zip(self.basis, self.norms_sq)]
+        den_b = lcm(*(Fraction(v).denominator for b in self.basis for v in b))
+        den_w = lcm(*(w.denominator for row in weights for w in row))
+        columns = tuple(zip(*(tuple(int(v * den_b) for v in b) for b in self.basis)))
+        W = tuple(tuple(int(w * den_w) for w in row) for row in weights)
+        return columns, W, den_b * den_w
+
+    def _apply_int(self, F) -> list:
+        """N with (Pf)[a] = N[a] / (den L) for f = F/L, F a list of ints."""
+        columns, W, _ = self._tables
+        coeffs = [sum(x * w for x, w in zip(F, row)) for row in W]
+        return [sum(c * b for c, b in zip(coeffs, col)) for col in columns]
+
     def apply(self, f) -> tuple:
-        f = tuple(f)
+        """Pf for a rational vector f, exact."""
+        f = [Fraction(v) for v in f]
         if len(f) != self.atom_count:
             raise ValueError("function vector length mismatch")
-        coeffs = [self.inner(f, b) / ns for b, ns in zip(self.basis, self.norms_sq)]
-        out = []
-        for a in range(self.atom_count):
-            acc = Fraction(0)
-            for ci, b in zip(coeffs, self.basis):
-                acc = acc + ci * b[a]
-            out.append(acc)
-        return tuple(out)
+        L = lcm(*(v.denominator for v in f))
+        N = self._apply_int([v.numerator * (L // v.denominator) for v in f])
+        den = self._tables[2] * L
+        return tuple(Fraction(n, den) for n in N)
 
     def abs_power_moment(self, f, r) -> Scalar:
         """E |f|^r against the atom probabilities; exact for even integer r."""
         if isinstance(r, int) and r % 2 == 0:
+            # mpf f: Fraction * mpf truncates pa; kept for bit-identity (the ascent mirrors it)
             return sum((pa * fa ** r for fa, pa in zip(f, self.probs)), Fraction(0))
         rr = to_mpf(r)
         acc = mpmath.mpf(0)
@@ -426,15 +462,58 @@ def _projection_identity_checks(P: ProjectionOperator, trials: int, seed: int) -
     )
 
 
-def _signed_power(vec, expo):
+def _raw_apply(P: ProjectionOperator, f, prec: int) -> tuple:
+    """P f for raw mpf tuples f, each atom rounded once to nearest at `prec`
+    bits: equal to to_mpf of P.apply on the exact values of f."""
+    e = min((exp for _, man, exp, _ in f if man), default=0)
+    F = [((-man if sign else man) << (exp - e)) if man else 0 for sign, man, exp, _ in f]
+    den = P._tables[2]
+    # f = F 2^e, so (Pf)[a] = N[a] 2^e / den; scaling by 2^e is exact
+    return tuple(mpf_shift(from_rational(n, den, prec, round_nearest), e) for n in P._apply_int(F))
+
+
+def _raw_norm(P: ProjectionOperator, p, prec: int):
+    """f -> P.norm(f, p)._mpf_ on raw mpf tuples at `prec` bits, bit for bit.
+
+    Mirrors both branches of abs_power_moment, roundings included: for
+    even integer p, Fraction * mpf converts each probability with
+    mpmath's default rounding, which truncates; otherwise to_mpf rounds
+    it to nearest and zero atoms are skipped.
+    """
+    rnd = round_nearest
+    even = isinstance(p, int) and p % 2 == 0
+    with workprec(prec):
+        inv_p = (1 / to_mpf(p))._mpf_
+        rr = to_mpf(p)._mpf_
+        if even:
+            probs = [from_rational(pa.numerator, pa.denominator, prec) for pa in P.probs]
+        else:
+            probs = [to_mpf(pa)._mpf_ for pa in P.probs]
+
+    def norm(f) -> tuple:
+        acc = fzero
+        for fa, pa in zip(f, probs):
+            if even:
+                term = mpf_mul(mpf_pow_int(fa, p, prec, rnd), pa, prec, rnd)
+            elif fa != fzero:
+                term = mpf_mul(pa, mpf_pow(mpf_abs(fa, prec, rnd), rr, prec, rnd), prec, rnd)
+            else:
+                continue
+            acc = mpf_add(acc, term, prec, rnd)
+        return mpf_pow(acc, inv_p, prec, rnd)
+
+    return norm
+
+
+def _signed_power(vec, expo, prec: int) -> tuple:
+    """psi: v -> sign(v) |v|^expo on raw mpf tuples at `prec` bits."""
     out = []
     for v in vec:
-        av = abs(v)
-        if av == 0:
-            out.append(mpmath.mpf(0))
+        if v == fzero:
+            out.append(fzero)
         else:
-            s = 1 if v > 0 else -1
-            out.append(s * av ** expo)
+            pw = mpf_pow(mpf_abs(v, prec, round_nearest), expo, prec, round_nearest)
+            out.append(mpf_neg(pw) if v[0] else pw)
     return tuple(out)
 
 
@@ -454,19 +533,24 @@ def projection_norm_lower_bound(
     f <- psi_q(Pf) (q = p/(p-1)) at `precision` bits, tracking the best
     ratio ||Pf||_p / ||f||_p seen at any iterate.  Every reported value
     is a genuinely attained ratio, hence a valid lower bound.
+
+    Iterates are raw mpf tuples: Pf is the exact integer kernel rounded
+    once per atom, and every norm, power and quotient is the libmp call
+    that the mpf operators on P.apply / P.norm would make, so the result
+    is bit-identical to running them.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
     validate_precision(precision)
     rng = random.Random(seed)
-    q_exp = Fraction(1, p - 1)  # q - 1
+    rnd = round_nearest
+    norm = _raw_norm(P, p, precision)
     with workprec(precision):
-        best = mpmath.mpf(1)  # exact: P(basis[0]) == basis[0]
+        q_exp = to_mpf(Fraction(1, p - 1))._mpf_  # q - 1
+        best = fone  # exact: P(basis[0]) == basis[0]
         start_vectors = []
         for _ in range(starts):
-            start_vectors.append(
-                tuple(mpmath.mpf(rng.uniform(-1, 1)) for _ in range(P.atom_count))
-            )
+            start_vectors.append(tuple(from_float(rng.uniform(-1, 1)) for _ in range(P.atom_count)))
         # random span combinations reach the maximizer family directly
         for _ in range(max(1, starts // 2)):
             coeffs = [mpmath.mpf(rng.uniform(-1, 1)) for _ in P.basis]
@@ -475,25 +559,24 @@ def projection_norm_lower_bound(
                 acc = mpmath.mpf(0)
                 for ci, b in zip(coeffs, P.basis):
                     acc += ci * to_mpf(b[a])
-                vec.append(acc)
-            start_vectors.append(tuple(_signed_power(vec, to_mpf(q_exp))))
+                vec.append(acc._mpf_)
+            start_vectors.append(_signed_power(vec, q_exp, precision))
         for f in start_vectors:
             for _ in range(iters):
-                g = P.apply([mpf_to_fraction(v) for v in f])
-                g = tuple(to_mpf(v) for v in g)
-                ng = P.norm(g, p)
-                nf = P.norm(f, p)
-                if ng == 0 or nf == 0:
+                g = _raw_apply(P, f, precision)
+                ng = norm(g)
+                nf = norm(f)
+                if ng == fzero or nf == fzero:
                     break
-                ratio = ng / nf
-                if ratio > best:
+                ratio = mpf_div(ng, nf, precision, rnd)
+                if mpf_gt(ratio, best):
                     best = ratio
-                nxt = _signed_power(g, to_mpf(q_exp))
-                nn = P.norm(nxt, p)
-                if nn == 0:
+                nxt = _signed_power(g, q_exp, precision)
+                nn = norm(nxt)
+                if nn == fzero:
                     break
-                f = tuple(v / nn for v in nxt)
-        return best
+                f = tuple(mpf_div(v, nn, precision, rnd) for v in nxt)
+        return mpmath.mp.make_mpf(best)
 
 
 def projection_norm_grid_search(
@@ -731,7 +814,7 @@ class VerifyReport:
     """The verifier's (name, passed, detail) checks, in order, and their evidence."""
 
     checks: tuple
-    isometry: IsometryCheckResult
+    isometry: IsometryCheckResult | None  # None when there are no solved entries
     weights: UncomplementedCertificate
 
     @property
@@ -746,10 +829,10 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
     ball_params(mu_bar), brackets and weights from `uncomplemented_certificate`.
     Not rechecked: the provenance fields seed, newton_iters, jac_det and
     nu_fraction (each nu_j is held to its bracket, not to the schedule),
-    and a dropped top scale J, since no j_max is stored.  Raises
-    DegenerateInputError for a certificate with no entries.
+    and a dropped top scale J, since no j_max is stored.  A certificate
+    with no solved entries fails the isometry line and has isometry None.
     """
-    iso = isometry_check(cert, trials=trials, seed=seed)
+    iso = isometry_check(cert, trials=trials, seed=seed) if cert.entries else None
     uc = uncomplemented_certificate(cert)
     prec = cert.precision_bits
     issues = [] if _reference_table(cert)[1:] == cert.target.values else ["target differs"]
@@ -759,12 +842,17 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
         issues += [f"ball differs: {', '.join(differ)}"] if differ else []
     except DegenerateInputError as exc:
         issues.append(f"ball not recomputable: {exc}")
-    residuals = _residuals(cert, certificate_span(cert))
-    worst = max(abs(r) for resid in residuals for r in resid)
+    residuals = _residuals(cert, certificate_span(cert)) if cert.entries else ()
+    worst = max((abs(r) for resid in residuals for r in resid), default=Fraction(0))
     bad_bracket = [r.j for r in uc.rows if not r.bracket_ok]
     bad_order = [e.j for e in cert.entries if not decreasing_above(e.mu, cert.ball.delta)]
     gaps = (
         ("failed scales", cert.failed_js), ("missing j", cert.missing_js), ("duplicated j", cert.duplicated_js)
+    )
+
+    iso_outcome = (False, "no solved entries") if iso is None else (
+        iso.max_rel_residual <= iso.bound,
+        f"max_rel = {real_to_str(iso.max_rel_residual, prec)}, bound = {real_to_str(iso.bound, prec)}",
     )
 
     def listed(*labelled) -> str:
@@ -781,11 +869,7 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
         ("nu_j inside (delta/2, delta) * j^(2-p)", not bad_bracket, listed(("offending j", bad_bracket))),
         ("mu^(j) strictly decreasing above delta", not bad_order, listed(("offending j", bad_order))),
         ("certificate complete", cert.complete, listed(*gaps)),
-        (
-            "isometry residual within propagation bound",
-            iso.max_rel_residual <= iso.bound,
-            f"max_rel = {real_to_str(iso.max_rel_residual, prec)}, bound = {real_to_str(iso.bound, prec)}",
-        ),
+        ("isometry residual within propagation bound", *iso_outcome),
         ("weight bounds from the mass bracket", uc.valid, ""),
         (
             "sum nu_j converges (tail bound)",

@@ -255,7 +255,7 @@ def cmd_verify(cfg: RunConfig, cert_path: str) -> int:
     payload = {
         "certificate": cert_path,
         "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in report.checks],
-        "isometry": isometry_to_dict(report.isometry, cert.precision_bits),
+        "isometry": None if report.isometry is None else isometry_to_dict(report.isometry, cert.precision_bits),
         "weights": uncomplemented_to_dict(report.weights),
         "verdict": verdict,
     }

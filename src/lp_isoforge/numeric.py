@@ -12,10 +12,12 @@ Precision discipline: every mpf computation runs inside an explicit
 ``workprec`` context and the precision in force is recorded alongside any
 serialized value.  Conversion from Fraction to mpf goes through
 :func:`to_mpf`, built on ``mpmath.libmp.from_rational`` which rounds
-correctly to nearest; the obvious ``mpmathify(Fraction)`` path does not
-(it is off by up to a couple of ulps) and is never used.  Conversion the
-other way (:func:`mpf_to_fraction`) is exact because every finite binary
-float is a dyadic rational.
+correctly to nearest.  The implicit path, ``mpmathify(Fraction)``, which
+mixed arithmetic such as ``Fraction * mpf`` takes, truncates instead (at
+most 1 ulp off in mpmath 1.3); `ProjectionOperator.abs_power_moment`
+reaches it for even orders and keeps it so its values stay bit-identical.
+Conversion the other way (:func:`mpf_to_fraction`) is exact because every
+finite binary float is a dyadic rational.
 
 Decimal serialization uses enough digits that parsing the string at the
 same precision reproduces the identical mpf, so certificates survive a

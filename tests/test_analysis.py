@@ -25,6 +25,7 @@ from lp_isoforge.analysis import (
     verify_certificate,
     vpl_check,
 )
+from lp_isoforge.analysis import _raw_apply, _raw_norm
 from lp_isoforge.errors import CapExceededError, DegenerateInputError, SchemaError
 from lp_isoforge.momentpoly import cm_alpha_table, eval_H
 from lp_isoforge.moments import SymmetricAtomVariable
@@ -311,6 +312,81 @@ def test_norm_bound_vs_grid_oracle():
     assert abs(float(est) - grid) / grid < 0.01
     with pytest.raises(ValueError):
         projection_norm_grid_search(build_projection(build_span(4, [Fraction(1, 2)])), 4)
+
+
+# non-dyadic atom probabilities: the two roundings of a probability differ
+NON_DYADIC_MASSES = [
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Fraction(5, 7), Fraction(2, 7), Fraction(1, 3)),
+]
+
+
+def reference_apply(P, f):
+    """Pf as sum_i <f, h_i>/||h_i||^2 h_i in Fraction arithmetic."""
+    coeffs = [P.inner(f, b) / ns for b, ns in zip(P.basis, P.norms_sq)]
+    return tuple(sum((c * b[a] for c, b in zip(coeffs, P.basis)), Fraction(0)) for a in range(P.atom_count))
+
+
+def random_mpf_vector(rng, size, zeros):
+    """mpf entries of mixed magnitude and sign, `zeros` of them exactly 0."""
+    f = [mpmath.mpf(rng.uniform(-1, 1)) / 3 * mpmath.mpf(2) ** rng.randint(-30, 30) for _ in range(size)]
+    for a in rng.sample(range(size), zeros):
+        f[a] = mpmath.mpf(0)
+    return f
+
+
+@pytest.mark.parametrize("masses", NON_DYADIC_MASSES, ids=["1/2,1/3", "5/7,2/7,1/3"])
+def test_integer_apply_matches_rational_reference(masses):
+    P = build_projection(build_span(4, masses))
+    rng = random.Random(11)
+    with workprec(256):
+        for trial in range(20):
+            f = [Fraction(rng.randint(-100, 100), rng.randint(1, 60)) for _ in range(P.atom_count)]
+            assert P.apply(f) == reference_apply(P, f)
+            x = random_mpf_vector(rng, P.atom_count, zeros=trial % 3)
+            dyadic = [mpf_to_fraction(v) for v in x]
+            want = reference_apply(P, dyadic)
+            assert P.apply(dyadic) == want
+            assert _raw_apply(P, [v._mpf_ for v in x], 256) == tuple(to_mpf(v)._mpf_ for v in want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 6])
+@pytest.mark.parametrize("masses", NON_DYADIC_MASSES, ids=["1/2,1/3", "5/7,2/7,1/3"])
+def test_raw_norm_matches_norm(masses, p):
+    P = build_projection(build_span(4, masses))
+    norm = _raw_norm(P, p, 256)
+    rng = random.Random(p)
+    with workprec(256):
+        for trial in range(40):
+            f = random_mpf_vector(rng, P.atom_count, zeros=trial % 4)
+            assert norm([v._mpf_ for v in f]) == P.norm(f, p)._mpf_
+
+
+@pytest.mark.parametrize(
+    "masses, p, want",
+    [
+        # project --p 6 --n 3 --seed 0
+        (
+            (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)), 6,
+            (0, 74463078928774523059064894513689887948404508524156127379136282530576170425067, -255, 256),
+        ),
+        # project --p 4 --n 2 (non-dyadic probabilities)
+        (
+            (Fraction(2, 3), Fraction(1, 3)), 4,
+            (0, 64975984750209689446478421705877567924565296239869695642858630199332624037883, -255, 256),
+        ),
+        # odd p: the other branch of abs_power_moment
+        (
+            (Fraction(1, 2), Fraction(1, 3)), 3,
+            (0, 60288004644260087223812167278998614969293507083524139051649063126855069736517, -255, 256),
+        ),
+    ],
+    ids=["p6 n3", "p4 n2", "p3"],
+)
+def test_norm_bound_pinned(masses, p, want):
+    # recorded with the Fraction round-trip ascent; the raw ascent must match bit for bit
+    P = build_projection(build_span(4, masses))
+    assert projection_norm_lower_bound(P, p, seed=0)._mpf_ == want
 
 
 # ---------------------------------------------------------------------------

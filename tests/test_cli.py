@@ -112,14 +112,14 @@ def test_verify_flags_tampered_nu(tmp_path, capsys, cert_p4):
     assert "verdict: FAIL" in text
 
 
-def _verify_edited(tmp_path, capsys, cert, edit):
+def _verify_edited(tmp_path, capsys, cert, edit, *extra):
     path = tmp_path / "cert.json"
     save_certificate(cert, path)
     data = load_json(path)
     edit(data)
     tampered = tmp_path / "tampered.json"
     dump_json(data, tampered)
-    return run(capsys, "verify", str(tampered), "--trials", "5")
+    return run(capsys, "verify", str(tampered), "--trials", "5", *extra)
 
 
 def test_verify_flags_missing_scale(tmp_path, capsys, cert_p6):
@@ -138,6 +138,22 @@ def test_verify_flags_duplicated_scale(tmp_path, capsys, cert_p6):
     assert code == 1
     assert "FAIL  certificate complete  [duplicated j: [3]]" in text
     assert "verdict: FAIL" in text
+
+
+def test_verify_without_solved_entries_prints_checks(tmp_path, capsys, cert_p6):
+    def drop_all(d):
+        d.update(entries=[], failed_js=[1, 2, 3])
+
+    code, text, err = _verify_edited(tmp_path, capsys, cert_p6, drop_all)
+    assert code == 1 and err == ""
+    assert "FAIL  certificate complete  [failed scales: [1, 2, 3]]" in text
+    assert "FAIL  isometry residual within propagation bound  [no solved entries]" in text
+    assert text.rstrip().endswith("verdict: FAIL")
+    code, out, _ = _verify_edited(tmp_path, capsys, cert_p6, drop_all, "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["isometry"] is None and payload["verdict"] == "FAIL"
+    failing = {c["name"] for c in payload["checks"] if not c["pass"]}
+    assert failing == {"certificate complete", "isometry residual within propagation bound"}
 
 
 @pytest.mark.parametrize(
