@@ -38,7 +38,8 @@ class ContinuationFailureError(NewtonDivergenceError):
 
 
 class SingularJacobianError(LpIsoforgeError):
-    """Jacobian determinant below the guard band after precision escalation."""
+    """Jacobian singular: an elimination pivot fell below the guard band at the
+    working precision, or an exact determinant is zero."""
 
 
 class SchemaError(LpIsoforgeError):

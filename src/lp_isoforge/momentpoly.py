@@ -38,7 +38,8 @@ Every value is a read of two tables built from one elementary-symmetric
 table of the masses: the vector [1, H_1, ..., H_k] and dH_m/dmu_beta.
 
 All functions evaluate exactly on Fraction inputs and in the active
-mpmath precision on mpf inputs.
+mpmath precision on mpf inputs, except `vandermonde_check`, which takes
+rationals only.
 """
 
 from __future__ import annotations
@@ -48,12 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-import mpmath
-from mpmath import mp
-
 from .errors import DegenerateInputError, SingularJacobianError
 from .moments import _even_multinomial
-from .numeric import Scalar, det_exact, det_mpf, to_mpf, workprec
+from .numeric import Scalar, det_exact
 
 __all__ = [
     "CmAlphaTable",
@@ -305,20 +303,17 @@ def jacobian_F(j: int, mu, nu, table: CmAlphaTable) -> JacobianF:
 
 @dataclass(frozen=True)
 class VandermondeCheck:
-    det_jacobian: Scalar
-    det_vandermonde: Scalar
-    ratio: Scalar
+    det_jacobian: Fraction
+    det_vandermonde: Fraction
+    ratio: Fraction
     expected_magnitude: int
-    precision_bits: int | None  # None when the computation was exact
 
 
 def vandermonde_check(mu, table: CmAlphaTable) -> VandermondeCheck:
-    """det J(mu, nu=0) against the Vandermonde determinant of the masses.
+    """det J(mu, nu=0) against the Vandermonde determinant of the masses, exactly.
 
-    Requires strictly decreasing masses (the Vandermonde factor pairs are
-    then nonzero).  Exact on rational input; on mpf input the determinant
-    is guarded against cancellation and the precision is doubled up to
-    twice before giving up.
+    Requires rational, strictly decreasing masses (the Vandermonde factor
+    pairs are then nonzero).
     """
     values = _values(mu)
     k = len(values)
@@ -328,36 +323,11 @@ def vandermonde_check(mu, table: CmAlphaTable) -> VandermondeCheck:
         raise DegenerateInputError("mu must be strictly decreasing for this check")
     if table.k != k:
         raise ValueError("table order must match len(mu)")
-    jac = jacobian_F(1, values, Fraction(0), table)
-    exact = all(isinstance(v, (int, Fraction)) for v in values)
-    expected = table.diagonal_product()
-    if exact:
-        det_j = det_exact(jac.matrix)
-        det_v = Fraction(1)
-        for i in range(k):
-            for jj in range(i + 1, k):
-                det_v *= values[jj] - values[i]
-        if det_j == 0:
-            raise SingularJacobianError("exact Jacobian determinant is zero")
-        return VandermondeCheck(det_j, det_v, det_j / det_v, expected, None)
-    prec = mp.prec
-    for attempt in range(3):
-        bits = prec * (2 ** attempt)
-        with workprec(bits):
-            vals = [to_mpf(v) for v in values]
-            jac_b = jacobian_F(1, vals, mpmath.mpf(0), table)
-            max_entry = max(abs(v) for row in jac_b.matrix for v in row)
-            try:
-                det_j = det_mpf(jac_b.matrix)
-            except SingularJacobianError:
-                continue
-            if abs(det_j) <= mpmath.mpf(2) ** (-(bits // 2)) * max_entry:
-                continue
-            det_v = mpmath.mpf(1)
-            for i in range(k):
-                for jj in range(i + 1, k):
-                    det_v *= vals[jj] - vals[i]
-            return VandermondeCheck(det_j, det_v, det_j / det_v, expected, bits)
-    raise SingularJacobianError(
-        f"Jacobian determinant below guard band even after escalating to {prec * 4} bits"
-    )
+    det_j = det_exact(jacobian_F(1, values, Fraction(0), table).matrix)
+    det_v = Fraction(1)
+    for i in range(k):
+        for jj in range(i + 1, k):
+            det_v *= values[jj] - values[i]
+    if det_j == 0:
+        raise SingularJacobianError("exact Jacobian determinant is zero")
+    return VandermondeCheck(det_j, det_v, det_j / det_v, table.diagonal_product())

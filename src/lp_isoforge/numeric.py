@@ -26,12 +26,14 @@ round trip byte-for-byte.
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Union
 
 import mpmath
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_rational, prec_to_dps, round_nearest
+from mpmath.libmp import from_rational, mpf_pos, prec_to_dps, round_nearest
 
 from .errors import SingularJacobianError
 
@@ -67,15 +69,19 @@ def validate_precision(bits: int) -> int:
 
 
 def to_mpf(x: Scalar, prec: int | None = None) -> mpmath.mpf:
-    """Convert x to mpf, correctly rounded at `prec` (current context if None)."""
+    """Convert x to mpf, correctly rounded at `prec` (current context if None).
+
+    The result keeps all `prec` bits even outside a ``workprec(prec)``
+    context: ``mp.make_mpf`` wraps the rounded value without re-rounding it.
+    """
     if prec is None:
         prec = mp.prec
     if isinstance(x, mpmath.mpf):
-        return +x  # re-round into the active context
+        return mp.make_mpf(mpf_pos(x._mpf_, prec, round_nearest))
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
-        return mpf(from_rational(x.numerator, x.denominator, prec, round_nearest))
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, round_nearest))
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
@@ -96,9 +102,15 @@ def mpf_to_fraction(x: Scalar) -> Fraction:
 # string forms
 # ---------------------------------------------------------------------------
 
+def _int_to_str(n: int) -> str:
+    # through decimal, which has no limit on the number of digits
+    # (str(int) refuses more than sys.get_int_max_str_digits())
+    return format(Decimal(n), "f")
+
+
 def frac_to_str(q: Fraction | int) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -118,9 +130,18 @@ def real_to_str(x: Scalar, prec: int) -> str:
         return mpmath.nstr(v, _serialization_digits(prec))
 
 
+# what real_to_str writes: an optional sign, digits with at most one point,
+# an optional exponent.  `$` also matches before one final newline.
+_REAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?$")
+
+
 def parse_real(s: str, prec: int) -> mpmath.mpf:
+    """The mpf at `prec` bits of a decimal string; anything else is a ValueError."""
+    m = _REAL.match(s) if isinstance(s, str) else None
+    if m is None:
+        raise ValueError(f"not a decimal real: {s!r}")
     with workprec(prec):
-        return mpf(s.strip())
+        return mpf(m.group())
 
 
 # ---------------------------------------------------------------------------

@@ -8,24 +8,25 @@ Conventions, fixed across every writer in the package:
 * key order is fixed by construction, output is `indent=2` with a
   trailing newline and carries no timestamps, so identical runs produce
   byte-identical files;
-* certificates carry the schema id "lp-isoforge-cert/1" and are
-  validated against CERT_SCHEMA before any field is interpreted.
+* certificates carry the schema id "lp-isoforge-cert/1"; `cert_from_dict`
+  is the one reader and validator: it checks each field as it parses it
+  and raises SchemaError naming the field.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from decimal import Decimal
+from fractions import Fraction
 
-import jsonschema
-
-from .errors import DegenerateInputError, SchemaError
+from .errors import SchemaError
 from .momentpoly import MuVector
-from .numeric import frac_to_str, parse_fraction, parse_real, real_to_str, validate_precision
+from .numeric import MIN_PRECISION_BITS, frac_to_str, parse_real, real_to_str
 from .solver import BallParams, CertEntry, ConstructionCertificate, HValues
 
 __all__ = [
     "CERT_SCHEMA_ID",
-    "CERT_SCHEMA",
     "dumps_json",
     "dump_json",
     "load_json",
@@ -41,66 +42,6 @@ __all__ = [
 ]
 
 CERT_SCHEMA_ID = "lp-isoforge-cert/1"
-
-_FRACTION_STR = {"type": "string", "pattern": r"^-?[0-9]+(/[0-9]+)?$"}
-_REAL_STR = {"type": "string", "pattern": r"^-?[0-9.]+(e[+-]?[0-9]+)?$"}
-
-CERT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$id": CERT_SCHEMA_ID,
-    "type": "object",
-    "required": [
-        "schema",
-        "p",
-        "k",
-        "precision_bits",
-        "nu_fraction",
-        "ball",
-        "target",
-        "entries",
-        "failed_js",
-    ],
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"const": CERT_SCHEMA_ID},
-        "p": {"type": "integer", "minimum": 4},
-        "k": {"type": "integer", "minimum": 2},
-        "precision_bits": {"type": "integer", "minimum": 128},
-        "seed": {"type": ["integer", "null"]},
-        "nu_fraction": _FRACTION_STR,
-        "ball": {
-            "type": "object",
-            "required": ["mu_bar", "eps_bar", "eps", "M", "eps0", "delta"],
-            "additionalProperties": False,
-            "properties": {
-                "mu_bar": {"type": "array", "items": _FRACTION_STR, "minItems": 2},
-                "eps_bar": _FRACTION_STR,
-                "eps": _FRACTION_STR,
-                "M": _FRACTION_STR,
-                "eps0": _FRACTION_STR,
-                "delta": _FRACTION_STR,
-            },
-        },
-        "target": {"type": "array", "items": _FRACTION_STR, "minItems": 2},
-        "entries": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["j", "nu", "mu", "residuals", "jac_det", "newton_iters"],
-                "additionalProperties": False,
-                "properties": {
-                    "j": {"type": "integer", "minimum": 1},
-                    "nu": _FRACTION_STR,
-                    "mu": {"type": "array", "items": _REAL_STR, "minItems": 2},
-                    "residuals": {"type": "array", "items": _FRACTION_STR, "minItems": 2},
-                    "jac_det": _REAL_STR,
-                    "newton_iters": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "failed_js": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-    },
-}
 
 
 def dumps_json(obj) -> str:
@@ -158,63 +99,114 @@ def cert_to_dict(cert: ConstructionCertificate) -> dict:
     }
 
 
-def cert_from_dict(data) -> ConstructionCertificate:
-    """Validate against CERT_SCHEMA and rebuild the certificate.
+_CERT_KEYS = ("schema", "p", "k", "precision_bits", "nu_fraction", "ball", "target", "entries", "failed_js")
+_BALL_KEYS = ("mu_bar", "eps_bar", "eps", "M", "eps0", "delta")
+_ENTRY_KEYS = ("j", "nu", "mu", "residuals", "jac_det", "newton_iters")
+# what frac_to_str writes, denominator nonzero; `$` also matches before a final newline
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?$")
 
-    p != 2k, a vector not of length k and masses outside mu in (0, 1],
-    nu in [0, 1] raise SchemaError.  Field invariants (ball, brackets,
-    ordering, residual size) are the verifier's job: it must be able to
-    load a bad certificate in order to reject it.
+
+def _object(value, name: str, keys: tuple, optional: tuple = ()) -> dict:
+    if type(value) is not dict:
+        raise SchemaError(f"{name} must be an object")
+    missing = [key for key in keys if key not in value]
+    unknown = [key for key in value if key not in keys and key not in optional]
+    if missing or unknown:
+        raise SchemaError(f"{name}: missing keys {missing}, unknown keys {unknown}")
+    return value
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    # type() rather than isinstance(): JSON true loads as a bool, 6.0 as a float
+    if type(value) is not int or (minimum is not None and value < minimum):
+        least = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"{name} must be an integer{least}, got {value!r}")
+    return value
+
+
+def _list(value, name: str, k: int | None = None) -> list:
+    if type(value) is not list:
+        raise SchemaError(f"{name} must be a list")
+    if k is not None and len(value) != k:
+        raise SchemaError(f"{name} has length {len(value)}, expected k = {k}")
+    return value
+
+
+def _fraction(value, name: str) -> Fraction:
+    match = _FRACTION.match(value) if type(value) is str else None
+    if match is None:
+        raise SchemaError(f"{name} must be a 'num/den' string with den > 0, got {value!r}")
+    num, den = match.groups()
+    # through decimal, which has no limit on the number of digits
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def _checked(name: str, build, *args):
+    """build(*args), with the ValueError of a value it rejects raised as SchemaError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SchemaError(f"{name}: {exc}") from None
+
+
+def cert_from_dict(data) -> ConstructionCertificate:
+    """Rebuild a certificate, checking each field against lp-isoforge-cert/1 as it is parsed.
+
+    Any deviation raises SchemaError naming the field: key sets, types and
+    minima, string grammars, p = 2k, vector lengths k, and the domains
+    mu in (0, 1], nu in [0, 1], target > 0.  Field invariants (ball,
+    brackets, ordering, residual size) are the verifier's job: it must be
+    able to load a bad certificate in order to reject it.
     """
-    try:
-        jsonschema.validate(data, CERT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"certificate does not match {CERT_SCHEMA_ID}: {exc.message}") from exc
-    k = data["k"]
-    if data["p"] != 2 * k:
-        raise SchemaError(f"certificate has p = {data['p']}, k = {k}; p must equal 2k")
-    vectors = [("ball.mu_bar", data["ball"]["mu_bar"]), ("target", data["target"])]
-    vectors += [(f"entry j={e['j']} {f}", e[f]) for e in data["entries"] for f in ("mu", "residuals")]
-    for name, vec in vectors:
-        if len(vec) != k:
-            raise SchemaError(f"{name} has length {len(vec)}, expected k = {k}")
-    prec = validate_precision(data["precision_bits"])
-    try:
-        ball = BallParams(
-            mu_bar=MuVector(tuple(parse_fraction(s) for s in data["ball"]["mu_bar"])),
-            eps_bar=parse_fraction(data["ball"]["eps_bar"]),
-            eps=parse_fraction(data["ball"]["eps"]),
-            M=parse_fraction(data["ball"]["M"]),
-            eps0=parse_fraction(data["ball"]["eps0"]),
-            delta=parse_fraction(data["ball"]["delta"]),
-        )
-        target = HValues(tuple(parse_fraction(s) for s in data["target"]))
-        entries = tuple(
+    _object(data, "certificate", _CERT_KEYS, optional=("seed",))
+    if data["schema"] != CERT_SCHEMA_ID:
+        raise SchemaError(f"schema is {data['schema']!r}, expected {CERT_SCHEMA_ID!r}")
+    p = _integer(data["p"], "p")
+    k = _integer(data["k"], "k", 2)
+    if p != 2 * k:
+        raise SchemaError(f"certificate has p = {p}, k = {k}; p must equal 2k")
+    prec = _integer(data["precision_bits"], "precision_bits", MIN_PRECISION_BITS)
+    seed = data.get("seed")
+    if seed is not None:
+        _integer(seed, "seed")
+
+    def fractions(value, name):
+        return tuple(_fraction(s, f"{name}[{i}]") for i, s in enumerate(_list(value, name, k)))
+
+    def reals(value, name):
+        return tuple(_checked(f"{name}[{i}]", parse_real, s, prec) for i, s in enumerate(_list(value, name, k)))
+
+    ball = _object(data["ball"], "ball", _BALL_KEYS)
+    entries = []
+    for i, e in enumerate(_list(data["entries"], "entries")):
+        _object(e, f"entries[{i}]", _ENTRY_KEYS)
+        where = f"entry j={_integer(e['j'], f'entries[{i}].j', 1)}"
+        nu = _fraction(e["nu"], f"{where} nu")
+        if not 0 <= nu <= 1:
+            raise SchemaError(f"{where} nu = {nu} lies outside [0, 1]")
+        entries.append(
             CertEntry(
                 j=e["j"],
-                nu=parse_fraction(e["nu"]),
-                mu=MuVector(tuple(parse_real(s, prec) for s in e["mu"])).values,
-                residuals=tuple(parse_fraction(s) for s in e["residuals"]),
-                jac_det=parse_real(e["jac_det"], prec),
-                newton_iters=e["newton_iters"],
+                nu=nu,
+                mu=_checked(f"{where} mu", MuVector, reals(e["mu"], f"{where} mu")).values,
+                residuals=fractions(e["residuals"], f"{where} residuals"),
+                jac_det=_checked(f"{where} jac_det", parse_real, e["jac_det"], prec),
+                newton_iters=_integer(e["newton_iters"], f"{where} newton_iters", 0),
             )
-            for e in data["entries"]
         )
-    except DegenerateInputError as exc:
-        raise SchemaError(f"certificate value out of range: {exc}") from exc
-    bad_nu = [e.j for e in entries if not 0 <= e.nu <= 1]
-    if bad_nu:
-        raise SchemaError(f"nu outside [0, 1] at j = {bad_nu}")
     return ConstructionCertificate(
-        p=data["p"],
-        k=data["k"],
+        p=p,
+        k=k,
         precision_bits=prec,
-        nu_fraction=parse_fraction(data["nu_fraction"]),
-        ball=ball,
-        target=target,
-        entries=entries,
-        failed_js=tuple(data["failed_js"]),
-        seed=data.get("seed"),
+        nu_fraction=_fraction(data["nu_fraction"], "nu_fraction"),
+        ball=BallParams(
+            mu_bar=_checked("ball.mu_bar", MuVector, fractions(ball["mu_bar"], "ball.mu_bar")),
+            **{key: _fraction(ball[key], f"ball.{key}") for key in _BALL_KEYS[1:]},
+        ),
+        target=_checked("target", HValues, fractions(data["target"], "target")),
+        entries=tuple(entries),
+        failed_js=tuple(_integer(j, "failed_js item", 1) for j in _list(data["failed_js"], "failed_js")),
+        seed=seed,
     )
 
 

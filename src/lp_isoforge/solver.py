@@ -200,24 +200,6 @@ class SolveResult:
     precision_bits: int
 
 
-def _assert_nonsingular(j: int, mu_values, nu, table: CmAlphaTable, precision: int) -> None:
-    """Guarded determinant check with up to two precision escalations."""
-    last = None
-    for attempt in range(3):
-        bits = precision * (2 ** attempt)
-        try:
-            with workprec(bits):
-                vals = [to_mpf(v) for v in mu_values]
-                jac = jacobian_F(j, vals, to_mpf(Fraction(nu) if isinstance(nu, int) else nu), table)
-                det_mpf(jac.matrix)
-            return
-        except SingularJacobianError as exc:
-            last = exc
-    raise SingularJacobianError(
-        f"Jacobian singular at the initial point even at {precision * 4} bits"
-    ) from last
-
-
 def solve_mu(
     j: int,
     nu,
@@ -246,7 +228,6 @@ def solve_mu(
     init_values = _values(init)
     if len(init_values) != k:
         raise ValueError(f"init must have length {k}")
-    _assert_nonsingular(j, init_values, nu, table, precision)
 
     with workprec(precision):
         tol_m = mpmath.mpf(2) ** (-(precision // 2)) if tol is None else to_mpf(tol)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the two reference certificates, built once per session.
+"""Shared fixtures: the two reference certificates, built once per session,
+and the malformed certificate values every reader test must reject.
 
 The p = 6 certificate is the expensive one (20 Newton solves at 256 bits);
 its build time is recorded so the acceptance test can assert the runtime
@@ -29,3 +30,22 @@ def cert_p4():
     # j_max = 5 keeps every scale solvable; large j at p = 4 has no
     # solution in the mass domain (see test_solver for the regression)
     return construct_pair(4, 5, 256)
+
+
+# values the certificate reader must reject with SchemaError rather than
+# let a ZeroDivisionError, TypeError or mpmath ValueError escape: zero
+# denominators, integers written as floats, reals outside the decimal grammar
+MALFORMED_EDITS = {
+    "nu_fraction 1/0": lambda d: d.update(nu_fraction="1/0"),
+    "ball.eps_bar 1/0": lambda d: d["ball"].update(eps_bar="1/0"),
+    "entry nu 1/0": lambda d: d["entries"][0].update(nu="1/0"),
+    "p float": lambda d: d.update(p=float(d["p"])),
+    "j float": lambda d: d["entries"][0].update(j=1.0),
+    "mu dot": lambda d: d["entries"][0]["mu"].__setitem__(0, "."),
+    "jac_det two points": lambda d: d["entries"][0].update(jac_det="1.2.3"),
+}
+
+
+@pytest.fixture(params=list(MALFORMED_EDITS.values()), ids=list(MALFORMED_EDITS))
+def malformed_edit(request):
+    return request.param

@@ -1,10 +1,15 @@
 """Exit codes, wire formats, and check lines of the lp-isoforge entry point."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lp_isoforge
 from lp_isoforge.cli import ENV_PRECISION, main
 from lp_isoforge.serialize import dump_json, load_certificate, load_json, save_certificate
 
@@ -185,6 +190,31 @@ def test_verify_rejects_inconsistent_shape(tmp_path, capsys, cert_p6, edit):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_verify_rejects_malformed_value(tmp_path, capsys, cert_p6, malformed_edit):
+    code, out, err = _verify_edited(tmp_path, capsys, cert_p6, malformed_edit)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_cli_imports_no_dependency_but_mpmath():
+    # a fresh interpreter, so modules other tests imported do not count
+    src_dir = Path(lp_isoforge.__file__).resolve().parent.parent
+    code = (
+        "import sys; before = set(sys.modules); import lp_isoforge.cli; "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} "
+        "- set(sys.stdlib_module_names)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src_dir)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['lp_isoforge', 'mpmath']\n"
 
 
 def test_verify_json_payload(tmp_path, capsys, cert_p4):

@@ -241,7 +241,6 @@ def test_vandermonde_frozen():
     assert chk.det_vandermonde == Fraction(-1, 3)
     assert chk.ratio == -6
     assert chk.expected_magnitude == 6
-    assert chk.precision_bits is None
     with pytest.raises(DegenerateInputError):
         vandermonde_check((Fraction(1, 2), Fraction(1, 2)), t)
 

@@ -1,6 +1,7 @@
 """Round-trip and exactness guarantees of the numeric layer."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -30,6 +31,16 @@ def test_to_mpf_correctly_rounded_rational():
     assert mpf_to_fraction(x) == Fraction(171, 512)
 
 
+def test_to_mpf_keeps_precision_outside_workprec():
+    with workprec(256):
+        fifth = to_mpf(Fraction(1, 5))
+        third = mpmath.mpf(1) / 3
+    with workprec(53):
+        assert to_mpf(Fraction(1, 5), 256)._mpf_ == fifth._mpf_
+        assert to_mpf(third, 256)._mpf_ == third._mpf_
+    assert fifth._mpf_[3] == 256
+
+
 def test_to_mpf_exact_on_dyadics():
     q = Fraction(12345, 2 ** 40)
     with workprec(256):
@@ -55,6 +66,17 @@ def test_real_string_round_trip_bit_exact(prec):
             x = to_mpf(Fraction(num, 3 ** 40)) * (-1) ** rng.randint(0, 1)
             s = real_to_str(x, prec)
             assert parse_real(s, prec) == x
+
+
+def test_parse_real_grammar():
+    good = {"1.": 1, ".5": Fraction(1, 2), "-3333.0": -3333, "2.5e-3": Fraction(1, 400), "1.0e+3": 1000}
+    for s, v in good.items():
+        assert parse_real(s, 256)._mpf_ == to_mpf(Fraction(v), 256)._mpf_
+    for bad in (".", "1.2.3", ".e5", " 1", "+1", "1E5", "1e", "inf", 5, "1" * 100000 + "x"):
+        t0 = time.monotonic()
+        with pytest.raises(ValueError):
+            parse_real(bad, 256)
+        assert time.monotonic() - t0 < 1  # the grammar's regex cannot backtrack quadratically
 
 
 def test_real_to_str_accepts_fractions():

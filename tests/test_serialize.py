@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import workprec
 
 from lp_isoforge.analysis import isometry_check, uncomplemented_certificate, vpl_check
 from lp_isoforge.errors import SchemaError
+from lp_isoforge.numeric import frac_to_str, parse_real, real_to_str, to_mpf
 from lp_isoforge.p4 import build_p4_table
 from lp_isoforge.serialize import (
     CERT_SCHEMA_ID,
@@ -155,6 +157,43 @@ def test_values_outside_domain_rejected(cert_p4, edit):
     edit(d)
     with pytest.raises(SchemaError):
         cert_from_dict(d)
+
+
+def test_malformed_value_rejected(cert_p6, malformed_edit):
+    d = cert_to_dict(cert_p6)
+    malformed_edit(d)
+    with pytest.raises(SchemaError):
+        cert_from_dict(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prec=st.integers(128, 600),
+    mantissa=st.integers(1, 2 ** 600),
+    exponent=st.integers(-300, 100),
+    negative=st.booleans(),
+)
+@example(prec=256, mantissa=999, exponent=-43, negative=False)  # 9.98999...e-41
+@example(prec=256, mantissa=3333, exponent=0, negative=True)  # -3333.0
+def test_real_strings_load_bit_exact(prec, mantissa, exponent, negative):
+    # real_to_str output at any precision and decimal exponent is in the
+    # grammar parse_real accepts, and loads back to the same bits
+    x = to_mpf(Fraction(-mantissa if negative else mantissa) * Fraction(10) ** exponent, prec)
+    s = real_to_str(x, prec)
+    assert parse_real(s, prec)._mpf_ == x._mpf_
+
+
+def test_integers_beyond_str_digit_limit(cert_p4):
+    # 5071 and 5248 digits: str(int) and int(str) refuse more than 4300
+    big = Fraction(7 ** 6000 + 1, 10 ** 5247 + 3)
+    s = frac_to_str(big)
+    num, den = s.split("/")
+    assert (len(num), len(den)) == (5071, 5248)
+    iso = dataclasses.replace(isometry_check(cert_p4, trials=2, seed=0), bound=big)
+    assert isometry_to_dict(iso, cert_p4.precision_bits)["bound_exact"] == s
+    d = cert_to_dict(cert_p4)
+    d["ball"]["M"] = s
+    assert cert_from_dict(d).ball.M == big
 
 
 def test_truncated_file_rejected(cert_p4, tmp_path):
