@@ -28,6 +28,7 @@ from .analysis import (
     FiniteSpan,
     IsometryCheckResult,
     ProjectionOperator,
+    ProjectionReport,
     UncomplementedCertificate,
     VerifyReport,
     VplCheck,
@@ -36,6 +37,7 @@ from .analysis import (
     isometry_check,
     projection_norm_grid_search,
     projection_norm_lower_bound,
+    projection_report,
     uncomplemented_certificate,
     verify_certificate,
     vpl_check,
@@ -73,7 +75,7 @@ from .moments import (
     fold_even_moments,
     moment_coefficients,
 )
-from .numeric import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, mpf_to_fraction, to_mpf
+from .numeric import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, mpf_to_fraction, to_mpf
 from .p4 import P4PairRow, build_p4_row, build_p4_table, match_three_valued, rosenthal_moments
 from .serialize import (
     CERT_SCHEMA_ID,

@@ -40,6 +40,7 @@ generators and produces evidence:
 
 * `verify_certificate` rechecks a certificate from its stored values
   alone and returns a `VerifyReport`; the `verify` command renders it.
+  `projection_report` does the same for the `project` command.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ from .numeric import (
     validate_precision,
     workprec,
 )
-from .solver import BallParams, ConstructionCertificate, ball_params, decreasing_above
+from .solver import BallParams, ConstructionCertificate, ball_params, decreasing_above, default_base_point
 
 DEFAULT_SPACE_CAP = 3 ** 9
 
@@ -96,6 +97,7 @@ __all__ = [
     "FiniteSpan",
     "IsometryCheckResult",
     "ProjectionOperator",
+    "ProjectionReport",
     "UncomplementedCertificate",
     "UncomplementedRow",
     "VerifyReport",
@@ -111,6 +113,7 @@ __all__ = [
     "build_projection",
     "projection_norm_lower_bound",
     "projection_norm_grid_search",
+    "projection_report",
     "uncomplemented_certificate",
     "render_uncomplemented_report",
     "verify_certificate",
@@ -446,22 +449,6 @@ def build_projection(span: FiniteSpan, cap: int = DEFAULT_SPACE_CAP) -> Projecti
     return ProjectionOperator(probs=op.probs, basis=op.basis, norms_sq=norms_sq)
 
 
-def _projection_identity_checks(P: ProjectionOperator, trials: int, seed: int) -> tuple:
-    """(name, passed) for the four exact identities of P; `trials` random
-    rational functions from random.Random(seed) test the two that need them."""
-    rng = random.Random(seed)
-    fs = [[Fraction(rng.randint(-100, 100), rng.randint(1, 50)) for _ in P.probs] for _ in range(trials)]
-    pairs = [(f, P.apply(f)) for f in fs]
-    idempotent = all(P.apply(Pf) == Pf for _, Pf in pairs)
-    contractive = all(P.abs_power_moment(Pf, 2) <= P.abs_power_moment(f, 2) for f, Pf in pairs)
-    return (
-        (f"idempotent on {trials} random functions", idempotent),
-        ("fixes every generator", all(P.apply(b) == tuple(b) for b in P.basis)),
-        ("annihilates constants", not any(P.apply([Fraction(1)] * P.atom_count))),
-        (f"2-norm contraction on {trials} random functions", contractive),
-    )
-
-
 def _raw_apply(P: ProjectionOperator, f, prec: int) -> tuple:
     """P f for raw mpf tuples f, each atom rounded once to nearest at `prec`
     bits: equal to to_mpf of P.apply on the exact values of f."""
@@ -631,6 +618,57 @@ def projection_norm_grid_search(
         else:
             hi = m2
     return max(best, ratio((lo + hi) / 2))
+
+
+@dataclass(frozen=True)
+class ProjectionReport:
+    """The (name, passed) checks of one span projection, in order, and its p-norm evidence."""
+
+    masses: tuple  # generator i is one symmetric atom of scale 1 and mass masses[i]
+    atoms: int
+    checks: tuple
+    bound: Scalar  # attained lower bound for ||P||_{L_p -> L_p}
+    grid_oracle: float | None  # angle sweep, two generators only
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok in self.checks)
+
+
+def projection_report(
+    p: int, n: int, trials: int = 100, seed: int = 0, precision: int = DEFAULT_PRECISION_BITS
+) -> ProjectionReport:
+    """Project onto n unit-scale generators with masses from default_base_point, and check P.
+
+    Checks, in order: idempotence, fixing each generator, killing
+    constants, 2-norm contraction (the first and last on `trials` random
+    rational functions from random.Random(seed)), and an attained p-norm
+    lower bound >= 1 from projection_norm_lower_bound(seed, precision).
+    With n = 2 the angle sweep runs as an oracle.
+    """
+    masses = default_base_point(max(n, 2)).values[:n]
+    P = build_projection(FiniteSpan.build(p, [[SymmetricAtomVariable(1, m)] for m in masses]))
+    bound = projection_norm_lower_bound(P, p, seed=seed, precision=precision)
+    rng = random.Random(seed)
+    fs = [[Fraction(rng.randint(-100, 100), rng.randint(1, 50)) for _ in P.probs] for _ in range(trials)]
+    pairs = [(f, P.apply(f)) for f in fs]
+    checks = (
+        (f"idempotent on {trials} random functions", all(P.apply(Pf) == Pf for _, Pf in pairs)),
+        ("fixes every generator", all(P.apply(b) == tuple(b) for b in P.basis)),
+        ("annihilates constants", not any(P.apply([Fraction(1)] * P.atom_count))),
+        (
+            f"2-norm contraction on {trials} random functions",
+            all(P.abs_power_moment(Pf, 2) <= P.abs_power_moment(f, 2) for f, Pf in pairs),
+        ),
+        ("p-norm lower bound >= 1", bound >= 1),
+    )
+    return ProjectionReport(
+        masses=masses,
+        atoms=P.atom_count,
+        checks=checks,
+        bound=bound,
+        grid_oracle=projection_norm_grid_search(P, p) if n == 2 else None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -43,4 +43,5 @@ class SingularJacobianError(LpIsoforgeError):
 
 
 class SchemaError(LpIsoforgeError):
-    """A serialized artifact does not match its declared schema."""
+    """Input from outside the program is malformed: a serialized artifact that
+    does not match its declared schema, or a command-line argument."""

@@ -41,11 +41,15 @@ Scalar = Union[int, Fraction, mpmath.mpf]
 
 DEFAULT_PRECISION_BITS = 256
 MIN_PRECISION_BITS = 128
+# real_to_str writes prec_to_dps(prec) + 6 mantissa digits, and parse_real reads
+# them through int(str), which refuses more than 4300; 8192 bits need 2471
+MAX_PRECISION_BITS = 8192
 
 __all__ = [
     "Scalar",
     "DEFAULT_PRECISION_BITS",
     "MIN_PRECISION_BITS",
+    "MAX_PRECISION_BITS",
     "workprec",
     "validate_precision",
     "to_mpf",
@@ -61,9 +65,11 @@ __all__ = [
 
 
 def validate_precision(bits: int) -> int:
-    if not isinstance(bits, int) or bits < MIN_PRECISION_BITS:
+    """The one precision check: an integer in [MIN_PRECISION_BITS, MAX_PRECISION_BITS]."""
+    if type(bits) is not int or not MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS:
         raise ValueError(
-            f"precision must be an integer >= {MIN_PRECISION_BITS} bits, got {bits!r}"
+            f"precision must be an integer in [{MIN_PRECISION_BITS}, {MAX_PRECISION_BITS}] "
+            f"bits, got {bits!r}"
         )
     return bits
 

@@ -115,9 +115,8 @@ def printed_closed_forms(n: int, precision: int = DEFAULT_PRECISION_BITS) -> tup
     """(a_printed, nu_printed): the quoted closed forms, evaluated verbatim."""
     L = log_sq(n, precision)
     nu_printed = (1 + 2 * L + L * L) / (n * L + 2 * L + L * L)
-    a_sq = (n + 2 + L) / (n * (1 + L))
     with workprec(precision):
-        a_printed = mpmath.sqrt(to_mpf(a_sq))
+        a_printed = mpmath.sqrt(to_mpf(_printed_scale_sq(n, L)))
     return a_printed, nu_printed
 
 

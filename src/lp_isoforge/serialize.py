@@ -11,6 +11,9 @@ Conventions, fixed across every writer in the package:
 * certificates carry the schema id "lp-isoforge-cert/1"; `cert_from_dict`
   is the one reader and validator: it checks each field as it parses it
   and raises SchemaError naming the field.
+
+This module is the package's one reader of input files: certificates and
+the moment spec files of `load_moment_spec`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from fractions import Fraction
 
 from .errors import SchemaError
 from .momentpoly import MuVector
-from .numeric import MIN_PRECISION_BITS, frac_to_str, parse_real, real_to_str
+from .moments import IndependentSumSpec, SymmetricAtomVariable
+from .numeric import frac_to_str, parse_real, real_to_str, validate_precision
 from .solver import BallParams, CertEntry, ConstructionCertificate, HValues
 
 __all__ = [
@@ -34,6 +38,7 @@ __all__ = [
     "cert_from_dict",
     "save_certificate",
     "load_certificate",
+    "load_moment_spec",
     "isometry_to_dict",
     "vpl_to_dict",
     "uncomplemented_to_dict",
@@ -165,7 +170,8 @@ def cert_from_dict(data) -> ConstructionCertificate:
     k = _integer(data["k"], "k", 2)
     if p != 2 * k:
         raise SchemaError(f"certificate has p = {p}, k = {k}; p must equal 2k")
-    prec = _integer(data["precision_bits"], "precision_bits", MIN_PRECISION_BITS)
+    # before any real is parsed: an mpf at 2**40 bits would need about 128 GiB
+    prec = _checked("precision_bits", validate_precision, data["precision_bits"])
     seed = data.get("seed")
     if seed is not None:
         _integer(seed, "seed")
@@ -216,6 +222,45 @@ def save_certificate(cert: ConstructionCertificate, path) -> None:
 
 def load_certificate(path) -> ConstructionCertificate:
     return cert_from_dict(load_json(path))
+
+
+def _rational(value, name: str) -> Fraction:
+    # type() rather than isinstance(): JSON true loads as a bool
+    if type(value) not in (int, float, str):
+        raise SchemaError(f"{name} must be a number or a 'num/den' string")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise SchemaError(f"{name}: not a rational value: {value!r}") from None
+
+
+def load_moment_spec(path) -> tuple:
+    """(IndependentSumSpec, orders) from a moment spec file; any deviation raises SchemaError.
+
+    The file is {"terms": [{"scale": .., "mass": .., "scale_sq": ..}, ...],
+    "orders": [..]}, both lists nonempty, scale_sq optional; see the README.
+    """
+    data = load_json(path)
+    if type(data) is not dict or any(type(data.get(key)) is not list or not data[key] for key in ("terms", "orders")):
+        raise SchemaError('moment spec must be {"terms": [...], "orders": [...]}, both lists nonempty')
+    terms = []
+    for row in data["terms"]:
+        if type(row) is not dict or "scale" not in row or "mass" not in row:
+            raise SchemaError(f"each term must be an object with scale and mass, got {row!r}")
+        scale_sq = _rational(row["scale_sq"], "scale_sq") if "scale_sq" in row else None
+        terms.append(
+            _checked(
+                "moment spec term",
+                SymmetricAtomVariable,
+                _rational(row["scale"], "scale"),
+                _rational(row["mass"], "mass"),
+                scale_sq,
+            )
+        )
+    for order in data["orders"]:
+        if type(order) is not int or order < 0 or order % 2 != 0:
+            raise SchemaError(f"orders must be even integers >= 0, got {order!r}")
+    return IndependentSumSpec(terms), tuple(data["orders"])
 
 
 # ---------------------------------------------------------------------------

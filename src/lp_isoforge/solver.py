@@ -19,9 +19,15 @@ problem on an explicit box around mu_bar:
   lies in the positive orthant (eps_bar < mu_bar_k), so each is
   nondecreasing in every mass and peaks at the top corner mu_bar + eps_bar;
 * eps0 = eps_bar / (M (k-1)) and delta = min(eps0, mu_bar_k - eps0)
-  give the mass budget: any nu_j with
-  delta/2 * j^(2-p) < nu_j < delta * j^(2-p) admits a solution mu^(j)
-  inside the box, still strictly decreasing with mu_k > delta.
+  give the mass bracket delta/2 * j^(2-p) < nu_j < delta * j^(2-p).
+
+That is all `ball_params` guarantees: for every j and every nu_j in the
+bracket, the terms binom(2m,2l) nu_j j^(2l) dH_{m-l}/dmu_beta (1 <= l < m)
+of the Jacobian of F^(j) are at most delta M <= eps_bar/(k-1) on the box.
+No solution is promised: the mu-independent term nu_j j^(2k) of F_k is
+nu_fraction * delta * j^2 on the schedule and grows without bound.  Under
+the default schedule p = 4 has no admissible solution from j = 9 and
+p = 6 none from j = 48; `construct_pair` lists such scales in failed_js.
 
 nu_j is pinned at nu_fraction * delta * j^(2-p) (default 3/4, an exact
 rational strictly inside the bracket).  The solve itself is a damped
@@ -83,6 +89,8 @@ __all__ = [
     "CertEntry",
     "ConstructionCertificate",
     "DEFAULT_NU_FRACTION",
+    "validate_p",
+    "validate_nu_fraction",
     "default_base_point",
     "target_h",
     "ball_params",
@@ -128,6 +136,21 @@ class BallParams:
     @property
     def k(self) -> int:
         return self.mu_bar.k
+
+
+def validate_p(p: int) -> int:
+    """The order check of construct_pair: p an even integer >= 4."""
+    if p % 2 != 0 or p < 4:
+        raise ValueError(f"p must be an even integer >= 4, got {p}")
+    return p
+
+
+def validate_nu_fraction(nu_fraction) -> Fraction:
+    """The schedule position as a Fraction strictly inside (1/2, 1)."""
+    nu_fraction = Fraction(nu_fraction)
+    if not Fraction(1, 2) < nu_fraction < 1:
+        raise ValueError(f"nu_fraction must lie strictly inside (1/2, 1), got {nu_fraction}")
+    return nu_fraction
 
 
 def default_base_point(k: int) -> MuVector:
@@ -182,11 +205,7 @@ def ball_params(mu_bar: MuVector, k: int, p: int) -> BallParams:
 
 def nu_schedule_value(ball: BallParams, p: int, j: int, nu_fraction: Fraction = DEFAULT_NU_FRACTION) -> Fraction:
     """nu_j = nu_fraction * delta * j^(2-p), exact and strictly inside the bracket."""
-    nu_fraction = Fraction(nu_fraction)
-    if not Fraction(1, 2) < nu_fraction < 1:
-        raise ValueError(
-            f"nu_fraction must lie strictly inside (1/2, 1), got {nu_fraction}"
-        )
+    nu_fraction = validate_nu_fraction(nu_fraction)
     if j < 1:
         raise ValueError("j must be >= 1")
     return nu_fraction * ball.delta / Fraction(j) ** (p - 2)
@@ -207,13 +226,12 @@ def solve_mu(
     init,
     table: CmAlphaTable,
     precision: int = DEFAULT_PRECISION_BITS,
-    tol=None,
     ball: BallParams | None = None,
-    max_iters: int = MAX_NEWTON_ITERS,
 ) -> SolveResult:
     """Damped Newton for F^(j)(mu, nu) = target, at `precision` bits.
 
-    Convergence means max_m |F_m - T_m| < tol (default 2^-(precision/2)).
+    Convergence means max_m |F_m - T_m| < 2^-(precision/2), within
+    MAX_NEWTON_ITERS iterations.
     A start that already meets the tolerance is returned unchanged with
     iterations = 0, so nu = 0 costs nothing.  Steps are halved until the
     sup-norm residual decreases (at most MAX_STEP_HALVINGS times) and,
@@ -230,7 +248,7 @@ def solve_mu(
         raise ValueError(f"init must have length {k}")
 
     with workprec(precision):
-        tol_m = mpmath.mpf(2) ** (-(precision // 2)) if tol is None else to_mpf(tol)
+        tol_m = mpmath.mpf(2) ** (-(precision // 2))
         nu_m = to_mpf(Fraction(nu)) if isinstance(nu, (int, Fraction)) else +nu
         tgt = [to_mpf(t) for t in target]
         mu_cur = [to_mpf(v) for v in init_values]
@@ -258,9 +276,9 @@ def solve_mu(
             return delta
 
         while res >= tol_m:
-            if iterations >= max_iters:
+            if iterations >= MAX_NEWTON_ITERS:
                 raise NewtonDivergenceError(
-                    f"no convergence after {max_iters} iterations (j={j}, residual "
+                    f"no convergence after {MAX_NEWTON_ITERS} iterations (j={j}, residual "
                     f"{mpmath.nstr(res, 6)})"
                 )
             delta = newton_step(mu_cur, g)
@@ -418,8 +436,7 @@ def construct_pair(
     recorded in failed_js and the certificate is marked partial rather
     than discarded.
     """
-    if p % 2 != 0 or p < 4:
-        raise ValueError(f"p must be an even integer >= 4, got {p}")
+    validate_p(p)
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     validate_precision(precision)

@@ -34,8 +34,12 @@ def cert_p4():
 
 # values the certificate reader must reject with SchemaError rather than
 # let a ZeroDivisionError, TypeError or mpmath ValueError escape: zero
-# denominators, integers written as floats, reals outside the decimal grammar
+# denominators, integers written as floats, reals outside the decimal grammar,
+# and precisions above the cap (an OverflowError at 2**70, a MemoryError at
+# 2**40 once the first real is parsed)
 MALFORMED_EDITS = {
+    "precision_bits 2**40": lambda d: d.update(precision_bits=2 ** 40),
+    "precision_bits 2**70": lambda d: d.update(precision_bits=2 ** 70),
     "nu_fraction 1/0": lambda d: d.update(nu_fraction="1/0"),
     "ball.eps_bar 1/0": lambda d: d["ball"].update(eps_bar="1/0"),
     "entry nu 1/0": lambda d: d["entries"][0].update(nu="1/0"),

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import lp_isoforge
-from lp_isoforge.cli import ENV_PRECISION, main
+import lp_isoforge.cli
+from lp_isoforge.analysis import projection_report
+from lp_isoforge.cli import main
+from lp_isoforge.numeric import real_to_str
 from lp_isoforge.serialize import dump_json, load_certificate, load_json, save_certificate
 
 
@@ -283,6 +286,18 @@ def test_moments_rejects_bool_mass(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "term",
+    [{"scale": 1, "mass": 2}, {"scale": 1, "mass": float("inf")}, {"scale": "1/0", "mass": "1/2"}],
+    ids=["mass 2", "mass Infinity", "scale 1/0"],
+)
+def test_moments_rejects_bad_value(tmp_path, capsys, term):
+    code, out, err = run(capsys, "moments", write_moment_spec(tmp_path, [term], [2]))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_p4_row_counts(tmp_path, capsys):
     code, text, _ = run(capsys, "p4", "--n", "2", "--format", "json")
     assert code == 0
@@ -322,26 +337,50 @@ def test_project_single_generator_json(capsys):
     assert float(payload["norm_lower_bound"]) >= 1.0
 
 
-def test_env_precision_honored(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(ENV_PRECISION, "192")
-    code, text, _ = run(capsys, "p4", "--n", "3", "--format", "json")
-    assert code == 0
-    assert json.loads(text)["precision_bits"] == 192
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--p", "5"),
+        ("construct", "--p", "6", "--precision", "127"),
+        ("construct", "--p", "6", "--precision", "8193"),
+        ("construct", "--p", "6", "--nu-fraction", "1/4"),
+        ("construct", "--p", "6", "--j-max", "0"),
+        ("p4", "--n", "1"),
+        ("project", "--n", "0"),
+        ("project", "--trials", "-5"),
+    ],
+    ids=[
+        "odd p", "precision 127", "precision above cap", "nu-fraction 1/4", "j-max 0", "p4 n 1", "project n 0",
+        "trials -5",
+    ],
+)
+def test_usage_error_exits_two(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
-def test_env_precision_rejected(tmp_path, capsys, monkeypatch):
-    for bad in ("abc", "64"):
-        monkeypatch.setenv(ENV_PRECISION, bad)
-        code, _, err = run(capsys, "p4", "--n", "3")
-        assert code == 2
-        assert "error:" in err
+def test_value_error_in_a_command_is_not_a_usage_error(monkeypatch, capsys):
+    # a ValueError from inside the library is a bug: it propagates, never exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("library bug")
+
+    monkeypatch.setattr(lp_isoforge.cli, "construct_pair", broken)
+    with pytest.raises(ValueError, match="library bug"):
+        main(["construct", "--p", "6", "--j-max", "2"])
 
 
-def test_explicit_precision_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_PRECISION, "not-a-number")
-    code, text, _ = run(capsys, "p4", "--n", "3", "--precision", "192", "--format", "json")
-    assert code == 0
-    assert json.loads(text)["precision_bits"] == 192
+@pytest.mark.parametrize("n", [1, 2])
+def test_project_payload_renders_projection_report(capsys, n):
+    report = projection_report(4, n, trials=5, seed=3)
+    code, text, _ = run(capsys, "project", "--n", str(n), "--trials", "5", "--seed", "3", "--format", "json")
+    payload = json.loads(text)
+    assert code == 0 and report.passed
+    assert payload["checks"] == [{"name": name, "pass": ok} for name, ok in report.checks]
+    assert payload["norm_lower_bound"] == real_to_str(report.bound, 256)
+    assert payload.get("grid_oracle") == (None if n == 1 else repr(report.grid_oracle))
 
 
 def test_out_file_mirrors_stdout(tmp_path, capsys):

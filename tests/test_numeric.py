@@ -10,6 +10,7 @@ from mpmath import workprec
 
 from lp_isoforge.errors import SingularJacobianError
 from lp_isoforge.numeric import (
+    MAX_PRECISION_BITS,
     det_exact,
     det_mpf,
     frac_to_str,
@@ -57,7 +58,7 @@ def test_mpf_to_fraction_exact_binary():
     assert f.denominator & (f.denominator - 1) == 0
 
 
-@pytest.mark.parametrize("prec", [128, 192, 256, 320])
+@pytest.mark.parametrize("prec", [128, 192, 256, 320, MAX_PRECISION_BITS])
 def test_real_string_round_trip_bit_exact(prec):
     rng = random.Random(prec)
     with workprec(prec):
@@ -65,7 +66,7 @@ def test_real_string_round_trip_bit_exact(prec):
             num = rng.getrandbits(prec) or 1
             x = to_mpf(Fraction(num, 3 ** 40)) * (-1) ** rng.randint(0, 1)
             s = real_to_str(x, prec)
-            assert parse_real(s, prec) == x
+            assert parse_real(s, prec)._mpf_ == x._mpf_
 
 
 def test_parse_real_grammar():
@@ -98,7 +99,8 @@ def test_fraction_strings():
 
 def test_validate_precision():
     assert validate_precision(128) == 128
-    for bad in (0, 64, 127, -256, "256"):
+    assert validate_precision(MAX_PRECISION_BITS) == MAX_PRECISION_BITS
+    for bad in (0, 64, 127, -256, "256", 256.0, MAX_PRECISION_BITS + 1, 2 ** 40, 2 ** 70):
         with pytest.raises(ValueError):
             validate_precision(bad)
 
