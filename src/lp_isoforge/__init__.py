@@ -61,6 +61,7 @@ from .momentpoly import (
     eval_H,
     grad_H,
     jacobian_F,
+    mass_polynomial,
     moment_vector_F,
     vandermonde_check,
 )
@@ -75,7 +76,14 @@ from .moments import (
     fold_even_moments,
     moment_coefficients,
 )
-from .numeric import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, mpf_to_fraction, to_mpf
+from .numeric import (
+    DEFAULT_PRECISION_BITS,
+    MAX_PRECISION_BITS,
+    MIN_PRECISION_BITS,
+    count_real_roots,
+    mpf_to_fraction,
+    to_mpf,
+)
 from .p4 import P4PairRow, build_p4_row, build_p4_table, match_three_valued, rosenthal_moments
 from .serialize import (
     CERT_SCHEMA_ID,

@@ -34,6 +34,11 @@ identically in mu.  `vandermonde_check` computes both determinants
 independently and confirms the ratio, which exercises every coefficient
 of the gradient layer at once.
 
+The same triangular structure makes F^(j)(mu, nu) = T solvable in the
+elementary symmetric functions by forward substitution:
+`mass_polynomial` returns the exact P_j(x) = prod_i (x - mu_i) whose roots
+are the only candidate masses at scale j.
+
 Every value is a read of two tables built from one elementary-symmetric
 table of the masses: the vector [1, H_1, ..., H_k] and dH_m/dmu_beta.
 
@@ -61,6 +66,7 @@ __all__ = [
     "cm_alpha_table",
     "elem_sym",
     "elem_sym_excl",
+    "mass_polynomial",
     "eval_H",
     "eval_F",
     "moment_vector_F",
@@ -167,6 +173,39 @@ def _elem_sym_all(values: tuple) -> list:
         for a in range(top, 0, -1):
             e[a] = e[a] + v * e[a - 1]
     return e
+
+
+def mass_polynomial(j: int, nu, target, table: CmAlphaTable) -> tuple:
+    """Coefficients (1, -e_1, e_2, ..., (-1)^k e_k) of P_j(x) = prod_i (x - mu_i), exact.
+
+    F_m^(j)(mu, nu) = T_m reads sum_{alpha <= m} a_{m,alpha} e_alpha(mu)
+    = T_m - nu j^(2m) with a_{m,alpha} = C_{m,alpha} + nu sum_{l=1}^{m-alpha}
+    binom(2m,2l) j^(2l) C_{m-l,alpha}.  The system is triangular and
+    a_{m,m} = C_{m,m} != 0, so forward substitution gives the unique
+    e^(j) = (e_1, ..., e_k): mu solves the scale-j system exactly when its
+    masses are the k roots of P_j, highest degree first here.
+    """
+    if not isinstance(j, int) or j < 1:
+        raise ValueError(f"j must be a positive integer, got {j}")
+    nu = Fraction(nu)
+    if not 0 <= nu <= 1:
+        raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    target = tuple(Fraction(t) for t in target)
+    k = table.k
+    if len(target) != k:
+        raise ValueError(f"target must have length {k}, got {len(target)}")
+    jsq = j * j
+    e = [Fraction(1)]
+    for m in range(1, k + 1):
+        acc = target[m - 1] - nu * jsq ** m
+        for alpha in range(1, m):
+            a = table.get(m, alpha) + nu * sum(
+                math.comb(2 * m, 2 * l) * jsq ** l * table.get(m - l, alpha)
+                for l in range(1, m - alpha + 1)
+            )
+            acc -= a * e[alpha]
+        e.append(acc / table.get(m, m))
+    return tuple(-v if alpha % 2 else v for alpha, v in enumerate(e))
 
 
 def elem_sym_excl(mu, beta: int, alpha: int) -> Scalar:

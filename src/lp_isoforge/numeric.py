@@ -22,6 +22,9 @@ finite binary float is a dyadic rational.
 Decimal serialization uses enough digits that parsing the string at the
 same precision reproduces the identical mpf, so certificates survive a
 round trip byte-for-byte.
+
+:func:`count_real_roots` counts the distinct real roots of a rational
+polynomial in an interval by a Sturm sequence, in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "det_exact",
     "det_mpf",
     "solve_linear_mpf",
+    "count_real_roots",
 ]
 
 
@@ -226,3 +230,70 @@ def det_mpf(rows: Sequence[Sequence[Scalar]]) -> mpmath.mpf:
 def solve_linear_mpf(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list:
     _, sol = _pivoted_elimination(rows, rhs)
     return sol
+
+
+# ---------------------------------------------------------------------------
+# real roots of rational polynomials (coefficients highest degree first)
+# ---------------------------------------------------------------------------
+
+def _poly_divmod(a: list, b: list) -> tuple:
+    """Quotient and remainder of a by b; b has a nonzero leading coefficient."""
+    rem = list(a)
+    quot = []
+    while len(rem) >= len(b):
+        q = rem[0] / b[0]
+        quot.append(q)
+        for i in range(1, len(b)):
+            rem[i] -= q * b[i]
+        rem.pop(0)
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return quot, rem
+
+
+def _derivative(p: list) -> list:
+    deg = len(p) - 1
+    return [c * (deg - i) for i, c in enumerate(p[:-1])]
+
+
+def _sign_changes(chain: list, x: Fraction) -> int:
+    """Sign changes of the chain's values at x, zeros skipped."""
+    changes = 0
+    last = 0
+    for poly in chain:
+        value = Fraction(0)
+        for c in poly:
+            value = value * x + c
+        if value:
+            if last and (value > 0) != (last > 0):
+                changes += 1
+            last = value
+    return changes
+
+
+def count_real_roots(coeffs: Sequence, lo, hi) -> int:
+    """Number of distinct real roots in (lo, hi] of a rational polynomial, exactly.
+
+    Sturm's theorem on the square-free part q = p / gcd(p, p'): along the
+    chain q, q', -rem(q, q'), ... the count of sign changes drops by one
+    exactly where x passes a root of q and, at a root, already equals its
+    value just right of it, so V(lo) - V(hi) counts the roots in (lo, hi]
+    even when lo or hi is one.
+    """
+    p = [Fraction(c) for c in coeffs]
+    while p and p[0] == 0:
+        p.pop(0)
+    if not p:
+        raise ValueError("the zero polynomial has no finite root count")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError(f"empty interval ({lo}, {hi}]")
+    a, b = p, _derivative(p)
+    while b:  # Euclid: a ends as gcd(p, p'), a nonzero constant when p is square-free
+        a, b = b, _poly_divmod(a, b)[1]
+    q = _poly_divmod(p, a)[0]
+    chain = [q, _derivative(q)]
+    while chain[-1]:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    return _sign_changes(chain, lo) - _sign_changes(chain, hi)

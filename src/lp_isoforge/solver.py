@@ -25,15 +25,24 @@ That is all `ball_params` guarantees: for every j and every nu_j in the
 bracket, the terms binom(2m,2l) nu_j j^(2l) dH_{m-l}/dmu_beta (1 <= l < m)
 of the Jacobian of F^(j) are at most delta M <= eps_bar/(k-1) on the box.
 No solution is promised: the mu-independent term nu_j j^(2k) of F_k is
-nu_fraction * delta * j^2 on the schedule and grows without bound.  Under
-the default schedule p = 4 has no admissible solution from j = 9 and
-p = 6 none from j = 48; `construct_pair` lists such scales in failed_js.
+nu_fraction * delta * j^2 on the schedule and grows without bound.
+
+Whether a scale has one is decided exactly.  The system is triangular in
+the elementary symmetric functions, so any solution's masses are the k
+roots of one rational polynomial P_j (`momentpoly.mass_polynomial`), and
+an admissible mass vector (strictly decreasing, above delta, inside
+(0, 1]) exists iff P_j has k distinct roots in (delta, 1]
+(`numeric.count_real_roots`).  Under the default schedule p = 4 has none
+from j = 9 (a root crosses 0), p = 6 none from j = 48 (a complex pair),
+p = 8 none from j = 784 (a complex pair), and p = 10 has every scale up
+to j = 5000; `construct_pair` lists such scales in failed_js.
 
 nu_j is pinned at nu_fraction * delta * j^(2-p) (default 3/4, an exact
-rational strictly inside the bracket).  The solve itself is a damped
-Newton iteration with the exact polynomial Jacobian, run at a configured
-binary precision; k = 2 additionally has a quadratic-formula closed form
-used as an independent cross-check.
+rational strictly inside the bracket).  The masses themselves come from a
+damped Newton iteration with the exact polynomial Jacobian, run at a
+configured binary precision, and from a continuation ladder in nu only
+where the root count says admissible masses exist; k = 2 additionally
+has a quadratic-formula closed form used as an independent cross-check.
 
 Everything that can be exact is exact: nu_j, delta, the targets, and the
 certificate residuals, which are re-evaluated in rational arithmetic at
@@ -64,11 +73,13 @@ from .momentpoly import (
     cm_alpha_table,
     eval_H,
     jacobian_F,
+    mass_polynomial,
     moment_vector_F,
 )
 from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
+    count_real_roots,
     det_mpf,
     mpf_to_fraction,
     solve_linear_mpf,
@@ -430,11 +441,13 @@ def construct_pair(
 ) -> ConstructionCertificate:
     """Solve every scale j = 1..j_max and assemble the certificate.
 
-    A direct solve from mu_bar is attempted first; if Newton fails, nu is
-    walked up a geometric ladder (nu_j * 2^(t - CONTINUATION_STEPS)) with
-    each solution seeding the next.  Scales that fail even then are
-    recorded in failed_js and the certificate is marked partial rather
-    than discarded.
+    A direct solve from mu_bar is attempted first.  If Newton fails, the
+    exact root count of P_j in (delta, 1] decides: fewer than k distinct
+    roots means no admissible mass vector exists, and the scale goes to
+    failed_js at once.  Otherwise nu is walked up a geometric ladder
+    (nu_j * 2^(t - CONTINUATION_STEPS)) with each solution seeding the
+    next.  Scales the ladder cannot solve are recorded in failed_js too,
+    and the certificate is marked partial rather than discarded.
     """
     validate_p(p)
     if j_max < 1:
@@ -455,6 +468,9 @@ def construct_pair(
         try:
             result = solve_mu(j, nu_j, target, mu_bar, table, precision, ball=ball)
         except (NewtonDivergenceError, SingularJacobianError, NoSolutionError):
+            if count_real_roots(mass_polynomial(j, nu_j, target, table), ball.delta, 1) < k:
+                failed.append(j)
+                continue
             try:
                 result = _continuation_solve(j, nu_j, target, mu_bar, table, precision)
             except (NewtonDivergenceError, SingularJacobianError, NoSolutionError):
@@ -494,12 +510,14 @@ def construct_pair(
 def _continuation_solve(j, nu_j, target, mu_bar, table, precision) -> SolveResult:
     """Walk nu up a geometric ladder, unclipped.
 
-    The solution path can leave the Newton safety box long before it
-    leaves the mass domain (the box only guarantees a nonsingular
-    Jacobian; the certificate never requires box membership), so the
-    ladder runs without clipping and relies on each step's solution
-    seeding the next.  Solutions that exit (0, 1] raise and the scale is
-    reported as failed.
+    `construct_pair` runs it only after the direct solve failed and the
+    exact root count showed that admissible masses exist at nu_j, so it
+    finds masses rather than discovering that there are none.  The
+    solution path can leave the Newton safety box long before it leaves
+    the mass domain (the box only guarantees a nonsingular Jacobian; the
+    certificate never requires box membership), so the ladder runs
+    without clipping and relies on each step's solution seeding the next.
+    Solutions that exit (0, 1] raise and the scale is reported as failed.
     """
     init = mu_bar
     result = None

@@ -303,3 +303,15 @@ def test_construct_p6_certificate_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "6c2773002ff763922cddd6052deac9ea60c2e18876d976a7b528b36410f3c85a"
     )
+
+
+def test_construct_p4_ladder_certificate_bytes_pinned(tmp_path, capsys):
+    # scales 5..8 are solved on the continuation ladder and 9..12 are
+    # infeasible, so this pins the ladder's bytes and the failed list;
+    # refresh it only for an intended change to the solve
+    out = tmp_path / "cert.json"
+    assert main(["construct", "--p", "4", "--j-max", "12", "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "99b5b9c208cf58b0e5161c887f1516ca5ae32e94393c5d01ac4b2db021b50d98"
+    )

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from mpmath import workprec
 
-from lp_isoforge.errors import DegenerateInputError
+from lp_isoforge.errors import DegenerateInputError, NoSolutionError
 from lp_isoforge.moments import (
     IndependentSumSpec,
     SymmetricAtomVariable,
@@ -24,10 +24,12 @@ from lp_isoforge.momentpoly import (
     eval_H,
     grad_H,
     jacobian_F,
+    mass_polynomial,
     moment_vector_F,
     vandermonde_check,
 )
-from lp_isoforge.numeric import to_mpf
+from lp_isoforge.numeric import count_real_roots, mpf_to_fraction, to_mpf
+from lp_isoforge.solver import ball_params, closed_form_k2, default_base_point, nu_schedule_value, target_h
 
 
 def rand_mu(rng, k, max_den=40):
@@ -257,3 +259,80 @@ def test_vandermonde_constant_magnitude():
             mu = tuple(sorted(vals, reverse=True))
             chk = vandermonde_check(mu, t)
             assert abs(chk.ratio) == expect
+
+
+def _horner(coeffs, x):
+    value = Fraction(0)
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def test_mass_polynomial_recovers_rational_masses():
+    # targets read off a known rational mass vector: forward substitution
+    # must return exactly prod (x - mu_i)
+    rng = random.Random(41)
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        t = cm_alpha_table(k)
+        mu = rand_mu(rng, k)
+        nu = Fraction(rng.randint(0, 30), 30)
+        j = rng.randint(1, 6)
+        want = [Fraction(1)]
+        for m in mu:
+            want = [a - m * b for a, b in zip(want + [0], [0] + want)]
+        target = moment_vector_F(j, mu, nu, t)
+        assert mass_polynomial(j, nu, target, t) == tuple(want)
+
+
+def test_mass_polynomial_validation():
+    t = cm_alpha_table(2)
+    for j, nu, target in ((0, 0, (1, 1)), (1, 2, (1, 1)), (1, Fraction(-1, 2), (1, 1)), (1, 0, (1,))):
+        with pytest.raises(ValueError):
+            mass_polynomial(j, nu, target, t)
+
+
+def test_mass_polynomial_k2_matches_closed_form():
+    # the quadratic formula is the independent oracle: it must fail exactly
+    # where P_j has fewer than 2 distinct roots in the open interval (0, 1)
+    t = cm_alpha_table(2)
+    mu_bar = default_base_point(2)
+    ball = ball_params(mu_bar, 2, 4)
+    target = target_h(mu_bar, t)
+    tol = mpmath.mpf(2) ** -240
+    outcomes = set()
+    for j in range(1, 21):
+        for fraction in (Fraction(51, 100), Fraction(3, 4), Fraction(99, 100)):
+            nu = nu_schedule_value(ball, 4, j, fraction)
+            P = mass_polynomial(j, nu, target, t)
+            inside = count_real_roots(P, 0, 1) - (_horner(P, 1) == 0)
+            try:
+                mu = closed_form_k2(j, nu, target, 256)
+            except NoSolutionError:
+                assert inside < 2, (j, fraction)
+                outcomes.add("infeasible")
+                continue
+            assert inside == 2, (j, fraction)
+            outcomes.add("solved")
+            hi, lo = mu.values
+            with workprec(256):
+                assert abs(to_mpf(-P[1]) - (hi + lo)) < tol
+                assert abs(to_mpf(P[2]) - hi * lo) < tol
+    assert outcomes == {"solved", "infeasible"}
+
+
+def test_mass_polynomial_brackets_p6_certificate_masses(cert_p6):
+    # each stored Newton mass sits next to a simple root of P_j: P_j changes
+    # sign across it and (x-, x+] holds exactly one root.  The window is
+    # +-64 ulp, not +-1: the Newton masses lie 0.6 to 48.7 ulp from the
+    # exact roots (measured on this certificate); the residual tolerance
+    # 2^-128 does not ask for more
+    t = cm_alpha_table(cert_p6.k)
+    for e in cert_p6.entries:
+        P = mass_polynomial(e.j, e.nu, cert_p6.target, t)
+        for m in e.mu:
+            _, _, exp, bc = m._mpf_
+            window = 64 * Fraction(2) ** (exp + bc - cert_p6.precision_bits)
+            x = mpf_to_fraction(m)
+            assert _horner(P, x - window) * _horner(P, x + window) < 0
+            assert count_real_roots(P, x - window, x + window) == 1

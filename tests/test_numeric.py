@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import workprec
 
 from lp_isoforge.errors import SingularJacobianError
 from lp_isoforge.numeric import (
     MAX_PRECISION_BITS,
+    count_real_roots,
     det_exact,
     det_mpf,
     frac_to_str,
@@ -142,3 +144,45 @@ def test_solve_linear_mpf():
         x = solve_linear_mpf(rows, rhs)
         assert abs(x[0] - 2) < mpmath.mpf(2) ** -250
         assert abs(x[1] - 1) < mpmath.mpf(2) ** -250
+
+
+def _expand(roots, lead=1, extra=(1,)):
+    """Coefficients, highest degree first, of lead * extra(x) * prod (x - r)."""
+    coeffs = [Fraction(lead) * c for c in extra]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+small_rational = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    roots=st.lists(small_rational, min_size=1, max_size=6),
+    lead=st.sampled_from([1, -1, Fraction(7, 3), -5]),
+    complex_pair=st.sampled_from([(1,), (1, 0, 1), (1, -1, 1)]),
+    ends=st.data(),
+)
+def test_sturm_count_matches_distinct_roots(roots, lead, complex_pair, ends):
+    # endpoints drawn from the roots themselves as often as from elsewhere,
+    # so both closed and open ends of (lo, hi] are exercised
+    endpoint = st.one_of(st.sampled_from(roots), small_rational)
+    lo, hi = sorted((ends.draw(endpoint), ends.draw(endpoint)))
+    got = count_real_roots(_expand(roots, lead, complex_pair), lo, hi)
+    assert got == len({r for r in roots if lo < r <= hi})
+
+
+def test_sturm_count_edge_cases():
+    # x^2 (x - 1)^3 (x^2 + 1): distinct real roots 0 and 1
+    p = _expand([0, 0, 1, 1, 1], extra=(1, 0, 1))
+    assert count_real_roots(p, -1, 1) == 2
+    assert count_real_roots(p, 0, 1) == 1
+    assert count_real_roots(p, -1, 0) == 1
+    assert count_real_roots(p, 1, 1) == 0
+    assert count_real_roots([0, 0, 3], -10, 10) == 0  # leading zeros, a constant
+    assert count_real_roots([2, -1], 0, Fraction(1, 2)) == 1
+    with pytest.raises(ValueError):
+        count_real_roots([0, 0], 0, 1)
+    with pytest.raises(ValueError):
+        count_real_roots([1, -1], 1, 0)

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from mpmath import workprec
 
+from lp_isoforge import solver
 from lp_isoforge.errors import (
     DegenerateInputError,
     LpIsoforgeError,
@@ -263,11 +264,36 @@ def test_certificate_p4_matches_closed_form(cert_p4):
                 assert abs(a - b) < mpmath.mpf(2) ** -120
 
 
-def test_construct_p4_marks_infeasible_scales_partial():
-    cert = construct_pair(4, 9, 256)
-    assert cert.failed_js == (9,)
+def _ladder_spy(monkeypatch):
+    """Record the scale of every continuation ladder construct_pair walks."""
+    walked = []
+    ladder = solver._continuation_solve
+
+    def spy(j, *args):
+        walked.append(j)
+        return ladder(j, *args)
+
+    monkeypatch.setattr(solver, "_continuation_solve", spy)
+    return walked
+
+
+def test_construct_p4_marks_infeasible_scales_partial(monkeypatch):
+    # j = 5..8 leave the box and need the ladder; from j = 9 the exact root
+    # count rules the scale out before any ladder step
+    walked = _ladder_spy(monkeypatch)
+    cert = construct_pair(4, 20, 256)
+    assert cert.failed_js == tuple(range(9, 21))
     assert [e.j for e in cert.entries] == list(range(1, 9))
     assert not cert.complete
+    assert walked == [5, 6, 7, 8]
+
+
+def test_construct_p6_skips_ladder_past_frontier(monkeypatch):
+    walked = _ladder_spy(monkeypatch)
+    cert = construct_pair(6, 50, 256)
+    assert cert.failed_js == (48, 49, 50)
+    assert [e.j for e in cert.entries] == list(range(1, 48))
+    assert walked == [44, 45, 46, 47]
 
 
 def test_construct_rejects_bad_fraction():
