@@ -12,15 +12,16 @@ from fractions import Fraction
 
 from lp_isoforge.momentpoly import (
     cm_alpha_table,
-    eval_F,
-    eval_H,
+    h_vector,
     jacobian_F,
+    moment_vector_F,
     vandermonde_check,
 )
 from lp_isoforge.moments import (
     IndependentSumSpec,
     SymmetricAtomVariable,
-    even_moment_of_sum,
+    fold_even_moments,
+    term_tables,
 )
 
 
@@ -38,9 +39,11 @@ def main() -> None:
         tuple(SymmetricAtomVariable(1, mi) for mi in mu)
     )
     print(f"mu = {mu}")
+    # both sides are whole tables, every order at once
+    hs = h_vector(mu, table)
+    directs = fold_even_moments(term_tables(spec, k), k)
     for m in range(1, k + 1):
-        h = eval_H(m, mu, table)
-        direct = even_moment_of_sum(spec, 2 * m)
+        h, direct = hs[m], directs[m]
         print(f"  H_{m}(mu) = {h}  engine says {direct}  equal: {h == direct}")
     print()
 
@@ -48,9 +51,10 @@ def main() -> None:
     extended = IndependentSumSpec(
         spec.terms + (SymmetricAtomVariable(j, nu),)
     )
+    fs = moment_vector_F(j, mu, nu, table)
+    directs = fold_even_moments(term_tables(extended, k), k)
     for m in range(1, k + 1):
-        f = eval_F(m, j, mu, nu, table)
-        direct = even_moment_of_sum(extended, 2 * m)
+        f, direct = fs[m - 1], directs[m]
         print(f"  F_{m}(mu; j = {j}, nu = {nu}) = {f}  equal: {f == direct}")
     print()
 

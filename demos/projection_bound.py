@@ -10,24 +10,21 @@ angle sweep serves as the independent cross-check.
 from fractions import Fraction
 
 from lp_isoforge.analysis import (
-    FiniteSpan,
     build_projection,
     projection_norm_grid_search,
     projection_norm_lower_bound,
 )
-from lp_isoforge.moments import SymmetricAtomVariable
+from lp_isoforge.moments import IndependentSumSpec, SymmetricAtomVariable
 
 
 def main() -> None:
     p = 4
-    span = FiniteSpan.build(
-        p,
+    P = build_projection(
         [
-            [SymmetricAtomVariable(Fraction(1), Fraction(3, 4))],
-            [SymmetricAtomVariable(Fraction(4), Fraction(1, 16))],
-        ],
+            IndependentSumSpec([SymmetricAtomVariable(Fraction(1), Fraction(3, 4))]),
+            IndependentSumSpec([SymmetricAtomVariable(Fraction(4), Fraction(1, 16))]),
+        ]
     )
-    P = build_projection(span)
     print(f"joint space has {P.atom_count} atoms, span dimension {P.n}")
     print()
 

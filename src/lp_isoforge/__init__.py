@@ -10,10 +10,12 @@ nu_j ~ j^(2-p) is what the complementation analysis feeds on.
 Layout:
 
 * `moments`: exact even moments of sums of independent symmetric
-  variables by a term-by-term fold, and the brute-force convolution
-  oracle.
+  variables by a term-by-term fold, which returns every order as one
+  table, and the brute-force convolution oracle.
 * `momentpoly`: the moment polynomials H_m and F_m^(j) in the masses,
   their gradients and Jacobians, and the Vandermonde determinant check.
+  H, dH and F come as whole tables (`h_vector`, `grad_table`,
+  `moment_vector_F`); callers read the entries they need from one table.
 * `solver`: the solvable box around a base point, the damped Newton
   solve for the perturbed masses, and certificate construction.
 * `p4`: the closed-form two-generator pair at p = 4, matched column
@@ -25,7 +27,6 @@ Layout:
 """
 
 from .analysis import (
-    FiniteSpan,
     IsometryCheckResult,
     ProjectionOperator,
     ProjectionReport,
@@ -57,9 +58,8 @@ from .momentpoly import (
     CmAlphaTable,
     MuVector,
     cm_alpha_table,
-    eval_F,
-    eval_H,
-    grad_H,
+    grad_table,
+    h_vector,
     jacobian_F,
     mass_polynomial,
     moment_vector_F,
@@ -71,10 +71,9 @@ from .moments import (
     SymmetricAtomVariable,
     abs_moment,
     convolve,
-    even_moment_from_tables,
-    even_moment_of_sum,
     fold_even_moments,
     moment_coefficients,
+    term_tables,
 )
 from .numeric import (
     DEFAULT_PRECISION_BITS,

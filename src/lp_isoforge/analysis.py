@@ -1,11 +1,14 @@
 """Verification layer: isometry spot checks, projections, series certificates.
 
-Everything here consumes a ConstructionCertificate or a finite span of
+Everything here consumes a ConstructionCertificate or a list of
 generators and produces evidence:
 
 * `isometry_check` compares even moments of random rational combinations
   of the reference generators h_j (masses mu_bar) against the perturbed
   generators f~_j (masses mu^(j) plus one atom of scale j, mass nu_j).
+  Each generator enters as its whole even-moment table, one fold of the
+  `moments` layer (`certificate_span` gives the f~_j tables), and every
+  order of a combination comes from one more fold of the scaled tables.
   Both sides are exact rationals, so the reported maximum relative
   residual is exact, and it is accompanied by a propagation bound:
   every term of the even-moment expansion is positive, so the relative
@@ -94,7 +97,6 @@ from .solver import BallParams, ConstructionCertificate, ball_params, decreasing
 DEFAULT_SPACE_CAP = 3 ** 9
 
 __all__ = [
-    "FiniteSpan",
     "IsometryCheckResult",
     "ProjectionOperator",
     "ProjectionReport",
@@ -104,9 +106,7 @@ __all__ = [
     "VplCheck",
     "DEFAULT_SPACE_CAP",
     "reference_generator",
-    "reference_span",
     "certificate_span",
-    "span_norm",
     "isometry_check",
     "c_k_constant",
     "vpl_check",
@@ -124,106 +124,53 @@ __all__ = [
 # finite spans and isometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteSpan:
-    """Independent generators with their even-moment tables, orders 2..p.
-
-    tables[i][l] = E g_i^(2l) for l = 0..p/2 (exact when the generator
-    data is rational), one even-moment fold per generator.
-    """
-
-    p: int
-    generators: tuple
-    tables: tuple
-
-    @classmethod
-    def build(cls, p: int, generators) -> "FiniteSpan":
-        if p < 2 or p % 2 != 0:
-            raise ValueError(f"p must be even and >= 2, got {p}")
-        generators = tuple(
-            g if isinstance(g, IndependentSumSpec) else IndependentSumSpec(g)
-            for g in generators
-        )
-        if not generators:
-            raise DegenerateInputError("span needs at least one generator")
-        k = p // 2
-        tables = tuple(tuple(fold_even_moments(term_tables(g, k), k)) for g in generators)
-        return cls(p=p, generators=generators, tables=tables)
-
-    @property
-    def n(self) -> int:
-        return len(self.generators)
-
-    @property
-    def k(self) -> int:
-        return self.p // 2
-
-
 def reference_generator(mu_bar: MuVector) -> IndependentSumSpec:
     """h: k independent unit-scale atoms with the base masses mu_bar."""
     return IndependentSumSpec([SymmetricAtomVariable(1, m) for m in mu_bar.values])
 
 
-def reference_span(cert: ConstructionCertificate) -> FiniteSpan:
-    """The h_j side: one k-atom generator per certificate entry, masses mu_bar."""
-    gen = reference_generator(cert.ball.mu_bar)
-    return FiniteSpan.build(cert.p, [gen] * len(cert.entries))
+def _moment_table(gen: IndependentSumSpec, k: int) -> tuple:
+    """[E g^0, E g^2, ..., E g^(2k)] of one generator: one fold."""
+    return tuple(fold_even_moments(term_tables(gen, k), k))
 
 
-def certificate_span(cert: ConstructionCertificate) -> FiniteSpan:
-    """The f~_j side: masses mu^(j) plus one atom of scale j and mass nu_j.
+def certificate_span(cert: ConstructionCertificate) -> tuple:
+    """Moment tables [E f~_j^0, ..., E f~_j^p] of the f~_j side, one per entry.
 
-    The stored mu are dyadic, so the moment tables are exact rationals;
-    nothing is trusted from the solve itself.
+    f~_j has masses mu^(j) plus one atom of scale j and mass nu_j.  The
+    stored mu are dyadic, so the tables are exact rationals; nothing is
+    trusted from the solve itself.
     """
-    gens = []
+    tables = []
     for e in cert.entries:
-        mu_frac = [mpf_to_fraction(v) for v in e.mu]
-        terms = [SymmetricAtomVariable(1, m) for m in mu_frac]
+        terms = [SymmetricAtomVariable(1, mpf_to_fraction(v)) for v in e.mu]
         if e.nu != 0:
             # nu = 0 would be an a.s.-zero summand; skip it rather than
             # build a degenerate variable
             terms.append(SymmetricAtomVariable(e.j, e.nu))
-        gens.append(IndependentSumSpec(terms))
-    return FiniteSpan.build(cert.p, gens)
+        tables.append(_moment_table(IndependentSumSpec(terms), cert.k))
+    return tuple(tables)
 
 
 def _reference_table(cert: ConstructionCertificate) -> tuple:
     """[E h^0, E h^2, ..., E h^p] for the reference generator h: one fold."""
-    return FiniteSpan.build(cert.p, [reference_generator(cert.ball.mu_bar)]).tables[0]
+    return _moment_table(reference_generator(cert.ball.mu_bar), cert.k)
 
 
-def _residuals(cert: ConstructionCertificate, per: FiniteSpan) -> tuple:
+def _residuals(cert: ConstructionCertificate, tables) -> tuple:
     """Exact table[m] - T_m, m = 1..k, one vector per certificate entry."""
-    return tuple(tuple(table[m] - t for m, t in enumerate(cert.target.values, 1)) for table in per.tables)
+    return tuple(tuple(table[m] - t for m, t in enumerate(cert.target.values, 1)) for table in tables)
 
 
 def _scaled_table(table, c, m: int) -> list:
-    """[1, c^2 E g^2, ..., c^(2m) E g^(2m)] for c g; exact for int or rational c."""
+    """[1, c^2 E g^2, ..., c^(2m) E g^(2m)] for c g; exact for integer or rational c."""
     csq = c * c
-    power = 1 if isinstance(csq, (int, Fraction)) else to_mpf(1)
+    power = 1
     row = [Fraction(1)]
     for l in range(1, m + 1):
         power = power * csq
         row.append(power * table[l])
     return row
-
-
-def span_norm(span: FiniteSpan, c, order: int) -> Scalar:
-    """||sum c_i g_i||_order^order for even order = 2m, m <= p/2.
-
-    Scaling c_i multiplies the 2l-th moment of g_i by c_i^(2l); the scaled
-    tables then go through one even-moment fold, O(n m^2) operations for
-    n generators.  Exact for rational c; mpf coefficients give an mpf.
-    """
-    c = tuple(c)
-    if len(c) != span.n:
-        raise ValueError(f"coefficient vector has length {len(c)}, span has {span.n}")
-    if order < 2 or order % 2 != 0 or order > span.p:
-        raise ValueError(f"order must be even in 2..{span.p}, got {order}")
-    m = order // 2
-    scaled = [_scaled_table(table, ci, m) for ci, table in zip(c, span.tables)]
-    return fold_even_moments(scaled, m)[m]
 
 
 @dataclass(frozen=True)
@@ -272,7 +219,7 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
         c_int = [int(q * scale) for q in c]
         # one fold per span yields every order 2..p of this combination
         ref_moments = fold_even_moments([_scaled_table(ref_table, ci, k) for ci in c_int], k)
-        per_moments = fold_even_moments([_scaled_table(t, ci, k) for ci, t in zip(c_int, per.tables)], k)
+        per_moments = fold_even_moments([_scaled_table(t, ci, k) for ci, t in zip(c_int, per)], k)
         for m in range(1, k + 1):
             v = ref_moments[m]
             rel = abs(per_moments[m] - v) / v
@@ -420,9 +367,9 @@ class ProjectionOperator:
         return to_mpf(moment) ** (1 / to_mpf(r))
 
 
-def build_projection(span: FiniteSpan, cap: int = DEFAULT_SPACE_CAP) -> ProjectionOperator:
-    """Materialize the generators on their joint finite probability space."""
-    dists = [convolve(g) for g in span.generators]
+def build_projection(generators, cap: int = DEFAULT_SPACE_CAP) -> ProjectionOperator:
+    """Materialize the generators (IndependentSumSpecs) on their joint finite probability space."""
+    dists = [convolve(g) for g in generators]
     size = 1
     for d in dists:
         size *= len(d.atoms)
@@ -438,15 +385,10 @@ def build_projection(span: FiniteSpan, cap: int = DEFAULT_SPACE_CAP) -> Projecti
             prob = prob * pa
             basis[i].append(value)
         probs.append(prob)
-    op = ProjectionOperator(
-        probs=tuple(probs),
-        basis=tuple(tuple(b) for b in basis),
-        norms_sq=tuple(),
-    )
-    norms_sq = tuple(op.inner(b, b) for b in op.basis)
+    norms_sq = tuple(sum((v * v * pa for v, pa in zip(b, probs)), Fraction(0)) for b in basis)
     if any(ns == 0 for ns in norms_sq):
         raise DegenerateInputError("a generator vanishes on the product space")
-    return ProjectionOperator(probs=op.probs, basis=op.basis, norms_sq=norms_sq)
+    return ProjectionOperator(probs=tuple(probs), basis=tuple(tuple(b) for b in basis), norms_sq=norms_sq)
 
 
 def _raw_apply(P: ProjectionOperator, f, prec: int) -> tuple:
@@ -647,7 +589,7 @@ def projection_report(
     With n = 2 the angle sweep runs as an oracle.
     """
     masses = default_base_point(max(n, 2)).values[:n]
-    P = build_projection(FiniteSpan.build(p, [[SymmetricAtomVariable(1, m)] for m in masses]))
+    P = build_projection([IndependentSumSpec([SymmetricAtomVariable(1, m)]) for m in masses])
     bound = projection_norm_lower_bound(P, p, seed=seed, precision=precision)
     rng = random.Random(seed)
     fs = [[Fraction(rng.randint(-100, 100), rng.randint(1, 50)) for _ in P.probs] for _ in range(trials)]
@@ -880,13 +822,12 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
         issues += [f"ball differs: {', '.join(differ)}"] if differ else []
     except DegenerateInputError as exc:
         issues.append(f"ball not recomputable: {exc}")
-    residuals = _residuals(cert, certificate_span(cert)) if cert.entries else ()
+    residuals = _residuals(cert, certificate_span(cert))
     worst = max((abs(r) for resid in residuals for r in resid), default=Fraction(0))
     bad_bracket = [r.j for r in uc.rows if not r.bracket_ok]
     bad_order = [e.j for e in cert.entries if not decreasing_above(e.mu, cert.ball.delta)]
-    gaps = (
-        ("failed scales", cert.failed_js), ("missing j", cert.missing_js), ("duplicated j", cert.duplicated_js)
-    )
+    missing = [str(a) if a == b else f"{a}..{b}" for a, b in cert.missing_runs]
+    gaps = (("failed scales", cert.failed_js), ("missing j", missing), ("duplicated j", cert.duplicated_js))
 
     iso_outcome = (False, "no solved entries") if iso is None else (
         iso.max_rel_residual <= iso.bound,
@@ -894,7 +835,7 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
     )
 
     def listed(*labelled) -> str:
-        return "; ".join(f"{label}: {list(js)}" for label, js in labelled if js)
+        return "; ".join(f"{label}: [{', '.join(map(str, js))}]" for label, js in labelled if js)
 
     checks = [
         ("target moments match the base point", not issues, "; ".join(issues)),

@@ -40,7 +40,7 @@ import mpmath
 
 from .analysis import projection_report, verify_certificate
 from .errors import CapExceededError, LpIsoforgeError, SchemaError
-from .moments import convolve, even_moment_of_sum
+from .moments import convolve, fold_even_moments, term_tables
 from .numeric import (
     DEFAULT_PRECISION_BITS,
     MAX_PRECISION_BITS,
@@ -250,9 +250,11 @@ def cmd_moments(args) -> int:
         note = f"oracle skipped: {exc}"
 
     lines = [f"terms: {len(spec)}, atoms: {len(dist.atoms) if dist else 'over cap'}"]
+    k = max(orders) // 2
+    moments = fold_even_moments(term_tables(spec, k), k)
     values = []
     for order in orders:
-        formula = even_moment_of_sum(spec, order)
+        formula = moments[order // 2]
         row = {"order": order, "formula": frac_to_str(formula)}
         line = f"order {order}: formula {frac_to_str(formula)}"
         if dist is not None:

@@ -39,8 +39,10 @@ elementary symmetric functions by forward substitution:
 `mass_polynomial` returns the exact P_j(x) = prod_i (x - mu_i) whose roots
 are the only candidate masses at scale j.
 
-Every value is a read of two tables built from one elementary-symmetric
-table of the masses: the vector [1, H_1, ..., H_k] and dH_m/dmu_beta.
+The layer exports whole tables, not single entries: `h_vector` gives
+[1, H_1, ..., H_k] and `grad_table` every dH_m/dmu_beta, each built from
+one elementary-symmetric table of the masses.  F, the Jacobian and the
+solver's targets and gradient bound are all reads of these two tables.
 
 All functions evaluate exactly on Fraction inputs and in the active
 mpmath precision on mpf inputs, except `vandermonde_check`, which takes
@@ -55,7 +57,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import DegenerateInputError, SingularJacobianError
-from .moments import _even_multinomial
+from .moments import even_multinomial
 from .numeric import Scalar, det_exact
 
 __all__ = [
@@ -64,13 +66,10 @@ __all__ = [
     "JacobianF",
     "VandermondeCheck",
     "cm_alpha_table",
-    "elem_sym",
-    "elem_sym_excl",
     "mass_polynomial",
-    "eval_H",
-    "eval_F",
+    "h_vector",
+    "grad_table",
     "moment_vector_F",
-    "grad_H",
     "jacobian_F",
     "vandermonde_check",
 ]
@@ -113,7 +112,7 @@ def cm_alpha_table(k: int) -> CmAlphaTable:
     for m in range(1, k + 1):
         for alpha in range(1, m + 1):
             entries[(m, alpha)] = sum(
-                _even_multinomial(comp) for comp in _positive_compositions(m, alpha)
+                even_multinomial(comp) for comp in _positive_compositions(m, alpha)
             )
     return CmAlphaTable(k=k, entries=entries)
 
@@ -150,18 +149,6 @@ class MuVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def _values(mu) -> tuple:
-    return tuple(mu.values) if isinstance(mu, MuVector) else tuple(mu)
-
-
-def elem_sym(mu, alpha: int) -> Scalar:
-    """Elementary symmetric polynomial e_alpha(mu); e_0 = 1, e_alpha = 0 for alpha > k."""
-    values = _values(mu)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return _elem_sym_all(values)[alpha] if alpha <= len(values) else Fraction(0)
 
 
 def _elem_sym_all(values: tuple) -> list:
@@ -208,17 +195,6 @@ def mass_polynomial(j: int, nu, target, table: CmAlphaTable) -> tuple:
     return tuple(-v if alpha % 2 else v for alpha, v in enumerate(e))
 
 
-def elem_sym_excl(mu, beta: int, alpha: int) -> Scalar:
-    """e_alpha of the masses with the beta-th left out (beta is 1-based)."""
-    values = _values(mu)
-    k = len(values)
-    if not 1 <= beta <= k:
-        raise ValueError(f"beta must be in 1..{k}, got {beta}")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return _excl_row(values, beta, _elem_sym_all(values), alpha)[alpha]
-
-
 def _excl_row(values: tuple, beta: int, e: list, upto: int) -> list:
     """[P_{beta,0}, ..., P_{beta,upto}] sharing one e-table."""
     mu_beta = values[beta - 1]
@@ -232,8 +208,9 @@ def _excl_row(values: tuple, beta: int, e: list, upto: int) -> list:
     return row
 
 
-def _h_vector(values: tuple, table: CmAlphaTable) -> list:
-    """[H_0 = 1, H_1, ..., H_k] from one elementary-symmetric table."""
+def h_vector(mu, table: CmAlphaTable) -> list:
+    """[H_0 = 1, H_1, ..., H_k] of the masses mu, from one elementary-symmetric table."""
+    values = tuple(mu)
     e = _elem_sym_all(values)
     return [Fraction(1)] + [
         sum((table.get(m, a) * e[a] for a in range(1, min(m, len(values)) + 1)), Fraction(0))
@@ -241,8 +218,9 @@ def _h_vector(values: tuple, table: CmAlphaTable) -> list:
     ]
 
 
-def _grad_table(values: tuple, table: CmAlphaTable) -> list:
+def grad_table(mu, table: CmAlphaTable) -> list:
     """grad[m][beta-1] = dH_m/dmu_beta for m = 0..k; row 0 is zero (H_0 = 1)."""
+    values = tuple(mu)
     e = _elem_sym_all(values)
     excl = [_excl_row(values, beta, e, table.k - 1) for beta in range(1, len(values) + 1)]
     return [[Fraction(0)] * len(values)] + [
@@ -251,27 +229,13 @@ def _grad_table(values: tuple, table: CmAlphaTable) -> list:
     ]
 
 
-def eval_H(m: int, mu, table: CmAlphaTable) -> Scalar:
-    """H_m(mu), the 2m-th moment polynomial of the mass vector."""
-    if not 1 <= m <= table.k:
-        raise ValueError(f"m must be in 1..{table.k}, got {m}")
-    return _h_vector(_values(mu), table)[m]
-
-
-def eval_F(m: int, j: int, mu, nu, table: CmAlphaTable) -> Scalar:
-    """F_m^(j)(mu, nu) = H_m + nu * sum_l binom(2m,2l) j^(2l) H_{m-l}."""
-    if not 1 <= m <= table.k:
-        raise ValueError(f"m must be in 1..{table.k}, got {m}")
-    return moment_vector_F(j, mu, nu, table)[m - 1]
-
-
 def moment_vector_F(j: int, mu, nu, table: CmAlphaTable) -> tuple:
     """(F_1^(j), ..., F_k^(j))(mu, nu), every F_m read from one H vector."""
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j}")
     if not 0 <= nu <= 1:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    h = _h_vector(_values(mu), table)
+    h = h_vector(mu, table)
     jsq = j * j
     out = []
     for m in range(1, table.k + 1):
@@ -282,16 +246,6 @@ def moment_vector_F(j: int, mu, nu, table: CmAlphaTable) -> tuple:
             acc = acc + nu * math.comb(2 * m, 2 * l) * jpow * h[m - l]
         out.append(acc)
     return tuple(out)
-
-
-def grad_H(m: int, beta: int, mu, table: CmAlphaTable) -> Scalar:
-    """dH_m/dmu_beta (beta 1-based)."""
-    if not 1 <= m <= table.k:
-        raise ValueError(f"m must be in 1..{table.k}, got {m}")
-    values = _values(mu)
-    if not 1 <= beta <= len(values):
-        raise ValueError(f"beta must be in 1..{len(values)}, got {beta}")
-    return _grad_table(values, table)[m][beta - 1]
 
 
 @dataclass(frozen=True)
@@ -316,11 +270,11 @@ def jacobian_F(j: int, mu, nu, table: CmAlphaTable) -> JacobianF:
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j}")
     k = table.k
-    values = _values(mu)
+    values = tuple(mu)
     if len(values) != k:
         raise ValueError(f"mu must have length {k}, got {len(values)}")
-    gradH = _grad_table(values, table)
-    hvals = _h_vector(values, table)
+    gradH = grad_table(values, table)
+    hvals = h_vector(values, table)
     jsq = j * j
     matrix = []
     nu_column = []
@@ -354,7 +308,7 @@ def vandermonde_check(mu, table: CmAlphaTable) -> VandermondeCheck:
     Requires rational, strictly decreasing masses (the Vandermonde factor
     pairs are then nonzero).
     """
-    values = _values(mu)
+    values = tuple(mu)
     k = len(values)
     if len(set(values)) != k or any(
         values[i] <= values[i + 1] for i in range(k - 1)

@@ -24,6 +24,10 @@ tests use it as a brute-force oracle for the fold.  Everything here is
 exact when the inputs are rational: coefficients are integers and the
 per-term moments are Fractions.
 
+The layer exports whole tables, not single moments: `term_tables` gives
+each summand's [1, E f^2, ..., E f^(2k)], the fold gives the sum's, and
+a caller reads every order it needs from one fold.
+
 `convolve` is the independent oracle for the same quantity: it builds the
 full distribution of the sum by direct convolution (atoms merged on equal
 values) and integrates powers against it.  The two routes share no code
@@ -56,12 +60,10 @@ __all__ = [
     "IndependentSumSpec",
     "DiscreteDistribution",
     "DEFAULT_ATOM_CAP",
-    "even_moment_single",
+    "even_multinomial",
     "moment_coefficients",
     "term_tables",
     "fold_even_moments",
-    "even_moment_of_sum",
-    "even_moment_from_tables",
     "convolve",
     "abs_moment",
 ]
@@ -130,15 +132,6 @@ class IndependentSumSpec:
         return len(self.terms)
 
 
-def even_moment_single(v: SymmetricAtomVariable, order: int) -> Scalar:
-    """E v^order for even order >= 0 (order 0 returns 1 by convention)."""
-    if order < 0 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 0, got {order}")
-    if order == 0:
-        return Fraction(1)
-    return v.scale_sq ** (order // 2) * v.mass
-
-
 def _compositions(k: int, n: int) -> Iterator[tuple]:
     """All n-tuples of nonnegative integers summing to k, lexicographic."""
     if n == 1:
@@ -150,7 +143,7 @@ def _compositions(k: int, n: int) -> Iterator[tuple]:
 
 
 @lru_cache(maxsize=None)
-def _even_multinomial(parts: tuple) -> int:
+def even_multinomial(parts: tuple) -> int:
     """(2k)! / prod (2k_i)! via a telescoping product of even binomials."""
     remaining = 2 * sum(parts)
     coeff = 1
@@ -164,13 +157,13 @@ def moment_coefficients(k: int, n: int) -> list[tuple[tuple, int]]:
     """All compositions of k into n nonnegative parts with their coefficients."""
     if k < 0 or n < 1:
         raise ValueError("need k >= 0 and n >= 1")
-    return [(comp, _even_multinomial(comp)) for comp in _compositions(k, n)]
+    return [(comp, even_multinomial(comp)) for comp in _compositions(k, n)]
 
 
 def term_tables(spec: IndependentSumSpec, k: int) -> list:
     """Per-term tables [1, E f^2, ..., E f^(2k)] of spec, fold input."""
     return [
-        [Fraction(1)] + [even_moment_single(t, 2 * l) for l in range(1, k + 1)]
+        [Fraction(1)] + [t.scale_sq ** l * t.mass for l in range(1, k + 1)]
         for t in spec.terms
     ]
 
@@ -198,28 +191,6 @@ def fold_even_moments(tables, k: int) -> list:
                 total = total + row[l] * acc[m - l] * table[l]
             acc[m] = total
     return acc
-
-
-def even_moment_from_tables(tables, order: int) -> Scalar:
-    """E (sum)^order from per-term moment tables, tables[i][l] = E f_i^(2l).
-
-    The entries need not come from probability-valid variables; the
-    expansion only consumes the numbers.  tables[i][0] is ignored (the
-    zero-part convention contributes a factor 1) but must be present so
-    that index l addresses order 2l.
-    """
-    if order < 2 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 2, got {order}")
-    k = order // 2
-    return fold_even_moments(tables, k)[k]
-
-
-def even_moment_of_sum(spec: IndependentSumSpec, order: int) -> Scalar:
-    """E (sum of spec)^order for even order >= 2, by the even-moment fold."""
-    if order < 2 or order % 2 != 0:
-        raise ValueError(f"order must be even and >= 2, got {order}")
-    k = order // 2
-    return fold_even_moments(term_tables(spec, k), k)[k]
 
 
 def convolve(spec: IndependentSumSpec, cap: int = DEFAULT_ATOM_CAP) -> "DiscreteDistribution":

@@ -42,7 +42,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import InfeasibleMassError
-from .moments import even_moment_from_tables
+from .moments import fold_even_moments
 from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
@@ -88,7 +88,7 @@ def rosenthal_moments(n: int, precision: int = DEFAULT_PRECISION_BITS) -> tuple:
     A = mass_g + Fraction(1, n)
     table_g = [Fraction(1), mass_g, mass_g]
     table_gp = [Fraction(1), Fraction(1, n), Fraction(1, n ** 2)]
-    B = even_moment_from_tables([table_g, table_gp], 4)
+    B = fold_even_moments([table_g, table_gp], 2)[2]
     return A, B
 
 

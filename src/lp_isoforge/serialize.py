@@ -146,6 +146,13 @@ def _fraction(value, name: str) -> Fraction:
     return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
+def _positive(value, name: str) -> Fraction:
+    x = _fraction(value, name)
+    if x <= 0:
+        raise SchemaError(f"{name} = {x} must be > 0")
+    return x
+
+
 def _checked(name: str, build, *args):
     """build(*args), with the ValueError of a value it rejects raised as SchemaError."""
     try:
@@ -159,9 +166,10 @@ def cert_from_dict(data) -> ConstructionCertificate:
 
     Any deviation raises SchemaError naming the field: key sets, types and
     minima, string grammars, p = 2k, vector lengths k, and the domains
-    mu in (0, 1], nu in [0, 1], target > 0.  Field invariants (ball,
-    brackets, ordering, residual size) are the verifier's job: it must be
-    able to load a bad certificate in order to reject it.
+    mu in (0, 1], nu in (0, 1], target > 0 and ball values > 0 (the
+    verifier divides by nu and delta).  Field invariants (ball, brackets,
+    ordering, residual size) are the verifier's job: it must be able to
+    load a bad certificate in order to reject it.
     """
     _object(data, "certificate", _CERT_KEYS, optional=("seed",))
     if data["schema"] != CERT_SCHEMA_ID:
@@ -188,8 +196,8 @@ def cert_from_dict(data) -> ConstructionCertificate:
         _object(e, f"entries[{i}]", _ENTRY_KEYS)
         where = f"entry j={_integer(e['j'], f'entries[{i}].j', 1)}"
         nu = _fraction(e["nu"], f"{where} nu")
-        if not 0 <= nu <= 1:
-            raise SchemaError(f"{where} nu = {nu} lies outside [0, 1]")
+        if not 0 < nu <= 1:
+            raise SchemaError(f"{where} nu = {nu} lies outside (0, 1]")
         entries.append(
             CertEntry(
                 j=e["j"],
@@ -207,7 +215,7 @@ def cert_from_dict(data) -> ConstructionCertificate:
         nu_fraction=_fraction(data["nu_fraction"], "nu_fraction"),
         ball=BallParams(
             mu_bar=_checked("ball.mu_bar", MuVector, fractions(ball["mu_bar"], "ball.mu_bar")),
-            **{key: _fraction(ball[key], f"ball.{key}") for key in _BALL_KEYS[1:]},
+            **{key: _positive(ball[key], f"ball.{key}") for key in _BALL_KEYS[1:]},
         ),
         target=_checked("target", HValues, fractions(data["target"], "target")),
         entries=tuple(entries),

@@ -68,10 +68,9 @@ from .errors import (
 from .momentpoly import (
     CmAlphaTable,
     MuVector,
-    _grad_table,
-    _values,
     cm_alpha_table,
-    eval_H,
+    grad_table,
+    h_vector,
     jacobian_F,
     mass_polynomial,
     moment_vector_F,
@@ -172,7 +171,7 @@ def default_base_point(k: int) -> MuVector:
 
 
 def target_h(mu_bar: MuVector, table: CmAlphaTable) -> HValues:
-    return HValues(tuple(eval_H(m, mu_bar, table) for m in range(1, table.k + 1)))
+    return HValues(h_vector(mu_bar, table)[1:])
 
 
 def ball_params(mu_bar: MuVector, k: int, p: int) -> BallParams:
@@ -197,7 +196,7 @@ def ball_params(mu_bar: MuVector, k: int, p: int) -> BallParams:
     eps_bar = Fraction(3, 4) * bound
     eps = eps_bar
 
-    grad = _grad_table(tuple(v + eps_bar for v in values), cm_alpha_table(k))
+    grad = grad_table([v + eps_bar for v in values], cm_alpha_table(k))
     # H_0 is constant, so l = m contributes no gradient term
     M = max(
         math.comb(2 * m, 2 * l) * g
@@ -254,7 +253,7 @@ def solve_mu(
     """
     validate_precision(precision)
     k = table.k
-    init_values = _values(init)
+    init_values = tuple(init)
     if len(init_values) != k:
         raise ValueError(f"init must have length {k}")
 
@@ -398,10 +397,15 @@ class ConstructionCertificate:
     seed: int | None = None
 
     @property
-    def missing_js(self) -> tuple:
-        """Scales below the largest listed one that no entry or failed_js names."""
-        listed = {e.j for e in self.entries} | set(self.failed_js)
-        return tuple(j for j in range(1, max(listed, default=0) + 1) if j not in listed)
+    def missing_runs(self) -> tuple:
+        """Runs (first, last) of unlisted scales below the largest listed one.
+
+        A scale is listed when an entry or failed_js names it.  The runs are
+        the gaps between the sorted listed scales, so the cost grows with
+        the number of listed scales, not with the largest one.
+        """
+        listed = sorted({e.j for e in self.entries} | set(self.failed_js))
+        return tuple((a + 1, b - 1) for a, b in zip([0] + listed, listed) if b - a > 1)
 
     @property
     def duplicated_js(self) -> tuple:
@@ -412,7 +416,7 @@ class ConstructionCertificate:
     @property
     def complete(self) -> bool:
         """Every scale 1..J solved exactly once: no failed, missing or repeated j."""
-        return not (self.failed_js or self.missing_js or self.duplicated_js)
+        return not (self.failed_js or self.missing_runs or self.duplicated_js)
 
     def entry(self, j: int) -> CertEntry:
         for e in self.entries:

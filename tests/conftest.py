@@ -35,8 +35,9 @@ def cert_p4():
 # values the certificate reader must reject with SchemaError rather than
 # let a ZeroDivisionError, TypeError or mpmath ValueError escape: zero
 # denominators, integers written as floats, reals outside the decimal grammar,
-# and precisions above the cap (an OverflowError at 2**70, a MemoryError at
-# 2**40 once the first real is parsed)
+# precisions above the cap (an OverflowError at 2**70, a MemoryError at
+# 2**40 once the first real is parsed), and a zero or negative delta or a
+# zero nu, which the verifier divides by
 MALFORMED_EDITS = {
     "precision_bits 2**40": lambda d: d.update(precision_bits=2 ** 40),
     "precision_bits 2**70": lambda d: d.update(precision_bits=2 ** 70),
@@ -47,6 +48,9 @@ MALFORMED_EDITS = {
     "j float": lambda d: d["entries"][0].update(j=1.0),
     "mu dot": lambda d: d["entries"][0]["mu"].__setitem__(0, "."),
     "jac_det two points": lambda d: d["entries"][0].update(jac_det="1.2.3"),
+    "ball.delta 0/1": lambda d: d["ball"].update(delta="0/1"),
+    "ball.delta -1/48": lambda d: d["ball"].update(delta="-1/48"),
+    "entry nu 0/1": lambda d: d["entries"][0].update(nu="0/1"),
 }
 
 

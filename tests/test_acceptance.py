@@ -23,7 +23,6 @@ from mpmath import workprec
 import lp_isoforge
 from lp_isoforge.cli import main
 from lp_isoforge.analysis import (
-    FiniteSpan,
     build_projection,
     isometry_check,
     projection_norm_grid_search,
@@ -34,17 +33,18 @@ from lp_isoforge.analysis import (
 from lp_isoforge.errors import LpIsoforgeError
 from lp_isoforge.momentpoly import (
     cm_alpha_table,
-    eval_F,
-    eval_H,
-    grad_H,
+    grad_table,
+    h_vector,
     jacobian_F,
+    moment_vector_F,
     vandermonde_check,
 )
 from lp_isoforge.moments import (
     IndependentSumSpec,
     SymmetricAtomVariable,
     convolve,
-    even_moment_of_sum,
+    fold_even_moments,
+    term_tables,
 )
 from lp_isoforge.numeric import mpf_to_fraction, to_mpf
 from lp_isoforge.p4 import build_p4_table, log_sq, render_p4_report
@@ -70,8 +70,9 @@ def test_criterion_01_even_moment_engine_matches_convolution():
             terms.append(SymmetricAtomVariable(scale, Fraction(rng.randint(1, den), den)))
         spec = IndependentSumSpec(terms)
         dist = convolve(spec)
+        moments = fold_even_moments(term_tables(spec, k), k)
         for order in range(2, 2 * k + 1, 2):
-            assert even_moment_of_sum(spec, order) == dist.moment(order)
+            assert moments[order // 2] == dist.moment(order)
     assert time.monotonic() - t0 < 10
 
 
@@ -87,9 +88,10 @@ def test_criterion_02_mass_polynomials_match_direct_moments():
         base = [SymmetricAtomVariable(1, m) for m in mu]
         h_spec = IndependentSumSpec(base)
         f_spec = IndependentSumSpec(base + [SymmetricAtomVariable(j, nu)])
-        for m in range(1, k + 1):
-            assert eval_H(m, mu, table) == even_moment_of_sum(h_spec, 2 * m)
-            assert eval_F(m, j, mu, nu, table) == even_moment_of_sum(f_spec, 2 * m)
+        h_direct = fold_even_moments(term_tables(h_spec, k), k)
+        f_direct = fold_even_moments(term_tables(f_spec, k), k)
+        assert h_vector(mu, table) == h_direct
+        assert moment_vector_F(j, mu, nu, table) == tuple(f_direct[1:])
     assert time.monotonic() - t0 < 10
 
 
@@ -113,14 +115,16 @@ def test_criterion_03_derivatives_and_vandermonde_ratio():
             dn = list(mu)
             up[beta - 1] += step
             dn[beta - 1] -= step
-            fd_h = (eval_H(m, up, table) - eval_H(m, dn, table)) / (2 * step)
-            assert abs(to_mpf(grad_H(m, beta, mu, table) - fd_h)) < tol
+            fd_h = (h_vector(up, table)[m] - h_vector(dn, table)[m]) / (2 * step)
+            assert abs(to_mpf(grad_table(mu, table)[m][beta - 1] - fd_h)) < tol
             jac = jacobian_F(j, mu, nu, table)
-            fd_f = (eval_F(m, j, up, nu, table) - eval_F(m, j, dn, nu, table)) / (2 * step)
+
+            def F_m(point, nu_):
+                return moment_vector_F(j, point, nu_, table)[m - 1]
+
+            fd_f = (F_m(up, nu) - F_m(dn, nu)) / (2 * step)
             assert abs(to_mpf(jac.matrix[m - 1][beta - 1] - fd_f)) < tol
-            fd_nu = (
-                eval_F(m, j, mu, nu + step, table) - eval_F(m, j, mu, nu - step, table)
-            ) / (2 * step)
+            fd_nu = (F_m(mu, nu + step) - F_m(mu, nu - step)) / (2 * step)
             assert abs(to_mpf(jac.nu_column[m - 1] - fd_nu)) < tol
     for k in (2, 3, 4):
         table = cm_alpha_table(k)
@@ -207,8 +211,7 @@ def test_criterion_07_p4_table_exact_and_printed_residual():
 def test_criterion_08_projection_identities_and_norm_oracle():
     t0 = time.monotonic()
     masses = default_base_point(3).values
-    span3 = FiniteSpan.build(6, [[SymmetricAtomVariable(1, m)] for m in masses])
-    P3 = build_projection(span3)
+    P3 = build_projection([IndependentSumSpec([SymmetricAtomVariable(1, m)]) for m in masses])
     assert P3.atom_count == 27
     rng = random.Random(808)
     for _ in range(100):
@@ -222,8 +225,7 @@ def test_criterion_08_projection_identities_and_norm_oracle():
         assert P3.apply(b) == tuple(b)
     assert P3.apply((Fraction(1),) * 27) == (Fraction(0),) * 27
 
-    span2 = FiniteSpan.build(4, [[SymmetricAtomVariable(1, m)] for m in masses[:2]])
-    P2 = build_projection(span2)
+    P2 = build_projection([IndependentSumSpec([SymmetricAtomVariable(1, m)]) for m in masses[:2]])
     est = projection_norm_lower_bound(P2, 4, starts=8, iters=60, seed=0)
     grid = projection_norm_grid_search(P2, 4)
     assert est >= 1

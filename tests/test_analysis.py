@@ -1,4 +1,4 @@
-"""Verification layer: spans, isometry, C_k bound, projection, weight series."""
+"""Verification layer: moment tables, isometry, C_k bound, projection, weight series."""
 
 import dataclasses
 import math
@@ -11,24 +11,22 @@ from hypothesis import given, settings, strategies as st
 from mpmath import workprec
 
 from lp_isoforge.analysis import (
-    FiniteSpan,
     build_projection,
     c_k_constant,
     certificate_span,
     isometry_check,
     projection_norm_grid_search,
     projection_norm_lower_bound,
-    reference_span,
+    reference_generator,
     render_uncomplemented_report,
-    span_norm,
     uncomplemented_certificate,
     verify_certificate,
     vpl_check,
 )
-from lp_isoforge.analysis import _raw_apply, _raw_norm
+from lp_isoforge.analysis import _raw_apply, _raw_norm, _scaled_table
 from lp_isoforge.errors import CapExceededError, DegenerateInputError, SchemaError
-from lp_isoforge.momentpoly import cm_alpha_table, eval_H
-from lp_isoforge.moments import SymmetricAtomVariable
+from lp_isoforge.momentpoly import cm_alpha_table, h_vector
+from lp_isoforge.moments import IndependentSumSpec, SymmetricAtomVariable, fold_even_moments, term_tables
 from lp_isoforge.numeric import frac_to_str, mpf_to_fraction, parse_fraction, parse_real, real_to_str, to_mpf
 from lp_isoforge.serialize import cert_from_dict, cert_to_dict
 from lp_isoforge.solver import (
@@ -43,33 +41,37 @@ from lp_isoforge.solver import (
 )
 
 
-def build_span(p, masses):
-    return FiniteSpan.build(
-        p, [[SymmetricAtomVariable(1, m)] for m in masses]
-    )
+def build_span(masses):
+    """One unit-scale atom generator per mass."""
+    return [IndependentSumSpec([SymmetricAtomVariable(1, m)]) for m in masses]
+
+
+def moment_table(gen, k):
+    return fold_even_moments(term_tables(gen, k), k)
+
+
+def combination_moments(tables, c, k):
+    """[1, ||sum c_i g_i||_2^2, ..., ||sum c_i g_i||_2k^2k]: scaled tables, one fold."""
+    return fold_even_moments([_scaled_table(t, ci, k) for ci, t in zip(c, tables)], k)
 
 
 # ---------------------------------------------------------------------------
-# spans and the isometry check
+# moment tables and the isometry check
 # ---------------------------------------------------------------------------
 
 def test_span_norm_frozen():
-    span = build_span(4, [Fraction(1, 2), Fraction(1, 3)])
-    assert span_norm(span, (1, 1), 4) == Fraction(11, 6)
-    assert span_norm(span, (0, 0), 4) == 0
-    single = build_span(4, [Fraction(2, 7)])
-    for order in (2, 4):
-        assert span_norm(single, (1,), order) == Fraction(2, 7)
-    with pytest.raises(ValueError):
-        span_norm(span, (1,), 4)
-    with pytest.raises(ValueError):
-        span_norm(span, (1, 1), 3)
+    tables = [moment_table(g, 2) for g in build_span([Fraction(1, 2), Fraction(1, 3)])]
+    assert combination_moments(tables, (1, 1), 2)[2] == Fraction(11, 6)
+    assert combination_moments(tables, (0, 0), 2)[2] == 0
+    single = [moment_table(g, 2) for g in build_span([Fraction(2, 7)])]
+    for m in (1, 2):
+        assert combination_moments(single, (1,), 2)[m] == Fraction(2, 7)
 
 
 def test_span_norm_scales_coefficients():
-    span = build_span(4, [Fraction(1, 2), Fraction(1, 3)])
+    tables = [moment_table(g, 2) for g in build_span([Fraction(1, 2), Fraction(1, 3)])]
     # ||c1 g1 + c2 g2||_2^2 = c1^2/2 + c2^2/3
-    assert span_norm(span, (Fraction(1, 2), Fraction(3, 4)), 2) == (
+    assert combination_moments(tables, (Fraction(1, 2), Fraction(3, 4)), 1)[1] == (
         Fraction(1, 4) / 2 + Fraction(9, 16) / 3
     )
 
@@ -170,16 +172,18 @@ def test_isometry_on_closed_form_solutions(cert_p4):
 
 
 def test_single_coefficient_vectors_reproduce_residuals(cert_p6):
+    k = cert_p6.k
     per = certificate_span(cert_p6)
-    ref = reference_span(cert_p6)
+    ref = [moment_table(reference_generator(cert_p6.ball.mu_bar), k)] * len(per)
     n = len(cert_p6.entries)
     for i, e in enumerate(cert_p6.entries[:5]):
         c = tuple(int(t == i) for t in range(n))
-        for m in range(1, cert_p6.k + 1):
-            lhs = span_norm(per, c, 2 * m)
+        per_moments = combination_moments(per, c, k)
+        ref_moments = combination_moments(ref, c, k)
+        for m in range(1, k + 1):
             # identical to the re-evaluated residual, as exact rationals
-            assert lhs - cert_p6.target.values[m - 1] == e.residuals[m - 1]
-            assert span_norm(ref, c, 2 * m) == cert_p6.target.values[m - 1]
+            assert per_moments[m] - cert_p6.target.values[m - 1] == e.residuals[m - 1]
+            assert ref_moments[m] == cert_p6.target.values[m - 1]
 
 
 def test_isometry_requires_entries():
@@ -206,7 +210,7 @@ def test_c_k_equals_h_at_all_ones():
     for k in range(1, 7):
         t = cm_alpha_table(k)
         ones = (Fraction(1),) * k
-        assert c_k_constant(k, t) == eval_H(k, ones, t)
+        assert c_k_constant(k, t) == h_vector(ones, t)[k]
 
 
 def test_vpl_frozen_k2():
@@ -245,8 +249,7 @@ def test_vpl_scan():
 # ---------------------------------------------------------------------------
 
 def two_gen_projection():
-    span = build_span(4, [Fraction(1, 2), Fraction(1, 3)])
-    return build_projection(span)
+    return build_projection(build_span([Fraction(1, 2), Fraction(1, 3)]))
 
 
 def test_projection_fixes_generators():
@@ -263,7 +266,7 @@ def test_projection_annihilates_constants():
 
 
 def test_projection_kills_squared_generator():
-    span = build_span(4, [Fraction(1, 2)])
+    span = build_span([Fraction(1, 2)])
     P = build_projection(span)
     h_sq = tuple(v * v for v in P.basis[0])
     assert P.apply(h_sq) == (Fraction(0),) * P.atom_count
@@ -290,13 +293,13 @@ def test_projection_l2_contraction():
 
 
 def test_projection_cap():
-    span = build_span(4, [Fraction(1, 2)] * 10)
+    span = build_span([Fraction(1, 2)] * 10)
     with pytest.raises(CapExceededError):
         build_projection(span)
 
 
 def test_norm_bound_range_start_is_one():
-    span = build_span(4, [Fraction(1, 2)])
+    span = build_span([Fraction(1, 2)])
     P = build_projection(span)
     with workprec(256):
         est = projection_norm_lower_bound(P, 2, starts=2, iters=10, seed=0)
@@ -311,7 +314,7 @@ def test_norm_bound_vs_grid_oracle():
     assert est >= 1
     assert abs(float(est) - grid) / grid < 0.01
     with pytest.raises(ValueError):
-        projection_norm_grid_search(build_projection(build_span(4, [Fraction(1, 2)])), 4)
+        projection_norm_grid_search(build_projection(build_span([Fraction(1, 2)])), 4)
 
 
 # non-dyadic atom probabilities: the two roundings of a probability differ
@@ -337,7 +340,7 @@ def random_mpf_vector(rng, size, zeros):
 
 @pytest.mark.parametrize("masses", NON_DYADIC_MASSES, ids=["1/2,1/3", "5/7,2/7,1/3"])
 def test_integer_apply_matches_rational_reference(masses):
-    P = build_projection(build_span(4, masses))
+    P = build_projection(build_span(masses))
     rng = random.Random(11)
     with workprec(256):
         for trial in range(20):
@@ -353,7 +356,7 @@ def test_integer_apply_matches_rational_reference(masses):
 @pytest.mark.parametrize("p", [2, 3, 4, 6])
 @pytest.mark.parametrize("masses", NON_DYADIC_MASSES, ids=["1/2,1/3", "5/7,2/7,1/3"])
 def test_raw_norm_matches_norm(masses, p):
-    P = build_projection(build_span(4, masses))
+    P = build_projection(build_span(masses))
     norm = _raw_norm(P, p, 256)
     rng = random.Random(p)
     with workprec(256):
@@ -385,7 +388,7 @@ def test_raw_norm_matches_norm(masses, p):
 )
 def test_norm_bound_pinned(masses, p, want):
     # recorded with the Fraction round-trip ascent; the raw ascent must match bit for bit
-    P = build_projection(build_span(4, masses))
+    P = build_projection(build_span(masses))
     assert projection_norm_lower_bound(P, p, seed=0)._mpf_ == want
 
 

@@ -139,6 +139,14 @@ def test_verify_flags_missing_scale(tmp_path, capsys, cert_p6):
     assert "verdict: FAIL" in text
 
 
+def test_verify_far_listed_scale_stays_small(tmp_path, capsys, cert_p6):
+    # the gap below j = 10**9 is reported as one run, not enumerated
+    code, text, _ = _verify_edited(tmp_path, capsys, cert_p6, lambda d: d.update(failed_js=[10 ** 9]))
+    assert code == 1
+    assert "FAIL  certificate complete  [failed scales: [1000000000]; missing j: [21..999999999]]" in text
+    assert len(text.encode()) < 4096
+
+
 def test_verify_flags_duplicated_scale(tmp_path, capsys, cert_p6):
     code, text, _ = _verify_edited(
         tmp_path, capsys, cert_p6, lambda d: d["entries"].insert(3, d["entries"][2])
@@ -167,7 +175,7 @@ def test_verify_without_solved_entries_prints_checks(tmp_path, capsys, cert_p6):
 @pytest.mark.parametrize(
     "ball_edit, detail",
     [
-        ({"M": "1/1", "eps0": "7/3", "eps_bar": "0/1"}, "ball differs: eps_bar, M, eps0"),
+        ({"M": "1/1", "eps0": "7/3", "eps_bar": "1/9"}, "ball differs: eps_bar, M, eps0"),
         ({"eps": "1/7"}, "ball differs: eps"),
     ],
     ids=["M eps0 eps_bar", "eps"],
@@ -258,6 +266,14 @@ def test_moments_formula_vs_oracle(tmp_path, capsys):
     assert code == 0
     assert "order 2: formula 5/6  oracle 5/6" in text
     assert "order 4: formula 11/6  oracle 11/6" in text
+
+
+def test_moments_order_zero(tmp_path, capsys):
+    spec = write_moment_spec(tmp_path, [{"scale": 1, "mass": "1/2"}, {"scale": 1, "mass": "1/3"}], [0, 2])
+    code, text, _ = run(capsys, "moments", spec)
+    assert code == 0
+    assert "order 0: formula 1/1  oracle 1/1" in text
+    assert "order 2: formula 5/6  oracle 5/6" in text
 
 
 def test_moments_accepts_plain_numbers(tmp_path, capsys):

@@ -13,16 +13,14 @@ from lp_isoforge.errors import DegenerateInputError, NoSolutionError
 from lp_isoforge.moments import (
     IndependentSumSpec,
     SymmetricAtomVariable,
-    even_moment_of_sum,
+    fold_even_moments,
+    term_tables,
 )
 from lp_isoforge.momentpoly import (
     MuVector,
     cm_alpha_table,
-    elem_sym,
-    elem_sym_excl,
-    eval_F,
-    eval_H,
-    grad_H,
+    grad_table,
+    h_vector,
     jacobian_F,
     mass_polynomial,
     moment_vector_F,
@@ -41,6 +39,11 @@ def rand_mu(rng, k, max_den=40):
 
 def h_spec(mu):
     return IndependentSumSpec([SymmetricAtomVariable(1, m) for m in mu])
+
+
+def sum_moments(spec, k):
+    """[1, E S^2, ..., E S^(2k)] by the even-moment fold."""
+    return fold_even_moments(term_tables(spec, k), k)
 
 
 def f_spec(mu, j, nu):
@@ -82,47 +85,48 @@ def test_mu_vector_validation():
         MuVector((Fraction(3, 2),))
 
 
+def direct_elem_sym(values, alpha):
+    """e_alpha by summing over all alpha-subsets."""
+    return sum((math.prod(sub, start=Fraction(1)) for sub in combinations(values, alpha)), Fraction(0))
+
+
 def test_elem_sym_frozen():
+    # H = [1, e_1, C_{2,1} e_1 + C_{2,2} e_2, C_{3,1} e_1 + C_{3,2} e_2 + C_{3,3} e_3]
     mu = (Fraction(2, 3), Fraction(1, 3))
-    assert elem_sym(mu, 1) == 1
-    assert elem_sym(mu, 2) == Fraction(2, 9)
-    assert elem_sym(mu, 0) == 1
-    assert elem_sym(mu, 3) == 0  # too few variables, not an error
-    with pytest.raises(ValueError):
-        elem_sym(mu, -1)
+    e1, e2 = 1, Fraction(2, 9)
+    assert h_vector(mu, cm_alpha_table(2)) == [1, e1, e1 + 6 * e2]
+    # e_3 = 0 for two masses: too few variables, not an error
+    assert h_vector(mu, cm_alpha_table(3))[3] == e1 + 30 * e2
 
 
 def test_elem_sym_excl_frozen():
+    # dH_m/dmu_beta = sum_alpha C_{m,alpha} P_{beta,alpha-1}, P the e's without mu_beta
     mu = (Fraction(2, 3), Fraction(1, 3))
-    assert elem_sym_excl(mu, 1, 1) == Fraction(1, 3)
-    assert elem_sym_excl(mu, 2, 0) == 1
+    assert grad_table(mu, cm_alpha_table(2))[2][0] == 1 + 6 * Fraction(1, 3)
     mu3 = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
-    assert elem_sym_excl(mu3, 2, 2) == Fraction(1, 8)
+    assert grad_table(mu3, cm_alpha_table(3))[3][1] == 1 + 30 * Fraction(3, 4) + 90 * Fraction(1, 8)
 
 
 def test_elem_sym_excl_matches_direct_subsets():
     rng = random.Random(11)
     for k in (2, 3, 4, 5):
+        t = cm_alpha_table(k)
         mu = rand_mu(rng, k)
+        grad = grad_table(mu, t)
+        assert grad[0] == [0] * k
         for beta in range(1, k + 1):
             rest = [mu[i] for i in range(k) if i != beta - 1]
-            for alpha in range(0, k):
-                direct = sum(
-                    (math.prod(sub, start=Fraction(1))
-                     for sub in combinations(rest, alpha)),
-                    Fraction(0),
-                )
-                assert elem_sym_excl(mu, beta, alpha) == direct
+            for m in range(1, k + 1):
+                direct = sum(t.get(m, a) * direct_elem_sym(rest, a - 1) for a in range(1, m + 1))
+                assert grad[m][beta - 1] == direct
 
 
 def test_eval_h_frozen():
     t = cm_alpha_table(2)
     mu = (Fraction(2, 3), Fraction(1, 3))
-    assert eval_H(1, mu, t) == 1
-    assert eval_H(2, mu, t) == Fraction(7, 3)
-    assert eval_H(2, (Fraction(1, 2), Fraction(1, 3)), t) == Fraction(11, 6)
-    with pytest.raises(ValueError):
-        eval_H(3, mu, t)
+    assert h_vector(mu, t) == [1, 1, Fraction(7, 3)]
+    assert h_vector(MuVector(mu), t) == h_vector(mu, t)
+    assert h_vector((Fraction(1, 2), Fraction(1, 3)), t)[2] == Fraction(11, 6)
 
 
 def test_eval_h_matches_moments():
@@ -131,26 +135,18 @@ def test_eval_h_matches_moments():
         t = cm_alpha_table(k)
         for _ in range(5):
             mu = rand_mu(rng, k)
-            for m in range(1, k + 1):
-                assert eval_H(m, mu, t) == even_moment_of_sum(h_spec(mu), 2 * m)
+            assert h_vector(mu, t) == sum_moments(h_spec(mu), k)
 
 
 def test_eval_f_frozen():
     t2 = cm_alpha_table(2)
     mu = (Fraction(2, 3), Fraction(1, 3))
-    for m in (1, 2):
-        assert eval_F(m, 3, mu, Fraction(0), t2) == eval_H(m, mu, t2)
+    assert moment_vector_F(3, mu, Fraction(0), t2) == tuple(h_vector(mu, t2)[1:])
     t1 = cm_alpha_table(1)
-    assert eval_F(1, 2, (Fraction(2, 5),), Fraction(1, 7), t1) == Fraction(2, 5) + 4 * Fraction(1, 7)
+    assert moment_vector_F(2, (Fraction(2, 5),), Fraction(1, 7), t1) == (Fraction(2, 5) + 4 * Fraction(1, 7),)
     # brute-force E(h + g')^4 with g' mass 1/10 at scale 1
-    assert eval_F(2, 1, mu, Fraction(1, 10), t2) == Fraction(91, 30)
-    with pytest.raises(ValueError):
-        eval_F(2, 1, mu, Fraction(11, 10), t2)
-    with pytest.raises(ValueError):
-        eval_F(2, 1, mu, Fraction(-1, 10), t2)
-    with pytest.raises(ValueError):
-        eval_F(2, 0, mu, Fraction(1, 10), t2)
-    # the vector form validates j and nu the same way
+    assert moment_vector_F(1, mu, Fraction(1, 10), t2)[1] == Fraction(91, 30)
+    # nu outside [0, 1] and j < 1 are rejected
     for j, nu in ((1, Fraction(11, 10)), (1, Fraction(-1, 10)), (0, Fraction(1, 10))):
         with pytest.raises(ValueError):
             moment_vector_F(j, mu, nu, t2)
@@ -164,21 +160,16 @@ def test_eval_f_matches_moments():
             mu = rand_mu(rng, k)
             j = rng.randint(1, 5)
             nu = Fraction(rng.randint(1, 30), 1000)
-            s = f_spec(mu, j, nu)
-            for m in range(1, k + 1):
-                assert eval_F(m, j, mu, nu, t) == even_moment_of_sum(s, 2 * m)
-            assert moment_vector_F(j, mu, nu, t) == tuple(
-                eval_F(m, j, mu, nu, t) for m in range(1, k + 1)
-            )
+            assert moment_vector_F(j, mu, nu, t) == tuple(sum_moments(f_spec(mu, j, nu), k)[1:])
 
 
 def test_grad_h_frozen():
     t = cm_alpha_table(2)
     mu = (Fraction(2, 3), Fraction(1, 3))
-    assert grad_H(1, 1, mu, t) == 1
-    assert grad_H(1, 2, mu, t) == 1
+    grad = grad_table(mu, t)
+    assert grad[1] == [1, 1]
     # d/d mu_1 of (mu_1 + mu_2 + 6 mu_1 mu_2)
-    assert grad_H(2, 1, mu, t) == 3
+    assert grad[2][0] == 3
 
 
 def finite_diff(fn, x, h):
@@ -199,11 +190,11 @@ def test_grad_h_finite_differences():
                     def h_of(x, _beta=beta, _m=m):
                         pt = list(mu)
                         pt[_beta - 1] = x
-                        return eval_H(_m, pt, t)
+                        return h_vector(pt, t)[_m]
 
                     want = finite_diff(h_of, mu[beta - 1], h)
                     # m = 1 rows are the exact constant 1; normalize types
-                    got = to_mpf(grad_H(m, beta, mu, t))
+                    got = to_mpf(grad_table(mu, t)[m][beta - 1])
                     assert abs(got - want) < mpmath.mpf(10) ** -20
 
 
@@ -212,10 +203,10 @@ def test_jacobian_frozen():
     mu = (Fraction(2, 3), Fraction(1, 3))
     jac = jacobian_F(1, mu, Fraction(0), t)
     assert jac.matrix == ((Fraction(1), Fraction(1)), (Fraction(3), Fraction(5)))
-    # nu = 0 reduces every row to grad_H
+    # nu = 0 reduces every row to the gradient of H_m
+    grad = grad_table(mu, t)
     for m in (1, 2):
-        for b in (1, 2):
-            assert jac.matrix[m - 1][b - 1] == grad_H(m, b, mu, t)
+        assert list(jac.matrix[m - 1]) == grad[m]
 
 
 def test_jacobian_nu_column_finite_differences():
@@ -230,7 +221,7 @@ def test_jacobian_nu_column_finite_differences():
             jac = jacobian_F(j, mu, nu0, t)
             for m in range(1, k + 1):
                 def f_of(x, _m=m):
-                    return eval_F(_m, j, mu, x, t)
+                    return moment_vector_F(j, mu, x, t)[_m - 1]
 
                 want = finite_diff(f_of, nu0, h)
                 assert abs(to_mpf(jac.nu_column[m - 1]) - want) < mpmath.mpf(10) ** -20

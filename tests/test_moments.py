@@ -15,11 +15,9 @@ from lp_isoforge.moments import (
     SymmetricAtomVariable,
     abs_moment,
     convolve,
-    even_moment_from_tables,
-    even_moment_of_sum,
-    even_moment_single,
     fold_even_moments,
     moment_coefficients,
+    term_tables,
 )
 from lp_isoforge.numeric import to_mpf
 
@@ -28,21 +26,18 @@ def spec_of(pairs):
     return IndependentSumSpec([SymmetricAtomVariable(s, m) for s, m in pairs])
 
 
+def sum_moments(spec, k):
+    """[E S^0, E S^2, ..., E S^(2k)] by the even-moment fold."""
+    return fold_even_moments(term_tables(spec, k), k)
+
+
 def test_single_moment_values():
     g = SymmetricAtomVariable(1, Fraction(1, 3))
-    # |g|^(2l) = |g| for a +-1/0 variable, any l
-    assert even_moment_single(g, 2) == Fraction(1, 3)
-    assert even_moment_single(g, 8) == Fraction(1, 3)
+    table = term_tables(IndependentSumSpec([g]), 4)[0]
+    # |g|^(2l) = |g| for a +-1/0 variable, any l; order 0 is 1
+    assert table == [1] + [Fraction(1, 3)] * 4
     # brute force over the 3 atoms of (scale 2, mass 1/4): 2 * 16/8 = 4
-    assert even_moment_single(SymmetricAtomVariable(2, Fraction(1, 4)), 4) == 4
-
-
-def test_single_moment_rejects_bad_order():
-    g = SymmetricAtomVariable(1, Fraction(1, 2))
-    assert even_moment_single(g, 0) == 1
-    for order in (3, -2, 1):
-        with pytest.raises(ValueError):
-            even_moment_single(g, order)
+    assert term_tables(spec_of([(2, Fraction(1, 4))]), 2)[0][2] == 4
 
 
 def test_variable_validation():
@@ -76,12 +71,10 @@ def test_moment_coefficients_factorial_identity():
 def test_sum_moment_frozen():
     s = spec_of([(1, Fraction(1, 2)), (1, Fraction(1, 3))])
     # brute force over the 9 atoms of the product space
-    assert even_moment_of_sum(s, 4) == Fraction(11, 6)
-    # variance additivity
-    assert even_moment_of_sum(s, 2) == Fraction(5, 6)
+    # (variance additivity at order 2)
+    assert sum_moments(s, 2) == [1, Fraction(5, 6), Fraction(11, 6)]
     # single-term sum collapses to the term's own moment
-    for order in (2, 4, 6, 10):
-        assert even_moment_of_sum(spec_of([(1, Fraction(2, 7))]), order) == Fraction(2, 7)
+    assert sum_moments(spec_of([(1, Fraction(2, 7))]), 5)[1:] == [Fraction(2, 7)] * 5
 
 
 def test_convolve_frozen_atoms():
@@ -135,8 +128,9 @@ def test_abs_moment_frozen():
 def test_abs_moment_even_order_consistency():
     d = convolve(spec_of([(2, Fraction(1, 5)), (1, Fraction(2, 3))]))
     s = spec_of([(2, Fraction(1, 5)), (1, Fraction(2, 3))])
-    assert abs_moment(d, 2) == even_moment_of_sum(s, 2)
-    assert abs_moment(d, 4) == even_moment_of_sum(s, 4)
+    moments = sum_moments(s, 2)
+    assert abs_moment(d, 2) == moments[1]
+    assert abs_moment(d, 4) == moments[2]
 
 
 def test_abs_moment_point_mass_at_zero():
@@ -148,7 +142,7 @@ def test_abs_moment_point_mass_at_zero():
 
 def test_from_tables_covers_orders():
     with pytest.raises(ValueError):
-        even_moment_from_tables([[Fraction(1), Fraction(1, 2)]], 4)
+        fold_even_moments([[Fraction(1), Fraction(1, 2)]], 2)
 
 
 rational = st.fractions(min_value=Fraction(1, 30), max_value=1, max_denominator=30)
@@ -162,7 +156,7 @@ scale_rational = st.fractions(min_value=Fraction(1, 10), max_value=5, max_denomi
 )
 def test_engine_matches_convolution_oracle(pairs, k):
     s = spec_of(pairs)
-    assert even_moment_of_sum(s, 2 * k) == convolve(s).moment(2 * k)
+    assert sum_moments(s, k)[k] == convolve(s).moment(2 * k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,9 +168,7 @@ def test_engine_matches_convolution_oracle(pairs, k):
 def test_permutation_invariance(pairs, k, seed):
     shuffled = list(pairs)
     seed.shuffle(shuffled)
-    assert even_moment_of_sum(spec_of(pairs), 2 * k) == even_moment_of_sum(
-        spec_of(shuffled), 2 * k
-    )
+    assert sum_moments(spec_of(pairs), k) == sum_moments(spec_of(shuffled), k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,4 +218,4 @@ def test_fold_matches_multinomial_expansion(k, tables):
 )
 def test_from_tables_ignores_zeroth_entry(k, tables, zeroth):
     mangled = [[z] + t[1:] for z, t in zip(zeroth, tables)]
-    assert even_moment_from_tables(mangled, 2 * k) == even_moment_from_tables(tables, 2 * k)
+    assert fold_even_moments(mangled, k) == fold_even_moments(tables, k)

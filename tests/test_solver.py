@@ -15,7 +15,7 @@ from lp_isoforge.errors import (
     LpIsoforgeError,
     NoSolutionError,
 )
-from lp_isoforge.momentpoly import cm_alpha_table, eval_F, grad_H
+from lp_isoforge.momentpoly import cm_alpha_table, grad_table, moment_vector_F
 from lp_isoforge.numeric import mpf_to_fraction, to_mpf
 from lp_isoforge.solver import (
     HValues,
@@ -101,15 +101,11 @@ def test_ball_params_matches_lattice_max():
         ]
         best = Fraction(0)
         for point in product(*axes):
-            grads = {
-                (i, beta): grad_H(i, beta, point, table)
-                for i in range(1, k)
-                for beta in range(1, k + 1)
-            }
+            grads = grad_table(point, table)
             for m in range(2, k + 1):
                 for l in range(1, m):
                     for beta in range(1, k + 1):
-                        best = max(best, math.comb(2 * m, 2 * l) * grads[(m - l, beta)])
+                        best = max(best, math.comb(2 * m, 2 * l) * grads[m - l][beta - 1])
         assert best == ball.M
 
 
@@ -170,9 +166,8 @@ def test_residuals_survive_doubled_precision():
     res = solve_mu(3, Fraction(1, 500), TARGET2, MU2, T2, 256)
     mu_frac = [mpf_to_fraction(v) for v in res.mu.values]
     with workprec(512):
-        for m in (1, 2):
-            r = eval_F(m, 3, mu_frac, Fraction(1, 500), T2) - TARGET2.values[m - 1]
-            assert abs(to_mpf(r)) < mpmath.mpf(2) ** (-128 + 4)
+        for F, t in zip(moment_vector_F(3, mu_frac, Fraction(1, 500), T2), TARGET2.values):
+            assert abs(to_mpf(F - t)) < mpmath.mpf(2) ** (-128 + 4)
 
 
 def test_closed_form_at_bracket_top():
