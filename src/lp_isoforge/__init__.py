@@ -10,8 +10,9 @@ nu_j ~ j^(2-p) is what the complementation analysis feeds on.
 Layout:
 
 * `moments`: exact even moments of sums of independent symmetric
-  variables by a term-by-term fold, which returns every order as one
-  table, and the brute-force convolution oracle.
+  variables with rational scales and masses by a term-by-term fold,
+  which returns every order as one table, and the brute-force
+  convolution oracle.
 * `momentpoly`: the moment polynomials H_m and F_m^(j) in the masses,
   their gradients and Jacobians, and the Vandermonde determinant check.
   H, dH and F come as whole tables (`h_vector`, `grad_table`,
@@ -45,7 +46,6 @@ from .analysis import (
 )
 from .errors import (
     CapExceededError,
-    ContinuationFailureError,
     DegenerateInputError,
     InfeasibleMassError,
     LpIsoforgeError,

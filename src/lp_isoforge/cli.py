@@ -46,7 +46,6 @@ from .numeric import (
     MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
     frac_to_str,
-    parse_fraction,
     real_to_str,
     validate_precision,
 )
@@ -129,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j-max", type=_at_least(1), default=20, help="largest scale to solve (default 20)")
     sp.add_argument(
         "--nu-fraction",
-        type=_arg(parse_fraction, validate_nu_fraction),
+        type=_arg(Fraction, validate_nu_fraction),
         default=DEFAULT_NU_FRACTION,
         help="position of nu_j inside its bracket, strictly between 1/2 and 1 (default 3/4)",
     )

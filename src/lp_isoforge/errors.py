@@ -33,10 +33,6 @@ class NewtonDivergenceError(LpIsoforgeError):
     """Damped Newton failed to converge within the iteration budget."""
 
 
-class ContinuationFailureError(NewtonDivergenceError):
-    """Newton failed even along the geometric continuation path in nu."""
-
-
 class SingularJacobianError(LpIsoforgeError):
     """Jacobian singular: an elimination pivot fell below the guard band at the
     working precision, or an exact determinant is zero."""

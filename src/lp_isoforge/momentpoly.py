@@ -208,25 +208,31 @@ def _excl_row(values: tuple, beta: int, e: list, upto: int) -> list:
     return row
 
 
-def h_vector(mu, table: CmAlphaTable) -> list:
-    """[H_0 = 1, H_1, ..., H_k] of the masses mu, from one elementary-symmetric table."""
-    values = tuple(mu)
-    e = _elem_sym_all(values)
+def _h_from(values: tuple, e: list, table: CmAlphaTable) -> list:
     return [Fraction(1)] + [
         sum((table.get(m, a) * e[a] for a in range(1, min(m, len(values)) + 1)), Fraction(0))
         for m in range(1, table.k + 1)
     ]
 
 
-def grad_table(mu, table: CmAlphaTable) -> list:
-    """grad[m][beta-1] = dH_m/dmu_beta for m = 0..k; row 0 is zero (H_0 = 1)."""
-    values = tuple(mu)
-    e = _elem_sym_all(values)
+def _grad_from(values: tuple, e: list, table: CmAlphaTable) -> list:
     excl = [_excl_row(values, beta, e, table.k - 1) for beta in range(1, len(values) + 1)]
     return [[Fraction(0)] * len(values)] + [
         [sum((table.get(m, a) * row[a - 1] for a in range(1, m + 1)), Fraction(0)) for row in excl]
         for m in range(1, table.k + 1)
     ]
+
+
+def h_vector(mu, table: CmAlphaTable) -> list:
+    """[H_0 = 1, H_1, ..., H_k] of the masses mu, from one elementary-symmetric table."""
+    values = tuple(mu)
+    return _h_from(values, _elem_sym_all(values), table)
+
+
+def grad_table(mu, table: CmAlphaTable) -> list:
+    """grad[m][beta-1] = dH_m/dmu_beta for m = 0..k; row 0 is zero (H_0 = 1)."""
+    values = tuple(mu)
+    return _grad_from(values, _elem_sym_all(values), table)
 
 
 def moment_vector_F(j: int, mu, nu, table: CmAlphaTable) -> tuple:
@@ -273,8 +279,10 @@ def jacobian_F(j: int, mu, nu, table: CmAlphaTable) -> JacobianF:
     values = tuple(mu)
     if len(values) != k:
         raise ValueError(f"mu must have length {k}, got {len(values)}")
-    gradH = grad_table(values, table)
-    hvals = h_vector(values, table)
+    # one elementary-symmetric table serves both H and its gradient
+    e = _elem_sym_all(values)
+    gradH = _grad_from(values, e, table)
+    hvals = _h_from(values, e, table)
     jsq = j * j
     matrix = []
     nu_column = []

@@ -20,9 +20,10 @@ O(n k^2), where expanding the multinomial
 
 term by term would visit O(n^k) supports.  Both give the same number;
 `moment_coefficients` still lists the multinomial coefficients, and the
-tests use it as a brute-force oracle for the fold.  Everything here is
-exact when the inputs are rational: coefficients are integers and the
-per-term moments are Fractions.
+tests use it as a brute-force oracle for the fold.  Scales and masses are
+exact rationals, so everything here is exact: coefficients are integers
+and the per-term moments are Fractions.  Only `abs_moment` at a
+fractional order leaves them, through mpf powers.
 
 The layer exports whole tables, not single moments: `term_tables` gives
 each summand's [1, E f^2, ..., E f^(2k)], the fold gives the sum's, and
@@ -32,11 +33,6 @@ a caller reads every order it needs from one fold.
 full distribution of the sum by direct convolution (atoms merged on equal
 values) and integrates powers against it.  The two routes share no code
 beyond the scalar type, which is what makes the cross-check meaningful.
-
-Variables may carry irrational scales (e.g. n**-0.5).  Even moments only
-ever consume scale**2, so a variable can be given an exact `scale_sq`
-alongside a floating `scale`; moment computations then stay exact while
-the convolution, which needs the signed values themselves, uses `scale`.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 import mpmath
-from mpmath import mp
 
 from .errors import CapExceededError, DegenerateInputError
 from .numeric import Scalar, to_mpf
@@ -69,49 +64,28 @@ __all__ = [
 ]
 
 
-def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
-def _as_number(x):
-    """Normalize ints to Fraction; leave Fraction and mpf alone."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, mpmath.mpf)):
-        return x
-    raise TypeError(f"expected int, Fraction or mpf, got {type(x).__name__}")
+def _rational(x) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
 class SymmetricAtomVariable:
-    """Symmetric variable on {+scale, 0, -scale} with P(|f| = scale) = mass.
+    """Symmetric variable on {+scale, 0, -scale} with P(|f| = scale) = mass; both exact."""
 
-    scale_sq defaults to scale*scale; pass it explicitly when the scale is
-    irrational but its square is exact (scale n**-0.5, scale_sq 1/n).
-    """
-
-    scale: Scalar
-    mass: Scalar
-    scale_sq: Scalar = None  # type: ignore[assignment]
+    scale: Fraction
+    mass: Fraction
 
     def __post_init__(self):
-        scale = _as_number(self.scale)
-        mass = _as_number(self.mass)
+        scale = _rational(self.scale)
+        mass = _rational(self.mass)
         if not scale > 0:
             raise DegenerateInputError(f"scale must be positive, got {self.scale}")
         if not (0 < mass <= 1):
             raise DegenerateInputError(f"mass must lie in (0, 1], got {self.mass}")
-        if self.scale_sq is None:
-            scale_sq = scale * scale
-        else:
-            scale_sq = _as_number(self.scale_sq)
-            # consistency within float tolerance; exact inputs must match exactly
-            approx = to_mpf(scale) ** 2
-            if abs(approx - to_mpf(scale_sq)) > mpmath.mpf(2) ** (-(mp.prec - 8)) * to_mpf(scale_sq):
-                raise DegenerateInputError("scale_sq inconsistent with scale")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "scale_sq", scale_sq)
 
 
 @dataclass(frozen=True)
@@ -163,7 +137,7 @@ def moment_coefficients(k: int, n: int) -> list[tuple[tuple, int]]:
 def term_tables(spec: IndependentSumSpec, k: int) -> list:
     """Per-term tables [1, E f^2, ..., E f^(2k)] of spec, fold input."""
     return [
-        [Fraction(1)] + [t.scale_sq ** l * t.mass for l in range(1, k + 1)]
+        [Fraction(1)] + [t.scale ** (2 * l) * t.mass for l in range(1, k + 1)]
         for t in spec.terms
     ]
 
@@ -202,15 +176,13 @@ def convolve(spec: IndependentSumSpec, cap: int = DEFAULT_ATOM_CAP) -> "Discrete
     n = len(spec)
     if 3 ** n > cap:
         raise CapExceededError(f"product space 3^{n} exceeds the atom cap {cap}")
-    exact = all(_is_rational(t.scale) for t in spec.terms)
-    dist: dict = {Fraction(0) if exact else to_mpf(0): Fraction(1)}
+    dist: dict = {Fraction(0): Fraction(1)}
     for t in spec.terms:
-        scale = t.scale if exact else to_mpf(t.scale)
         half = t.mass / 2
         stay = 1 - t.mass
         new: dict = {}
         for value, prob in dist.items():
-            for delta, weight in ((scale, half), (-scale, half), (0, stay)):
+            for delta, weight in ((t.scale, half), (-t.scale, half), (0, stay)):
                 if weight == 0:
                     continue
                 key = value + delta
@@ -227,7 +199,7 @@ class DiscreteDistribution:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((_as_number(v), _as_number(p)) for v, p in self.atoms)
+        atoms = tuple((_rational(v), _rational(p)) for v, p in self.atoms)
         if not atoms:
             raise DegenerateInputError("distribution needs at least one atom")
         values = [v for v, _ in atoms]
@@ -239,38 +211,30 @@ class DiscreteDistribution:
         if any(p < 0 for _, p in atoms):
             raise DegenerateInputError("probabilities must be nonnegative")
         total = sum((p for _, p in atoms), Fraction(0))
-        if all(isinstance(p, (int, Fraction)) for _, p in atoms):
-            if total != 1:
-                raise DegenerateInputError(f"probabilities sum to {total}, not 1")
-        else:
-            if abs(to_mpf(total) - 1) > mpmath.mpf(2) ** (-(mp.prec - 16)):
-                raise DegenerateInputError("probabilities do not sum to 1")
+        if total != 1:
+            raise DegenerateInputError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "atoms", atoms)
 
-    def moment(self, order: int) -> Scalar:
-        """E X^order, exact for rational atoms."""
+    def moment(self, order: int) -> Fraction:
+        """E X^order, exact."""
         if order < 0:
             raise ValueError("order must be >= 0")
         return sum((p * v ** order for v, p in self.atoms), Fraction(0))
 
 
 def abs_moment(dist: DiscreteDistribution, r) -> Scalar:
-    """E |X|^r for r > 0; exact when r is an even integer and atoms rational.
+    """E |X|^r for rational r > 0; exact when r is an integer.
 
     Fractional r goes through mpf powers at the active working precision.
     """
-    if isinstance(r, float):
-        r = Fraction(r).limit_denominator(10 ** 12)
-    r = _as_number(r) if not isinstance(r, mpmath.mpf) else r
+    r = _rational(r)
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
-    if isinstance(r, Fraction) and r.denominator == 1:
+    if r.denominator == 1:
         n = r.numerator
-        exact = all(_is_rational(v) and _is_rational(p) for v, p in dist.atoms)
-        if exact:
-            return sum((p * abs(v) ** n for v, p in dist.atoms), Fraction(0))
+        return sum((p * abs(v) ** n for v, p in dist.atoms), Fraction(0))
     total = mpmath.mpf(0)
-    rr = to_mpf(r) if not isinstance(r, mpmath.mpf) else r
+    rr = to_mpf(r)
     for v, p in dist.atoms:
         av = abs(to_mpf(v))
         if av == 0:

@@ -6,7 +6,7 @@ Two kinds of scalars flow through this package:
   rational and the result must be bit-for-bit reproducible (moment
   identities, certificate residual re-evaluation, bracket checks);
 * binary floats of configurable precision (`mpmath.mpf`), used for the
-  Newton iteration and anything involving irrational roots.
+  Newton iteration, square roots and fractional powers.
 
 Precision discipline: every mpf computation runs inside an explicit
 ``workprec`` context and the precision in force is recorded alongside any
@@ -58,7 +58,6 @@ __all__ = [
     "to_mpf",
     "mpf_to_fraction",
     "frac_to_str",
-    "parse_fraction",
     "real_to_str",
     "parse_real",
     "det_exact",
@@ -121,10 +120,6 @@ def _int_to_str(n: int) -> str:
 def frac_to_str(q: Fraction | int) -> str:
     q = Fraction(q)
     return f"{_int_to_str(q.numerator)}/{_int_to_str(q.denominator)}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 def _serialization_digits(prec: int) -> int:

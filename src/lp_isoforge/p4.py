@@ -116,11 +116,11 @@ def printed_closed_forms(n: int, precision: int = DEFAULT_PRECISION_BITS) -> tup
     L = log_sq(n, precision)
     nu_printed = (1 + 2 * L + L * L) / (n * L + 2 * L + L * L)
     with workprec(precision):
-        a_printed = mpmath.sqrt(to_mpf(_printed_scale_sq(n, L)))
+        a_printed = mpmath.sqrt(to_mpf(_printed_a_sq(n, L)))
     return a_printed, nu_printed
 
 
-def _printed_scale_sq(n: int, L: Fraction) -> Fraction:
+def _printed_a_sq(n: int, L: Fraction) -> Fraction:
     return (n + 2 + L) / (n * (1 + L))
 
 
@@ -153,7 +153,7 @@ def build_p4_row(n: int, precision: int = DEFAULT_PRECISION_BITS) -> P4PairRow:
     a, nu = match_three_valued(A, B, precision)
     a_printed, nu_printed = printed_closed_forms(n, precision)
     a_sq = B / A
-    ap_sq = _printed_scale_sq(n, L)
+    ap_sq = _printed_a_sq(n, L)
     return P4PairRow(
         n=n,
         A=A,

@@ -245,24 +245,22 @@ def _rational(value, name: str) -> Fraction:
 def load_moment_spec(path) -> tuple:
     """(IndependentSumSpec, orders) from a moment spec file; any deviation raises SchemaError.
 
-    The file is {"terms": [{"scale": .., "mass": .., "scale_sq": ..}, ...],
-    "orders": [..]}, both lists nonempty, scale_sq optional; see the README.
+    The file is {"terms": [{"scale": .., "mass": ..}, ...], "orders": [..]},
+    both lists nonempty and each term with exactly those two keys; see the
+    README.
     """
     data = load_json(path)
     if type(data) is not dict or any(type(data.get(key)) is not list or not data[key] for key in ("terms", "orders")):
         raise SchemaError('moment spec must be {"terms": [...], "orders": [...]}, both lists nonempty')
     terms = []
-    for row in data["terms"]:
-        if type(row) is not dict or "scale" not in row or "mass" not in row:
-            raise SchemaError(f"each term must be an object with scale and mass, got {row!r}")
-        scale_sq = _rational(row["scale_sq"], "scale_sq") if "scale_sq" in row else None
+    for i, row in enumerate(data["terms"]):
+        row = _object(row, f"terms[{i}]", ("scale", "mass"))
         terms.append(
             _checked(
                 "moment spec term",
                 SymmetricAtomVariable,
                 _rational(row["scale"], "scale"),
                 _rational(row["mass"], "mass"),
-                scale_sq,
             )
         )
     for order in data["orders"]:

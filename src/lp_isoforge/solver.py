@@ -59,7 +59,6 @@ from fractions import Fraction
 import mpmath
 
 from .errors import (
-    ContinuationFailureError,
     DegenerateInputError,
     NewtonDivergenceError,
     NoSolutionError,
@@ -231,14 +230,14 @@ class SolveResult:
 
 def solve_mu(
     j: int,
-    nu,
+    nu: Fraction,
     target: HValues,
     init,
     table: CmAlphaTable,
     precision: int = DEFAULT_PRECISION_BITS,
     ball: BallParams | None = None,
 ) -> SolveResult:
-    """Damped Newton for F^(j)(mu, nu) = target, at `precision` bits.
+    """Damped Newton for F^(j)(mu, nu) = target at exact nu, at `precision` bits.
 
     Convergence means max_m |F_m - T_m| < 2^-(precision/2), within
     MAX_NEWTON_ITERS iterations.
@@ -246,10 +245,12 @@ def solve_mu(
     iterations = 0, so nu = 0 costs nothing.  Steps are halved until the
     sup-norm residual decreases (at most MAX_STEP_HALVINGS times) and,
     when `ball` is given, iterates are clipped into the box
-    [mu_bar - eps_bar, mu_bar + eps_bar] coordinatewise.  After meeting
-    the tolerance one extra full step is taken if it improves the
-    residual further; Newton's quadratic tail makes that nearly free and
-    leaves a wide margin under the certificate threshold.
+    [mu_bar - eps_bar, mu_bar + eps_bar] coordinatewise.  The halving is
+    what converges an unclipped solve from mu_bar at p = 4, j = 7 and 8,
+    where a full step raises the residual.  After meeting the tolerance
+    one extra full step is taken if it improves the residual further;
+    Newton's quadratic tail makes that nearly free and leaves a wide
+    margin under the certificate threshold.
     """
     validate_precision(precision)
     k = table.k
@@ -259,7 +260,7 @@ def solve_mu(
 
     with workprec(precision):
         tol_m = mpmath.mpf(2) ** (-(precision // 2))
-        nu_m = to_mpf(Fraction(nu)) if isinstance(nu, (int, Fraction)) else +nu
+        nu_m = to_mpf(Fraction(nu))
         tgt = [to_mpf(t) for t in target]
         mu_cur = [to_mpf(v) for v in init_values]
         lo = hi = None
@@ -336,8 +337,8 @@ def solve_mu(
         )
 
 
-def closed_form_k2(j: int, nu, target: HValues, precision: int = DEFAULT_PRECISION_BITS) -> MuVector:
-    """Quadratic-formula solution for k = 2; independent of the Newton path.
+def closed_form_k2(j: int, nu: Fraction, target: HValues, precision: int = DEFAULT_PRECISION_BITS) -> MuVector:
+    """Quadratic-formula solution for k = 2 at exact nu; independent of the Newton path.
 
     F_1 pins the sum s = e_1 = T_1 - nu j^2 and F_2 = e_1 + 6 e_2 + nu
     (6 j^2 e_1 + j^4) pins the product q = e_2, so mu_1, mu_2 are the
@@ -348,8 +349,7 @@ def closed_form_k2(j: int, nu, target: HValues, precision: int = DEFAULT_PRECISI
         raise ValueError("closed form applies to k = 2 only")
     validate_precision(precision)
     t1, t2 = target.values
-    nu = Fraction(nu) if isinstance(nu, (int, Fraction)) else nu
-    exact = isinstance(nu, Fraction)
+    nu = Fraction(nu)
     jsq = j * j
     s = t1 - nu * jsq
     q = (t2 - s - nu * (6 * jsq * s + jsq * jsq)) / 6
@@ -357,8 +357,8 @@ def closed_form_k2(j: int, nu, target: HValues, precision: int = DEFAULT_PRECISI
     if disc <= 0:
         raise NoSolutionError(f"discriminant {disc} is not positive")
     with workprec(precision):
-        s_m = to_mpf(s) if exact else +s
-        root = mpmath.sqrt(to_mpf(disc) if exact else disc)
+        s_m = to_mpf(s)
+        root = mpmath.sqrt(to_mpf(disc))
         hi = (s_m + root) / 2
         lo = (s_m - root) / 2
         if not (0 < lo < hi < 1):
@@ -521,17 +521,12 @@ def _continuation_solve(j, nu_j, target, mu_bar, table, precision) -> SolveResul
     the mass domain (the box only guarantees a nonsingular Jacobian; the
     certificate never requires box membership), so the ladder runs
     without clipping and relies on each step's solution seeding the next.
-    Solutions that exit (0, 1] raise and the scale is reported as failed.
+    A rung that fails raises its own error, and the scale is reported as
+    failed.
     """
     init = mu_bar
-    result = None
     for t in range(1, CONTINUATION_STEPS + 1):
         nu_t = nu_j * Fraction(2) ** (t - CONTINUATION_STEPS)
-        try:
-            result = solve_mu(j, nu_t, target, init, table, precision, ball=None)
-        except (NewtonDivergenceError, SingularJacobianError, NoSolutionError) as exc:
-            raise ContinuationFailureError(
-                f"continuation failed at step {t}/{CONTINUATION_STEPS} for j={j}"
-            ) from exc
+        result = solve_mu(j, nu_t, target, init, table, precision, ball=None)
         init = result.mu
     return result

@@ -48,6 +48,7 @@ from lp_isoforge.moments import (
 )
 from lp_isoforge.numeric import mpf_to_fraction, to_mpf
 from lp_isoforge.p4 import build_p4_table, log_sq, render_p4_report
+from lp_isoforge.serialize import load_certificate
 from lp_isoforge.solver import (
     ball_params,
     closed_form_k2,
@@ -316,4 +317,19 @@ def test_construct_p4_ladder_certificate_bytes_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "99b5b9c208cf58b0e5161c887f1516ca5ae32e94393c5d01ac4b2db021b50d98"
+    )
+
+
+def test_construct_p6_frontier_certificate_bytes_pinned(tmp_path, capsys):
+    # scales 44..47 are solved on the continuation ladder after the direct
+    # solve stalls, and 48 is the first infeasible scale, so this pins the
+    # bytes of the p = 6 frontier; refresh it only for an intended change
+    # to the solve
+    out = tmp_path / "cert.json"
+    assert main(["construct", "--p", "6", "--j-max", "48", "--out", str(out)]) == 1
+    capsys.readouterr()
+    cert = load_certificate(out)
+    assert cert.failed_js == (48,)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6826a1b20c7f8493ebfd699f4eb0b7c82bc9381abf821742df59504fc717194a"
     )

@@ -27,7 +27,7 @@ from lp_isoforge.analysis import _raw_apply, _raw_norm, _scaled_table
 from lp_isoforge.errors import CapExceededError, DegenerateInputError, SchemaError
 from lp_isoforge.momentpoly import cm_alpha_table, h_vector
 from lp_isoforge.moments import IndependentSumSpec, SymmetricAtomVariable, fold_even_moments, term_tables
-from lp_isoforge.numeric import frac_to_str, mpf_to_fraction, parse_fraction, parse_real, real_to_str, to_mpf
+from lp_isoforge.numeric import frac_to_str, mpf_to_fraction, parse_real, real_to_str, to_mpf
 from lp_isoforge.serialize import cert_from_dict, cert_to_dict
 from lp_isoforge.solver import (
     BallParams,
@@ -509,7 +509,7 @@ MUTATIONS = BALL_FIELDS + (
 
 
 def _times(text, r):
-    return frac_to_str(parse_fraction(text) * r)
+    return frac_to_str(Fraction(text) * r)
 
 
 def _mutate(d, field, i, r):
@@ -529,7 +529,7 @@ def _mutate(d, field, i, r):
         entry["mu"][slot] = real_to_str(mpf_to_fraction(parse_real(entry["mu"][slot], prec)) * r, prec)
     elif field == "residuals":
         # far below the tolerance: only the honesty check can see it
-        entry["residuals"][slot] = frac_to_str(parse_fraction(entry["residuals"][slot]) + r / 2 ** 300)
+        entry["residuals"][slot] = frac_to_str(Fraction(entry["residuals"][slot]) + r / 2 ** 300)
     elif field == "j":
         entry["j"] += 1 + i % 5
     elif field == "failed_js":

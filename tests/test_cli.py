@@ -314,6 +314,24 @@ def test_moments_rejects_bad_value(tmp_path, capsys, term):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        # a squared scale of 1/9 + about 10^-79 next to scale 1/3: the terms
+        # hold exactly scale and mass, so it cannot print a formula that
+        # disagrees with the exact oracle
+        {"scale": "1/3", "mass": "1/2", "scale_sq": "1" * 78 + "2/1" + "0" * 79},
+        {"scale": "1/3", "mass": "1/2", "mas": "1/3"},
+    ],
+    ids=["scale_sq", "misspelled key"],
+)
+def test_moments_rejects_unknown_term_key(tmp_path, capsys, term):
+    code, out, err = run(capsys, "moments", write_moment_spec(tmp_path, [term], [2]))
+    assert code == 2
+    assert err.startswith("error:") and "unknown keys" in err
+    assert out == ""
+
+
 def test_p4_row_counts(tmp_path, capsys):
     code, text, _ = run(capsys, "p4", "--n", "2", "--format", "json")
     assert code == 0

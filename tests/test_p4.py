@@ -1,5 +1,6 @@
 """Order-4 pair: Rosenthal moments, matching, and the printed-form defect."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -45,18 +46,14 @@ def test_rosenthal_closed_forms_exact():
 
 
 def test_rosenthal_b_matches_convolution():
-    # n >= 3 keeps the first mass inside (0, 1]; the second variable is a
-    # scaled sign whose scale is irrational but whose squared scale is 1/n
-    for n in (3, 4, 5, 10):
+    # the second variable is a sign scaled by n^(-1/2), rational at square n,
+    # so the convolution oracle is exact and must agree to the digit
+    for n in (4, 9, 16, 25):
         L = log_sq(n)
         _, B = rosenthal_moments(n)
-        with workprec(256):
-            g = SymmetricAtomVariable(1, 1 / (n * L))
-            gp = SymmetricAtomVariable(
-                mpmath.sqrt(mpmath.mpf(1) / n), 1, scale_sq=Fraction(1, n)
-            )
-            d = convolve(IndependentSumSpec([g, gp]))
-            assert abs(d.moment(4) - to_mpf(B)) < mpmath.mpf(2) ** -200
+        g = SymmetricAtomVariable(1, 1 / (n * L))
+        gp = SymmetricAtomVariable(Fraction(1, math.isqrt(n)), 1)
+        assert convolve(IndependentSumSpec([g, gp])).moment(4) == B
 
 
 def test_rosenthal_limits_monotone():

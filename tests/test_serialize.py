@@ -218,10 +218,9 @@ def test_report_payload_shapes(cert_p4):
     di = isometry_to_dict(iso, cert_p4.precision_bits)
     assert di["within_bound"] is True
     assert di["orders_checked"] == [2, 4]
-    from lp_isoforge.numeric import parse_fraction
 
-    assert parse_fraction(di["max_rel_residual_exact"]) == iso.max_rel_residual
-    assert parse_fraction(di["bound_exact"]) == iso.bound
+    assert Fraction(di["max_rel_residual_exact"]) == iso.max_rel_residual
+    assert Fraction(di["bound_exact"]) == iso.bound
 
     chk = vpl_check(2, default_base_point(2), 4)
     dv = vpl_to_dict(chk)
