@@ -11,8 +11,9 @@ Layout:
 
 * `moments`: exact even moments of sums of independent symmetric
   variables with rational scales and masses by a term-by-term fold,
-  which returns every order as one table, and the brute-force
-  convolution oracle.
+  which returns every order as one table, the even-cumulant conversions
+  (cumulants of independent terms add), and the brute-force convolution
+  oracle.
 * `momentpoly`: the moment polynomials H_m and F_m^(j) in the masses,
   their gradients and Jacobians, and the Vandermonde determinant check.
   H, dH and F come as whole tables (`h_vector`, `grad_table`,
@@ -71,8 +72,10 @@ from .moments import (
     SymmetricAtomVariable,
     abs_moment,
     convolve,
+    even_cumulants,
     fold_even_moments,
     moment_coefficients,
+    moments_from_even_cumulants,
     term_tables,
 )
 from .numeric import (

@@ -7,10 +7,14 @@ generators and produces evidence:
   of the reference generators h_j (masses mu_bar) against the perturbed
   generators f~_j (masses mu^(j) plus one atom of scale j, mass nu_j).
   Each generator enters as its whole even-moment table, one fold of the
-  `moments` layer (`certificate_span` gives the f~_j tables), and every
-  order of a combination comes from one more fold of the scaled tables.
-  Both sides are exact rationals, so the reported maximum relative
-  residual is exact, and it is accompanied by a propagation bound:
+  `moments` layer (`certificate_span` gives the f~_j tables), turned once
+  into its even cumulants, O(n k^2) for n entries.  Cumulants of
+  independent terms add and scale as c^(2l), so every order of a
+  combination costs one integer dot product, O(n k) per trial, and one
+  cumulant-to-moment map returns its table.  Both sides are exact
+  rationals, equal to a fold of the scaled tables, so the reported
+  maximum relative residual is exact, and it is accompanied by a
+  propagation bound:
   every term of the even-moment expansion is positive, so the relative
   error of the sum is at most the worst relative error of a factor,
   giving  max_rel <= (1 + eps_hat/H_min)^k - 1  with eps_hat the largest
@@ -54,6 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import comb, lcm, log
+from operator import mul
 
 import mpmath
 from mpmath.libmp import (
@@ -79,7 +84,9 @@ from .moments import (
     SymmetricAtomVariable,
     abs_moment,
     convolve,
+    even_cumulants,
     fold_even_moments,
+    moments_from_even_cumulants,
     term_tables,
 )
 from .momentpoly import CmAlphaTable, MuVector, cm_alpha_table
@@ -162,17 +169,6 @@ def _residuals(cert: ConstructionCertificate, tables) -> tuple:
     return tuple(tuple(table[m] - t for m, t in enumerate(cert.target.values, 1)) for table in tables)
 
 
-def _scaled_table(table, c, m: int) -> list:
-    """[1, c^2 E g^2, ..., c^(2m) E g^(2m)] for c g; exact for integer or rational c."""
-    csq = c * c
-    power = 1
-    row = [Fraction(1)]
-    for l in range(1, m + 1):
-        power = power * csq
-        row.append(power * table[l])
-    return row
-
-
 @dataclass(frozen=True)
 class IsometryCheckResult:
     max_rel_residual: Fraction
@@ -188,22 +184,35 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
     Coefficients are rational with entries in [-1, 1] and denominators
     <= 1000; each is scaled by the common denominator before evaluation
     (the relative residual is homogeneous, so this costs nothing and
-    keeps the integer arithmetic shallow).  Each trial folds the scaled
-    tables of each span once, which yields every order 2..p together in
-    O(n k^2) exact operations for n entries.  The returned bound is the
-    positivity propagation constant (1 + eps_hat/H_min)^k - 1; the
-    residual can never exceed it while the certificate is honest.
+    keeps the arithmetic in integers).  Every generator's moment table
+    becomes its even cumulants once, O(n k^2) exact operations for n
+    entries; cumulants of independent terms add and scale as c^(2l), so
+    a trial costs one integer dot product per order, O(n k) in all, and
+    two cumulant-to-moment maps yield every order 2..p of both spans.
+    The moments are the same exact rationals the fold of the scaled
+    tables gives.  The returned bound is the positivity propagation
+    constant (1 + eps_hat/H_min)^k - 1; the residual can never exceed it
+    while the certificate is honest.
     """
     if not cert.entries:
         raise DegenerateInputError("certificate has no solved entries")
-    k = cert.k
-    n = len(cert.entries)
-    ref_table = _reference_table(cert)
     per = certificate_span(cert)
+    return _sampled_isometry(cert, _reference_table(cert), per, _residuals(cert, per), trials, seed)
 
-    eps_hat = max(abs(r) for resid in _residuals(cert, per) for r in resid)
+
+def _sampled_isometry(cert, ref_table, per, residuals, trials: int, seed: int) -> IsometryCheckResult:
+    """isometry_check on precomputed tables: h's, the f~_j's and their residuals."""
+    k = cert.k
+    n = len(per)
+    eps_hat = max(abs(r) for resid in residuals for r in resid)
     h_min = min(cert.target.values)
     bound = (1 + eps_hat / h_min) ** k - 1
+
+    ref_kappa = even_cumulants(ref_table, k)
+    per_kappa = [even_cumulants(t, k) for t in per]
+    # order l: kappa_2l(f~_j) = nums[l][j] / dens[l], one denominator per order
+    dens = [lcm(*(kappa[l].denominator for kappa in per_kappa)) for l in range(k + 1)]
+    nums = [[kappa[l].numerator * (dens[l] // kappa[l].denominator) for kappa in per_kappa] for l in range(k + 1)]
 
     rng = random.Random(seed)
     worst = Fraction(0)
@@ -216,10 +225,17 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
             if any(c):
                 break
         scale = lcm(*(q.denominator for q in c))
-        c_int = [int(q * scale) for q in c]
-        # one fold per span yields every order 2..p of this combination
-        ref_moments = fold_even_moments([_scaled_table(ref_table, ci, k) for ci in c_int], k)
-        per_moments = fold_even_moments([_scaled_table(t, ci, k) for ci, t in zip(c_int, per)], k)
+        squares = [int(q * scale) ** 2 for q in c]
+        # K_2l = sum_j c_j^(2l) kappa_2l(g_j); every h_j has kappa(h)
+        ref_sum = [0] * (k + 1)
+        per_sum = [0] * (k + 1)
+        powers = squares
+        for l in range(1, k + 1):
+            ref_sum[l] = ref_kappa[l] * sum(powers)
+            per_sum[l] = Fraction(sum(map(mul, powers, nums[l])), dens[l])
+            powers = list(map(mul, powers, squares))
+        ref_moments = moments_from_even_cumulants(ref_sum, k)
+        per_moments = moments_from_even_cumulants(per_sum, k)
         for m in range(1, k + 1):
             v = ref_moments[m]
             rel = abs(per_moments[m] - v) / v
@@ -812,17 +828,19 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
     and a dropped top scale J, since no j_max is stored.  A certificate
     with no solved entries fails the isometry line and has isometry None.
     """
-    iso = isometry_check(cert, trials=trials, seed=seed) if cert.entries else None
+    ref_table = _reference_table(cert)
+    per = certificate_span(cert)
+    residuals = _residuals(cert, per)
+    iso = _sampled_isometry(cert, ref_table, per, residuals, trials, seed) if cert.entries else None
     uc = uncomplemented_certificate(cert)
     prec = cert.precision_bits
-    issues = [] if _reference_table(cert)[1:] == cert.target.values else ["target differs"]
+    issues = [] if ref_table[1:] == cert.target.values else ["target differs"]
     try:
         ball = ball_params(cert.ball.mu_bar, cert.k, cert.p)
         differ = [f.name for f in fields(BallParams) if getattr(ball, f.name) != getattr(cert.ball, f.name)]
         issues += [f"ball differs: {', '.join(differ)}"] if differ else []
     except DegenerateInputError as exc:
         issues.append(f"ball not recomputable: {exc}")
-    residuals = _residuals(cert, certificate_span(cert))
     worst = max((abs(r) for resid in residuals for r in resid), default=Fraction(0))
     bad_bracket = [r.j for r in uc.rows if not r.bracket_ok]
     bad_order = [e.j for e in cert.entries if not decreasing_above(e.mu, cert.ball.delta)]

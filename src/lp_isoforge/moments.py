@@ -27,7 +27,11 @@ fractional order leaves them, through mpf powers.
 
 The layer exports whole tables, not single moments: `term_tables` gives
 each summand's [1, E f^2, ..., E f^(2k)], the fold gives the sum's, and
-a caller reads every order it needs from one fold.
+a caller reads every order it needs from one fold.  `even_cumulants` and
+`moments_from_even_cumulants` convert a table to its even cumulants and
+back; cumulants of independent summands add, so many sums of the same
+summands under different scalings cost one conversion per summand and
+then O(n k) per sum instead of a fold each.
 
 `convolve` is the independent oracle for the same quantity: it builds the
 full distribution of the sum by direct convolution (atoms merged on equal
@@ -59,6 +63,8 @@ __all__ = [
     "moment_coefficients",
     "term_tables",
     "fold_even_moments",
+    "even_cumulants",
+    "moments_from_even_cumulants",
     "convolve",
     "abs_moment",
 ]
@@ -165,6 +171,43 @@ def fold_even_moments(tables, k: int) -> list:
                 total = total + row[l] * acc[m - l] * table[l]
             acc[m] = total
     return acc
+
+
+def even_cumulants(table, k: int) -> list:
+    """[0, kappa_2, ..., kappa_2k]: the even cumulants of an even-moment table.
+
+    table[l] = E g^(2l) as in `fold_even_moments` (table[0] is taken as
+    1).  Odd moments of a symmetric variable vanish, and with them its
+    odd cumulants, so the moment-cumulant recursion keeps even orders:
+
+        kappa_2m = E g^(2m) - sum_{l=1}^{m-1} binom(2m-1, 2l-1) kappa_2l E g^(2m-2l).
+
+    Index l addresses order 2l, like the tables; kappa_0 = 0.  Exact for
+    rational tables, O(k^2) operations.
+    """
+    if len(table) < k + 1:
+        raise ValueError(f"table must cover orders up to {2 * k}")
+    kappa = [0] * (k + 1)
+    for m in range(1, k + 1):
+        kappa[m] = table[m] - sum(math.comb(2 * m - 1, 2 * l - 1) * kappa[l] * table[m - l] for l in range(1, m))
+    return kappa
+
+
+def moments_from_even_cumulants(kappa, k: int) -> list:
+    """[1, E g^2, ..., E g^(2k)] back from [0, kappa_2, ..., kappa_2k].
+
+    The inverse of `even_cumulants`:
+    E g^(2m) = sum_{l=1}^{m} binom(2m-1, 2l-1) kappa_2l E g^(2m-2l).
+    Cumulants of independent summands add and kappa_2l(c g) =
+    c^(2l) kappa_2l(g), so a sum's table is this map applied to summed,
+    scaled cumulants; the result equals `fold_even_moments` exactly.
+    """
+    if len(kappa) < k + 1:
+        raise ValueError(f"cumulants must cover orders up to {2 * k}")
+    moments = [Fraction(1)] + [Fraction(0)] * k
+    for m in range(1, k + 1):
+        moments[m] = sum(math.comb(2 * m - 1, 2 * l - 1) * kappa[l] * moments[m - l] for l in range(1, m + 1))
+    return moments
 
 
 def convolve(spec: IndependentSumSpec, cap: int = DEFAULT_ATOM_CAP) -> "DiscreteDistribution":

@@ -23,7 +23,7 @@ from lp_isoforge.analysis import (
     verify_certificate,
     vpl_check,
 )
-from lp_isoforge.analysis import _raw_apply, _raw_norm, _scaled_table
+from lp_isoforge.analysis import _raw_apply, _raw_norm
 from lp_isoforge.errors import CapExceededError, DegenerateInputError, SchemaError
 from lp_isoforge.momentpoly import cm_alpha_table, h_vector
 from lp_isoforge.moments import IndependentSumSpec, SymmetricAtomVariable, fold_even_moments, term_tables
@@ -52,7 +52,37 @@ def moment_table(gen, k):
 
 def combination_moments(tables, c, k):
     """[1, ||sum c_i g_i||_2^2, ..., ||sum c_i g_i||_2k^2k]: scaled tables, one fold."""
-    return fold_even_moments([_scaled_table(t, ci, k) for ci, t in zip(c, tables)], k)
+    return fold_even_moments([[ci ** (2 * l) * t[l] for l in range(k + 1)] for ci, t in zip(c, tables)], k)
+
+
+def fold_isometry_oracle(cert, trials, seed):
+    """(max_rel_residual, bound) of isometry_check by the per-trial fold of scaled tables.
+
+    The same draws and scaling as isometry_check, but each trial folds the
+    n scaled moment tables of each span instead of adding cumulants.
+    """
+    k = cert.k
+    ref_table = moment_table(reference_generator(cert.ball.mu_bar), k)
+    per = certificate_span(cert)
+    eps_hat = max(abs(table[m] - t) for table in per for m, t in enumerate(cert.target.values, 1))
+    bound = (1 + eps_hat / min(cert.target.values)) ** k - 1
+    rng = random.Random(seed)
+    worst = Fraction(0)
+    for _ in range(trials):
+        while True:
+            c = []
+            for _ in range(len(per)):
+                den = rng.randint(1, 1000)
+                c.append(Fraction(rng.randint(-den, den), den))
+            if any(c):
+                break
+        scale = math.lcm(*(q.denominator for q in c))
+        c_int = [int(q * scale) for q in c]
+        ref_moments = combination_moments([ref_table] * len(per), c_int, k)
+        per_moments = combination_moments(per, c_int, k)
+        for m in range(1, k + 1):
+            worst = max(worst, abs(per_moments[m] - ref_moments[m]) / ref_moments[m])
+    return worst, bound
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +134,7 @@ def test_isometry_degenerate_certificate_is_exact():
     assert res.max_rel_residual == 0
     assert res.bound == 0
     assert res.orders_checked == (2, 4, 6)
+    assert fold_isometry_oracle(degenerate_cert(), 10, 4) == (0, 0)
 
 
 # exact isometry_check(cert_p6, trials=25, seed=1), recorded from the
@@ -184,6 +215,21 @@ def test_single_coefficient_vectors_reproduce_residuals(cert_p6):
             # identical to the re-evaluated residual, as exact rationals
             assert per_moments[m] - cert_p6.target.values[m - 1] == e.residuals[m - 1]
             assert ref_moments[m] == cert_p6.target.values[m - 1]
+
+
+@pytest.fixture(scope="module")
+def small_certs(cert_p6):
+    return {6: cert_p6, **{p: construct_pair(p, j_max, 256) for p, j_max in ((4, 8), (8, 12), (12, 6))}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [4, 6, 8, 12])
+def test_isometry_check_equals_fold_oracle(small_certs, p, seed):
+    cert = small_certs[p]
+    assert len(cert.entries) == {4: 8, 6: 20, 8: 12, 12: 6}[p]
+    res = isometry_check(cert, trials=40, seed=seed)
+    assert (res.max_rel_residual, res.bound) == fold_isometry_oracle(cert, 40, seed)
+    assert 0 < res.max_rel_residual <= res.bound
 
 
 def test_isometry_requires_entries():

@@ -1,7 +1,9 @@
-"""Module boundaries: no module of the package imports a sibling's private name.
+"""Module boundaries: no module of the package imports a sibling's private name,
+and no private helper lives on callers outside the package.
 
 A `_`-prefixed name is a module's own kernel.  When another module needs
-it, it becomes public in its home module instead of being reached into.
+it, it becomes public in its home module instead of being reached into;
+when only tests call it, it goes, and the tests keep their own copy.
 """
 
 import ast
@@ -29,3 +31,49 @@ def test_no_module_imports_a_private_name_of_another():
     paths = sorted(PACKAGE_DIR.glob("*.py"))
     assert {"moments.py", "momentpoly.py", "solver.py"} <= {p.name for p in paths}
     assert [hit for path in paths for hit in private_imports(path)] == []
+
+
+def uncalled_private_helpers(paths) -> list:
+    """'file:line name' for each module-level `_`-prefixed def or class no other code in paths names.
+
+    A reference counts when it is a name or attribute outside the helper's
+    own body, so recursion alone does not keep a helper alive.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    helpers = [
+        (path, node)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    references = {}  # name -> ids of the nodes naming it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                references.setdefault(name, set()).add(id(node))
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in helpers
+        if not references.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
+    ]
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert uncalled_private_helpers(paths) == []
+
+
+def test_dead_helper_guard_flags_helpers_without_an_outside_caller(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def _used():\n    return 1\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+        "def _dead():\n    return 2\n\n"
+        "class _Box:\n    pass\n\n"
+        "def public():\n    return _used(), _Box\n",
+        encoding="utf-8",
+    )
+    assert uncalled_private_helpers([module]) == ["module.py:4 _recursive", "module.py:7 _dead"]

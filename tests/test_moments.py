@@ -15,8 +15,10 @@ from lp_isoforge.moments import (
     SymmetricAtomVariable,
     abs_moment,
     convolve,
+    even_cumulants,
     fold_even_moments,
     moment_coefficients,
+    moments_from_even_cumulants,
     term_tables,
 )
 from lp_isoforge.numeric import to_mpf
@@ -219,3 +221,31 @@ def test_fold_matches_multinomial_expansion(k, tables):
 def test_from_tables_ignores_zeroth_entry(k, tables, zeroth):
     mangled = [[z] + t[1:] for z, t in zip(zeroth, tables)]
     assert fold_even_moments(mangled, k) == fold_even_moments(tables, k)
+
+
+def test_even_cumulants_frozen():
+    # Rademacher (scale 1, mass 1): kappa_2 = 1, kappa_4 = 1 - 3 = -2, kappa_6 = 16
+    assert even_cumulants([1, 1, 1, 1], 3) == [0, 1, -2, 16]
+    # a centred Gaussian table (1, 3, 15) has kappa_2 alone
+    assert even_cumulants([1, 1, 3, 15], 3) == [0, 1, 0, 0]
+    with pytest.raises(ValueError):
+        even_cumulants([1, 1], 2)
+    with pytest.raises(ValueError):
+        moments_from_even_cumulants([0, 1], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=6),
+    tables=st.lists(st.lists(table_entry, min_size=7, max_size=7), min_size=1, max_size=5),
+    coeffs=st.lists(st.integers(min_value=-4, max_value=4), min_size=5, max_size=5),
+)
+def test_cumulants_add_to_the_fold(k, tables, coeffs):
+    tables = [[Fraction(1)] + t[1:] for t in tables]
+    kappas = [even_cumulants(t, k) for t in tables]
+    for t, kappa in zip(tables, kappas):
+        assert moments_from_even_cumulants(kappa, k) == t[: k + 1]
+    # independent terms add cumulants, and c g has kappa_2l(c g) = c^(2l) kappa_2l(g)
+    summed = [sum(c ** (2 * l) * kappa[l] for c, kappa in zip(coeffs, kappas)) for l in range(k + 1)]
+    scaled = [[c ** (2 * l) * t[l] for l in range(k + 1)] for c, t in zip(coeffs, tables)]
+    assert moments_from_even_cumulants(summed, k) == fold_even_moments(scaled, k)
