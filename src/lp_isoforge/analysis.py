@@ -52,10 +52,11 @@ generators and produces evidence:
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from math import comb, lcm, log
 from operator import mul
@@ -462,6 +463,53 @@ def _signed_power(vec, expo, prec: int) -> tuple:
     return tuple(out)
 
 
+def _climb(P: ProjectionOperator, p: int, precision: int, iters: int, f) -> tuple:
+    """One start's fixed-point ascent: the best raw ratio ||Pg||_p / ||g||_p
+    over its iterates, at least fone.  Module-level so a pool can run it."""
+    rnd = round_nearest
+    norm = _raw_norm(P, p, precision)
+    with workprec(precision):
+        q_exp = to_mpf(Fraction(1, p - 1))._mpf_  # q - 1
+    best = fone
+    for _ in range(iters):
+        g = _raw_apply(P, f, precision)
+        ng = norm(g)
+        nf = norm(f)
+        if ng == fzero or nf == fzero:
+            break
+        ratio = mpf_div(ng, nf, precision, rnd)
+        if mpf_gt(ratio, best):
+            best = ratio
+        nxt = _signed_power(g, q_exp, precision)
+        nn = norm(nxt)
+        if nn == fzero:
+            break
+        f = tuple(mpf_div(v, nn, precision, rnd) for v in nxt)
+    return best
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_climbs(climb, start_vectors) -> list:
+    """[climb(f) for f in start_vectors], on one forked worker per CPU when
+    there is more than one, else in this process."""
+    workers = min(_cpu_count(), len(start_vectors))
+    if workers > 1:
+        import multiprocessing  # lazily: importing the package must not load it
+
+        # a daemonic process (a pool worker itself) may not have children
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                return pool.map(climb, start_vectors, chunksize=1)
+    return list(map(climb, start_vectors))
+
+
 def projection_norm_lower_bound(
     P: ProjectionOperator,
     p: int,
@@ -474,25 +522,35 @@ def projection_norm_lower_bound(
 
     The first candidate is the first generator, evaluated in exact
     arithmetic: P fixes it, so the bound starts at exactly 1 and the
-    random starts can only raise it.  Each start then iterates
-    f <- psi_q(Pf) (q = p/(p-1)) at `precision` bits, tracking the best
-    ratio ||Pf||_p / ||f||_p seen at any iterate.  Every reported value
-    is a genuinely attained ratio, hence a valid lower bound.
+    random starts can only raise it.  There are `starts` random vectors
+    and max(1, starts // 2) random span combinations mapped through
+    psi_q.  Each start then iterates f <- psi_q(Pf) (q = p/(p-1)) at
+    `precision` bits, tracking the best ratio ||Pf||_p / ||f||_p seen at
+    any iterate.  Every reported value is a genuinely attained ratio,
+    hence a valid lower bound.
 
     Iterates are raw mpf tuples: Pf is the exact integer kernel rounded
     once per atom, and every norm, power and quotient is the libmp call
     that the mpf operators on P.apply / P.norm would make, so the result
     is bit-identical to running them.
+
+    The climbs are independent.  They run on one forked worker process
+    per available CPU, capped at the number of starts, or in this process
+    when there is one CPU or no fork start method; there is no setting.
+    The bound is the maximum of the per-start bests, so it is
+    bit-identical at any CPU count.  The workers' memory is not part of
+    this process's ru_maxrss.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
+    if starts < 0:
+        raise ValueError("starts must be >= 0")
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
     validate_precision(precision)
     rng = random.Random(seed)
-    rnd = round_nearest
-    norm = _raw_norm(P, p, precision)
     with workprec(precision):
         q_exp = to_mpf(Fraction(1, p - 1))._mpf_  # q - 1
-        best = fone  # exact: P(basis[0]) == basis[0]
         start_vectors = []
         for _ in range(starts):
             start_vectors.append(tuple(from_float(rng.uniform(-1, 1)) for _ in range(P.atom_count)))
@@ -506,22 +564,11 @@ def projection_norm_lower_bound(
                     acc += ci * to_mpf(b[a])
                 vec.append(acc._mpf_)
             start_vectors.append(_signed_power(vec, q_exp, precision))
-        for f in start_vectors:
-            for _ in range(iters):
-                g = _raw_apply(P, f, precision)
-                ng = norm(g)
-                nf = norm(f)
-                if ng == fzero or nf == fzero:
-                    break
-                ratio = mpf_div(ng, nf, precision, rnd)
-                if mpf_gt(ratio, best):
-                    best = ratio
-                nxt = _signed_power(g, q_exp, precision)
-                nn = norm(nxt)
-                if nn == fzero:
-                    break
-                f = tuple(mpf_div(v, nn, precision, rnd) for v in nxt)
-        return mpmath.mp.make_mpf(best)
+    best = fone  # exact: P(basis[0]) == basis[0]
+    for ratio in _map_climbs(partial(_climb, P, p, precision, iters), start_vectors):
+        if mpf_gt(ratio, best):
+            best = ratio
+    return mpmath.mp.make_mpf(best)
 
 
 def projection_norm_grid_search(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import multiprocessing
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from lp_isoforge.analysis import (
     verify_certificate,
     vpl_check,
 )
+from lp_isoforge import analysis
 from lp_isoforge.analysis import _raw_apply, _raw_norm
 from lp_isoforge.errors import CapExceededError, DegenerateInputError, SchemaError
 from lp_isoforge.momentpoly import cm_alpha_table, h_vector
@@ -432,10 +434,40 @@ def test_raw_norm_matches_norm(masses, p):
     ],
     ids=["p6 n3", "p4 n2", "p3"],
 )
-def test_norm_bound_pinned(masses, p, want):
-    # recorded with the Fraction round-trip ascent; the raw ascent must match bit for bit
+def test_norm_bound_pinned(masses, p, want, monkeypatch):
+    # recorded with the serial Fraction round-trip ascent; the raw ascent
+    # must match bit for bit on any number of worker processes
     P = build_projection(build_span(masses))
-    assert projection_norm_lower_bound(P, p, seed=0)._mpf_ == want
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: workers)
+        assert projection_norm_lower_bound(P, p, seed=0)._mpf_ == want
+
+
+def test_norm_bound_leaves_no_workers_and_matches_serial(monkeypatch):
+    P = build_projection(build_span(NON_DYADIC_MASSES[1]))
+    pooled = projection_norm_lower_bound(P, 4, starts=1, iters=20, seed=3)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
+    assert projection_norm_lower_bound(P, 4, starts=1, iters=20, seed=3)._mpf_ == pooled._mpf_
+
+
+def bound_in_daemon(_):
+    P = build_projection(build_span(NON_DYADIC_MASSES[0]))
+    return projection_norm_lower_bound(P, 4, starts=2, iters=10, seed=0)._mpf_
+
+
+def test_norm_bound_runs_serially_inside_a_pool_worker():
+    # a daemonic worker may not fork children of its own
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.map(bound_in_daemon, [0])[0]
+    assert inside == bound_in_daemon(0)
+
+
+@pytest.mark.parametrize("arg", ["starts", "iters"])
+def test_norm_bound_rejects_negative_counts(arg):
+    P = build_projection(build_span([Fraction(1, 2)]))
+    with pytest.raises(ValueError, match=arg):
+        projection_norm_lower_bound(P, 4, **{arg: -1})
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,23 @@ def test_cli_imports_no_dependency_but_mpmath():
     assert proc.stdout == "['lp_isoforge', 'mpmath']\n"
 
 
+def test_cli_import_loads_no_process_pool():
+    # the projection ascent imports multiprocessing only when it forks workers
+    src_dir = Path(lp_isoforge.__file__).resolve().parent.parent
+    code = (
+        "import sys; import lp_isoforge.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src_dir)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_json_payload(tmp_path, capsys, cert_p4):
     path = tmp_path / "cert.json"
     save_certificate(cert_p4, path)
