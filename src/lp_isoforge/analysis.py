@@ -502,9 +502,16 @@ def _map_climbs(climb, start_vectors) -> list:
     workers = min(_cpu_count(), len(start_vectors))
     if workers > 1:
         import multiprocessing  # lazily: importing the package must not load it
+        import threading
 
-        # a daemonic process (a pool worker itself) may not have children
-        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+        # fork only where it is safe: a daemonic process (a pool worker
+        # itself) may not have children, and a child forked while another
+        # thread holds a lock can deadlock on it
+        if (
+            "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+            and threading.active_count() == 1
+        ):
             with multiprocessing.get_context("fork").Pool(workers) as pool:
                 return pool.map(climb, start_vectors, chunksize=1)
     return list(map(climb, start_vectors))
@@ -536,7 +543,9 @@ def projection_norm_lower_bound(
 
     The climbs are independent.  They run on one forked worker process
     per available CPU, capped at the number of starts, or in this process
-    when there is one CPU or no fork start method; there is no setting.
+    when there is one CPU, no fork start method, or forking is unsafe (the
+    caller is a daemonic worker or runs other threads); there is no
+    setting.
     The bound is the maximum of the per-start bests, so it is
     bit-identical at any CPU count.  The workers' memory is not part of
     this process's ru_maxrss.

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import multiprocessing
 import random
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -444,8 +445,15 @@ def test_norm_bound_pinned(masses, p, want, monkeypatch):
 
 
 def test_norm_bound_leaves_no_workers_and_matches_serial(monkeypatch):
+    made = []
+    pool = multiprocessing.context.BaseContext.Pool
+    monkeypatch.setattr(
+        multiprocessing.context.BaseContext, "Pool", lambda ctx, *args: made.append(args) or pool(ctx, *args)
+    )
     P = build_projection(build_span(NON_DYADIC_MASSES[1]))
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 5)
     pooled = projection_norm_lower_bound(P, 4, starts=1, iters=20, seed=3)
+    assert made == [(2,)]  # two climbs, so two workers
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
     assert projection_norm_lower_bound(P, 4, starts=1, iters=20, seed=3)._mpf_ == pooled._mpf_
@@ -461,6 +469,27 @@ def test_norm_bound_runs_serially_inside_a_pool_worker():
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.map(bound_in_daemon, [0])[0]
     assert inside == bound_in_daemon(0)
+
+
+def test_norm_bound_does_not_fork_beside_other_threads(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("forked a pool while another thread ran")
+
+    P = build_projection(build_span(NON_DYADIC_MASSES[0]))
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
+    serial = projection_norm_lower_bound(P, 4, starts=2, iters=10, seed=0)._mpf_
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    waiter.start()
+    try:
+        beside = projection_norm_lower_bound(P, 4, starts=2, iters=10, seed=0)._mpf_
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    assert beside == serial
 
 
 @pytest.mark.parametrize("arg", ["starts", "iters"])
