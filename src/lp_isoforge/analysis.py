@@ -90,7 +90,7 @@ from .moments import (
     moments_from_even_cumulants,
     term_tables,
 )
-from .momentpoly import CmAlphaTable, MuVector, cm_alpha_table
+from .momentpoly import MuVector, cm_alpha_table
 from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
@@ -102,7 +102,7 @@ from .numeric import (
 )
 from .solver import BallParams, ConstructionCertificate, ball_params, decreasing_above, default_base_point
 
-DEFAULT_SPACE_CAP = 3 ** 9
+SPACE_CAP = 3 ** 9
 
 __all__ = [
     "IsometryCheckResult",
@@ -112,7 +112,7 @@ __all__ = [
     "UncomplementedRow",
     "VerifyReport",
     "VplCheck",
-    "DEFAULT_SPACE_CAP",
+    "SPACE_CAP",
     "reference_generator",
     "certificate_span",
     "isometry_check",
@@ -255,12 +255,11 @@ def _sampled_isometry(cert, ref_table, per, residuals, trials: int, seed: int) -
 # the C_k bound
 # ---------------------------------------------------------------------------
 
-def c_k_constant(k: int, table: CmAlphaTable | None = None) -> int:
+def c_k_constant(k: int) -> int:
     """C_k = sum_{alpha=1}^{k} binom(k, alpha) C_{k,alpha}, an integer."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if table is None:
-        table = cm_alpha_table(k)
+    table = cm_alpha_table(k)
     return sum(comb(k, alpha) * table.get(k, alpha) for alpha in range(1, k + 1))
 
 
@@ -290,7 +289,7 @@ def vpl_check(k: int, mu_bar, p: int, precision: int = DEFAULT_PRECISION_BITS) -
     mu = MuVector(tuple(Fraction(v) for v in (mu_bar.values if isinstance(mu_bar, MuVector) else mu_bar)))
     if mu.k != k:
         raise ValueError(f"mu_bar must have length {k}")
-    dist = convolve(IndependentSumSpec([SymmetricAtomVariable(1, m) for m in mu.values]))
+    dist = convolve(reference_generator(mu))
     ck = c_k_constant(k)
     with workprec(precision):
         q = Fraction(p, p - 1)
@@ -384,15 +383,18 @@ class ProjectionOperator:
         return to_mpf(moment) ** (1 / to_mpf(r))
 
 
-def build_projection(generators, cap: int = DEFAULT_SPACE_CAP) -> ProjectionOperator:
-    """Materialize the generators (IndependentSumSpecs) on their joint finite probability space."""
+def build_projection(generators) -> ProjectionOperator:
+    """Materialize the generators (IndependentSumSpecs) on their joint finite probability space.
+
+    Raises CapExceededError when that space has more than SPACE_CAP atoms.
+    """
     dists = [convolve(g) for g in generators]
     size = 1
     for d in dists:
         size *= len(d.atoms)
-        if size > cap:
+        if size > SPACE_CAP:
             raise CapExceededError(
-                f"product space needs more than {cap} atoms"
+                f"product space needs more than {SPACE_CAP} atoms"
             )
     probs = []
     basis = [[] for _ in dists]
@@ -573,6 +575,7 @@ def projection_norm_lower_bound(
                     acc += ci * to_mpf(b[a])
                 vec.append(acc._mpf_)
             start_vectors.append(_signed_power(vec, q_exp, precision))
+    P._tables  # built here, so each pickled climb carries the kernel tables
     best = fone  # exact: P(basis[0]) == basis[0]
     for ratio in _map_climbs(partial(_climb, P, p, precision, iters), start_vectors):
         if mpf_gt(ratio, best):

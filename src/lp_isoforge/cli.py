@@ -99,15 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_common(sp, handler, seed=False, trials=False):
+    def add_common(sp, handler, precision=False, seed=False, trials=False):
         sp.set_defaults(handler=handler)
-        sp.add_argument(
-            "--precision",
-            type=_arg(int, validate_precision),
-            default=DEFAULT_PRECISION_BITS,
-            help=f"working precision in bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} "
-            f"(default {DEFAULT_PRECISION_BITS})",
-        )
+        if precision:
+            sp.add_argument(
+                "--precision",
+                type=_arg(int, validate_precision),
+                default=DEFAULT_PRECISION_BITS,
+                help=f"working precision in bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} "
+                f"(default {DEFAULT_PRECISION_BITS})",
+            )
         sp.add_argument("--out", default=None, help="write the report/certificate here")
         sp.add_argument(
             "--format",
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_NU_FRACTION,
         help="position of nu_j inside its bracket, strictly between 1/2 and 1 (default 3/4)",
     )
-    add_common(sp, cmd_construct, seed=True)
+    add_common(sp, cmd_construct, precision=True, seed=True)
 
     sp = sub.add_parser("verify", help="recheck a certificate from its stored values")
     sp.add_argument("certificate", help="certificate JSON produced by construct")
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("p4", help="p = 4 matched pair table, rows n = 2..N")
     sp.add_argument("--n", type=_at_least(2), default=100, help="largest row (default 100)")
-    add_common(sp, cmd_p4)
+    add_common(sp, cmd_p4, precision=True)
 
     sp = sub.add_parser("moments", help="even moments of a sum from a JSON spec file")
     sp.add_argument("spec_file", help='JSON: {"terms": [{"scale": .., "mass": ..}], "orders": [..]}')
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("project", help="span projection identities and p-norm bound")
     sp.add_argument("--p", type=p_arg, default=4, help="even integer >= 4 (default 4)")
     sp.add_argument("--n", type=_at_least(1), default=2, help="number of generators (default 2)")
-    add_common(sp, cmd_project, seed=True, trials=True)
+    add_common(sp, cmd_project, precision=True, seed=True, trials=True)
 
     return parser
 

@@ -12,7 +12,10 @@ where e_alpha is the elementary symmetric polynomial and
 
 counts ordered ways to distribute the moment order over a support of size
 alpha.  (Each variable contributes the same factor mu_i regardless of its
-positive exponent, which is why only the support size matters.)
+positive exponent, which is why only the support size matters.)  Splitting
+off the first part n_1 = n gives the recurrence `cm_alpha_table` uses:
+
+    C_{m,1} = 1,   C_{m,alpha} = sum_{n=1}^{m-alpha+1} binom(2m, 2n) C_{m-n,alpha-1}.
 
 Adding one extra summand of scale j and mass nu perturbs the moment to
 
@@ -54,10 +57,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import DegenerateInputError, SingularJacobianError
-from .moments import even_multinomial
 from .numeric import Scalar, det_exact
 
 __all__ = [
@@ -73,16 +74,6 @@ __all__ = [
     "jacobian_F",
     "vandermonde_check",
 ]
-
-
-def _positive_compositions(m: int, alpha: int) -> Iterator[tuple]:
-    """Ordered tuples of alpha positive integers summing to m."""
-    if alpha == 1:
-        yield (m,)
-        return
-    for first in range(1, m - alpha + 2):
-        for rest in _positive_compositions(m - first, alpha - 1):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)
@@ -110,9 +101,10 @@ def cm_alpha_table(k: int) -> CmAlphaTable:
         raise ValueError(f"k must be >= 1, got {k}")
     entries = {}
     for m in range(1, k + 1):
-        for alpha in range(1, m + 1):
+        entries[(m, 1)] = 1
+        for alpha in range(2, m + 1):
             entries[(m, alpha)] = sum(
-                even_multinomial(comp) for comp in _positive_compositions(m, alpha)
+                math.comb(2 * m, 2 * n) * entries[(m - n, alpha - 1)] for n in range(1, m - alpha + 2)
             )
     return CmAlphaTable(k=k, entries=entries)
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import mpmath
@@ -122,7 +121,6 @@ def _compositions(k: int, n: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def even_multinomial(parts: tuple) -> int:
     """(2k)! / prod (2k_i)! via a telescoping product of even binomials."""
     remaining = 2 * sum(parts)

@@ -154,7 +154,7 @@ def parse_real(s: str, prec: int) -> mpmath.mpf:
 # ---------------------------------------------------------------------------
 
 def det_exact(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Determinant by fraction-free elimination; exact for rational entries."""
+    """Determinant by Gaussian elimination over Q (Fraction division); exact for rational entries."""
     n = len(rows)
     a = [[Fraction(v) for v in row] for row in rows]
     if any(len(row) != n for row in a):

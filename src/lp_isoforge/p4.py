@@ -177,8 +177,9 @@ def build_p4_table(N: int, precision: int = DEFAULT_PRECISION_BITS) -> list:
     return [build_p4_row(n, precision) for n in range(2, N + 1)]
 
 
-def render_p4_text(rows, digits: int = 10) -> str:
+def render_p4_text(rows) -> str:
     """Aligned plain-text table of both columns and the printed-form residual."""
+    digits = 10
     header = (
         f"{'n':>5}  {'A':>{digits + 3}}  {'B':>{digits + 3}}  "
         f"{'a':>{digits + 3}}  {'nu':>{digits + 3}}  "

@@ -40,7 +40,6 @@ __all__ = [
     "load_certificate",
     "load_moment_spec",
     "isometry_to_dict",
-    "vpl_to_dict",
     "uncomplemented_to_dict",
     "p4_row_to_dict",
     "p4_table_to_dict",
@@ -283,17 +282,6 @@ def isometry_to_dict(res, precision: int) -> dict:
         "trials": res.trials,
         "seed": res.seed,
         "orders_checked": list(res.orders_checked),
-    }
-
-
-def vpl_to_dict(res) -> dict:
-    return {
-        "k": res.k,
-        "p": res.p,
-        "lhs": real_to_str(res.lhs, res.precision_bits),
-        "rhs": real_to_str(res.rhs, res.precision_bits),
-        "holds": res.holds,
-        "precision_bits": res.precision_bits,
     }
 
 

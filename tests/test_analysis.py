@@ -252,14 +252,14 @@ def test_c_k_frozen():
     want = (
         3 * t3.get(3, 1) + 3 * t3.get(3, 2) + t3.get(3, 3)
     )
-    assert c_k_constant(3, t3) == want
+    assert c_k_constant(3) == want
 
 
 def test_c_k_equals_h_at_all_ones():
     for k in range(1, 7):
         t = cm_alpha_table(k)
         ones = (Fraction(1),) * k
-        assert c_k_constant(k, t) == h_vector(ones, t)[k]
+        assert c_k_constant(k) == h_vector(ones, t)[k]
 
 
 def test_vpl_frozen_k2():

@@ -1,10 +1,12 @@
 """Exit codes, wire formats, and check lines of the lp-isoforge entry point."""
 
+import argparse
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import lp_isoforge
 import lp_isoforge.cli
 from lp_isoforge.analysis import projection_report
-from lp_isoforge.cli import main
+from lp_isoforge.cli import build_parser, main
 from lp_isoforge.numeric import real_to_str
 from lp_isoforge.serialize import dump_json, load_certificate, load_json, save_certificate
 
@@ -413,6 +415,18 @@ def test_usage_error_exits_two(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_precision_is_a_usage_error_where_nothing_reads_it(tmp_path, capsys, cert_p4):
+    # verify works at the certificate's precision and moments is exact
+    cert = tmp_path / "cert.json"
+    save_certificate(cert_p4, cert)
+    spec = write_moment_spec(tmp_path, [{"scale": 1, "mass": "1/2"}], [2])
+    for argv in (("verify", str(cert), "--trials", "2"), ("moments", spec)):
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--precision", "512")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --precision 512" in err
+
+
 def test_value_error_in_a_command_is_not_a_usage_error(monkeypatch, capsys):
     # a ValueError from inside the library is a bug: it propagates, never exit 2
     def broken(*args, **kwargs):
@@ -442,3 +456,24 @@ def test_out_file_mirrors_stdout(tmp_path, capsys):
     assert code == 0
     assert out.read_text() == text
     json.loads(text)
+
+
+def handler_source(handler) -> str:
+    """The handler's source plus that of each cli function it hands `args` to."""
+    source = inspect.getsource(handler)
+    helpers = sorted(set(re.findall(r"\b(\w+)\(args[,)]", source)))
+    return source + "".join(inspect.getsource(getattr(lp_isoforge.cli, name)) for name in helpers)
+
+
+def test_every_option_is_read_by_its_handler():
+    # an option that parses but changes nothing misleads the user
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"construct", "verify", "p4", "moments", "project"}
+    unread = [
+        f"{name} {action.dest}"
+        for name, sp in sub.choices.items()
+        for action in sp._actions
+        if not isinstance(action, argparse._HelpAction)
+        and f"args.{action.dest}" not in handler_source(sp.get_default("handler"))
+    ]
+    assert unread == []

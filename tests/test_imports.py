@@ -33,6 +33,21 @@ def test_no_module_imports_a_private_name_of_another():
     assert [hit for path in paths for hit in private_imports(path)] == []
 
 
+def test_momentpoly_imports_nothing_from_moments():
+    # the solver's polynomial layer shares no code with the moment layer
+    # that rechecks its certificates
+    tree = ast.parse((PACKAGE_DIR / "momentpoly.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(base.rstrip(".") + "." + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {".moments", "lp_isoforge.moments"}
+
+
 def uncalled_private_helpers(paths) -> list:
     """'file:line name' for each module-level `_`-prefixed def or class no other code in paths names.
 

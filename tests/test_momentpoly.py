@@ -13,7 +13,9 @@ from lp_isoforge.errors import DegenerateInputError, NoSolutionError
 from lp_isoforge.moments import (
     IndependentSumSpec,
     SymmetricAtomVariable,
+    even_multinomial,
     fold_even_moments,
+    moment_coefficients,
     term_tables,
 )
 from lp_isoforge.momentpoly import (
@@ -66,6 +68,20 @@ def test_cm_table_frozen():
         t2.get(2, 3)
     with pytest.raises(KeyError):
         t2.get(3, 1)
+
+
+def test_cm_table_matches_the_multinomial_oracle():
+    # the table's recurrence against the definition: (2m)!/prod (2n_i)!
+    # summed over compositions of m into alpha positive parts, each one a
+    # composition of m - alpha into nonnegative parts shifted up by one
+    for k in range(1, 11):
+        assert cm_alpha_table(k).entries == {
+            (m, alpha): sum(
+                even_multinomial(tuple(c + 1 for c in comp)) for comp, _ in moment_coefficients(m - alpha, alpha)
+            )
+            for m in range(1, k + 1)
+            for alpha in range(1, m + 1)
+        }
 
 
 def test_diagonal_product():

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import random
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import workprec
 
-from lp_isoforge.analysis import isometry_check, uncomplemented_certificate, vpl_check
+from lp_isoforge.analysis import isometry_check, uncomplemented_certificate
 from lp_isoforge.errors import SchemaError
 from lp_isoforge.numeric import frac_to_str, parse_real, real_to_str, to_mpf
 from lp_isoforge.p4 import build_p4_table
@@ -24,9 +23,7 @@ from lp_isoforge.serialize import (
     p4_table_to_dict,
     save_certificate,
     uncomplemented_to_dict,
-    vpl_to_dict,
 )
-from lp_isoforge.solver import default_base_point
 
 
 def test_round_trip_is_identity(cert_p4):
@@ -221,11 +218,6 @@ def test_report_payload_shapes(cert_p4):
 
     assert Fraction(di["max_rel_residual_exact"]) == iso.max_rel_residual
     assert Fraction(di["bound_exact"]) == iso.bound
-
-    chk = vpl_check(2, default_base_point(2), 4)
-    dv = vpl_to_dict(chk)
-    assert dv["holds"] is True and dv["k"] == 2 and dv["p"] == 4
-    json.loads(dumps_json(dv))
 
     uc = uncomplemented_certificate(cert_p4, comparator_N=100)
     du = uncomplemented_to_dict(uc)

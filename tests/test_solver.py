@@ -1,7 +1,6 @@
 """Newton construction against the k = 2 closed form and its own invariants."""
 
 import math
-import random
 from fractions import Fraction
 from itertools import product
 
