@@ -54,12 +54,12 @@ def scan(p: int, js) -> None:
     k = p // 2
     table = cm_alpha_table(k)
     mu_bar = default_base_point(k)
-    ball = ball_params(mu_bar, k, p)
+    ball = ball_params(mu_bar)
     target = target_h(mu_bar, table)
     print(f"p = {p} (k = {k}), delta = {frac_to_str(ball.delta)}, nu_j = (3/4) delta j^(2-p):")
     print("     j  real  <= 0  (0,delta]  (delta,1]  > 1   verdict; roots")
     for j in js:
-        P = mass_polynomial(j, nu_schedule_value(ball, p, j), target, table)
+        P = mass_polynomial(j, nu_schedule_value(ball, j), target, table)
         c = root_counts(P, ball.delta)
         with mpmath.workprec(256):
             roots = ", ".join(mpmath.nstr(r, 4) for r in mpmath.polyroots([to_mpf(x) for x in P]))

@@ -58,7 +58,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from math import comb, lcm, log
+from math import comb, copysign, cos, lcm, log, pi, sin
 from operator import mul
 
 import mpmath
@@ -103,6 +103,11 @@ from .numeric import (
 from .solver import BallParams, ConstructionCertificate, ball_params, decreasing_above, default_base_point
 
 SPACE_CAP = 3 ** 9
+ASCENT_STARTS = 8  # random starts of the projection ascent, plus half as many span combinations
+ASCENT_ITERS = 60  # fixed-point iterations per start
+GRID_POINTS = 2000  # angles in the grid oracle's sweep
+GRID_REFINE = 60  # ternary refinement steps around its best angle
+COMPARATOR_N = 10 ** 6  # terms in the divergence comparator's float partial sum
 
 __all__ = [
     "IsometryCheckResult",
@@ -170,6 +175,11 @@ def _residuals(cert: ConstructionCertificate, tables) -> tuple:
     return tuple(tuple(table[m] - t for m, t in enumerate(cert.target.values, 1)) for table in tables)
 
 
+def _worst(residuals) -> Fraction:
+    """max |residual| over every entry and order, 0 when there are none."""
+    return max((abs(r) for resid in residuals for r in resid), default=Fraction(0))
+
+
 @dataclass(frozen=True)
 class IsometryCheckResult:
     max_rel_residual: Fraction
@@ -198,14 +208,13 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
     if not cert.entries:
         raise DegenerateInputError("certificate has no solved entries")
     per = certificate_span(cert)
-    return _sampled_isometry(cert, _reference_table(cert), per, _residuals(cert, per), trials, seed)
+    return _sampled_isometry(cert, _reference_table(cert), per, _worst(_residuals(cert, per)), trials, seed)
 
 
-def _sampled_isometry(cert, ref_table, per, residuals, trials: int, seed: int) -> IsometryCheckResult:
-    """isometry_check on precomputed tables: h's, the f~_j's and their residuals."""
+def _sampled_isometry(cert, ref_table, per, eps_hat: Fraction, trials: int, seed: int) -> IsometryCheckResult:
+    """isometry_check on precomputed tables, h's and the f~_j's, and the largest |residual| eps_hat."""
     k = cert.k
     n = len(per)
-    eps_hat = max(abs(r) for resid in residuals for r in resid)
     h_min = min(cert.target.values)
     bound = (1 + eps_hat / h_min) ** k - 1
 
@@ -270,28 +279,26 @@ class VplCheck:
     lhs: Scalar
     rhs: Scalar
     holds: bool
-    precision_bits: int
 
 
-def vpl_check(k: int, mu_bar, p: int, precision: int = DEFAULT_PRECISION_BITS) -> VplCheck:
-    """||h||_p * ||h||_q <= C_k^(1/p) * ||h||_2^2 for h with masses mu_bar.
+def vpl_check(mu_bar) -> VplCheck:
+    """||h||_p * ||h||_q <= C_k^(1/p) * ||h||_2^2 for h with the k masses mu_bar.
 
-    q = p/(p-1).  The norms go through the convolution of the k unit
-    atoms and abs_moment, not through H_k, so the two sides share no
-    machinery.  `holds` allows an additive 2^-(precision/2) slack for
-    the equality boundary (k = 1 is an exact equality that float
-    rounding may tip either way); away from equality the margin is
-    macroscopic and the slack is irrelevant.
+    p = 2k and q = p/(p-1); mu_bar is a MuVector or a sequence of
+    rationals.  The norms go through the convolution of the k unit atoms
+    and abs_moment, not through H_k, so the two sides share no machinery.
+    They are taken at DEFAULT_PRECISION_BITS, and `holds` allows an
+    additive 2^-(DEFAULT_PRECISION_BITS/2) slack for the equality boundary
+    (k = 1 is an exact equality that float rounding may tip either way);
+    away from equality the margin is macroscopic and the slack is
+    irrelevant.
     """
-    if p != 2 * k:
-        raise ValueError(f"p must equal 2k, got p={p}, k={k}")
-    validate_precision(precision)
     mu = MuVector(tuple(Fraction(v) for v in (mu_bar.values if isinstance(mu_bar, MuVector) else mu_bar)))
-    if mu.k != k:
-        raise ValueError(f"mu_bar must have length {k}")
+    k = mu.k
+    p = 2 * k
     dist = convolve(reference_generator(mu))
     ck = c_k_constant(k)
-    with workprec(precision):
+    with workprec(DEFAULT_PRECISION_BITS):
         q = Fraction(p, p - 1)
         mp_p = abs_moment(dist, p)   # exact Fraction (even integer order)
         mq = abs_moment(dist, q)     # mpf
@@ -300,9 +307,9 @@ def vpl_check(k: int, mu_bar, p: int, precision: int = DEFAULT_PRECISION_BITS) -
         # Fraction ** mpf would fall back to float pow and wreck the slack
         lhs = to_mpf(mp_p) ** (Fraction(1, p)) * (to_mpf(mq) ** (1 / to_mpf(q)))
         rhs = to_mpf(ck) ** (Fraction(1, p)) * to_mpf(m2)
-        slack = mpmath.mpf(2) ** (-(precision // 2)) * max(mpmath.mpf(1), rhs)
+        slack = mpmath.mpf(2) ** (-(DEFAULT_PRECISION_BITS // 2)) * max(mpmath.mpf(1), rhs)
         holds = bool(lhs <= rhs + slack)
-    return VplCheck(k=k, p=p, lhs=lhs, rhs=rhs, holds=holds, precision_bits=precision)
+    return VplCheck(k=k, p=p, lhs=lhs, rhs=rhs, holds=holds)
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +472,15 @@ def _signed_power(vec, expo, prec: int) -> tuple:
     return tuple(out)
 
 
-def _climb(P: ProjectionOperator, p: int, precision: int, iters: int, f) -> tuple:
-    """One start's fixed-point ascent: the best raw ratio ||Pg||_p / ||g||_p
-    over its iterates, at least fone.  Module-level so a pool can run it."""
+def _climb(P: ProjectionOperator, p: int, precision: int, f) -> tuple:
+    """One start's ASCENT_ITERS-step fixed-point ascent: the best raw ratio
+    ||Pg||_p / ||g||_p over its iterates, at least fone.  Module-level so a pool can run it."""
     rnd = round_nearest
     norm = _raw_norm(P, p, precision)
     with workprec(precision):
         q_exp = to_mpf(Fraction(1, p - 1))._mpf_  # q - 1
     best = fone
-    for _ in range(iters):
+    for _ in range(ASCENT_ITERS):
         g = _raw_apply(P, f, precision)
         ng = norm(g)
         nf = norm(f)
@@ -522,8 +529,6 @@ def _map_climbs(climb, start_vectors) -> list:
 def projection_norm_lower_bound(
     P: ProjectionOperator,
     p: int,
-    starts: int = 8,
-    iters: int = 60,
     seed: int = 0,
     precision: int = DEFAULT_PRECISION_BITS,
 ) -> Scalar:
@@ -531,9 +536,10 @@ def projection_norm_lower_bound(
 
     The first candidate is the first generator, evaluated in exact
     arithmetic: P fixes it, so the bound starts at exactly 1 and the
-    random starts can only raise it.  There are `starts` random vectors
-    and max(1, starts // 2) random span combinations mapped through
-    psi_q.  Each start then iterates f <- psi_q(Pf) (q = p/(p-1)) at
+    random starts can only raise it.  There are ASCENT_STARTS (8) random
+    vectors and ASCENT_STARTS // 2 (4) random span combinations mapped
+    through psi_q, all drawn from random.Random(seed).  Each start then
+    iterates f <- psi_q(Pf) (q = p/(p-1)) ASCENT_ITERS (60) times at
     `precision` bits, tracking the best ratio ||Pf||_p / ||f||_p seen at
     any iterate.  Every reported value is a genuinely attained ratio,
     hence a valid lower bound.
@@ -544,7 +550,7 @@ def projection_norm_lower_bound(
     is bit-identical to running them.
 
     The climbs are independent.  They run on one forked worker process
-    per available CPU, capped at the number of starts, or in this process
+    per available CPU, capped at the 12 climbs, or in this process
     when there is one CPU, no fork start method, or forking is unsafe (the
     caller is a daemonic worker or runs other threads); there is no
     setting.
@@ -554,19 +560,15 @@ def projection_norm_lower_bound(
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    if starts < 0:
-        raise ValueError("starts must be >= 0")
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
     validate_precision(precision)
     rng = random.Random(seed)
     with workprec(precision):
         q_exp = to_mpf(Fraction(1, p - 1))._mpf_  # q - 1
         start_vectors = []
-        for _ in range(starts):
+        for _ in range(ASCENT_STARTS):
             start_vectors.append(tuple(from_float(rng.uniform(-1, 1)) for _ in range(P.atom_count)))
         # random span combinations reach the maximizer family directly
-        for _ in range(max(1, starts // 2)):
+        for _ in range(ASCENT_STARTS // 2):
             coeffs = [mpmath.mpf(rng.uniform(-1, 1)) for _ in P.basis]
             vec = []
             for a in range(P.atom_count):
@@ -577,32 +579,26 @@ def projection_norm_lower_bound(
             start_vectors.append(_signed_power(vec, q_exp, precision))
     P._tables  # built here, so each pickled climb carries the kernel tables
     best = fone  # exact: P(basis[0]) == basis[0]
-    for ratio in _map_climbs(partial(_climb, P, p, precision, iters), start_vectors):
+    for ratio in _map_climbs(partial(_climb, P, p, precision), start_vectors):
         if mpf_gt(ratio, best):
             best = ratio
     return mpmath.mp.make_mpf(best)
 
 
-def projection_norm_grid_search(
-    P: ProjectionOperator,
-    p: int,
-    grid: int = 2000,
-    refine: int = 60,
-) -> float:
+def projection_norm_grid_search(P: ProjectionOperator, p: int) -> float:
     """Dense angular oracle for two-generator spans, float precision.
 
     Maximizers of ||Pf||_p/||f||_p have the form psi_q(w) with w in the
     span (the p-dual of a maximizer must lie in range(P)), so for two
     generators a single angle parametrizes the family: w = cos(phi) h_1
-    + sin(phi) h_2.  A dense sweep plus ternary refinement around the
-    best angle pins the maximum far below the 1% comparison tolerance.
+    + sin(phi) h_2.  A sweep of GRID_POINTS (2000) angles over [0, pi)
+    plus GRID_REFINE (60) ternary refinement steps around the best angle
+    pins the maximum far below the 1% comparison tolerance.
     """
     if P.n != 2:
         raise ValueError("grid oracle is for spans of exactly two generators")
     if p < 2:
         raise ValueError("p must be >= 2")
-    import math as _math
-
     probs = [float(v) for v in P.probs]
     b1 = [float(v) for v in P.basis[0]]
     b2 = [float(v) for v in P.basis[1]]
@@ -611,8 +607,8 @@ def projection_norm_grid_search(
     qe = 1.0 / (p - 1)
 
     def ratio(phi: float) -> float:
-        w = [b1[a] * _math.cos(phi) + b2[a] * _math.sin(phi) for a in range(len(probs))]
-        f = [_math.copysign(abs(v) ** qe, v) if v != 0 else 0.0 for v in w]
+        w = [b1[a] * cos(phi) + b2[a] * sin(phi) for a in range(len(probs))]
+        f = [copysign(abs(v) ** qe, v) if v != 0 else 0.0 for v in w]
         c1 = sum(fa * ba * pa for fa, ba, pa in zip(f, b1, probs)) / n1
         c2 = sum(fa * ba * pa for fa, ba, pa in zip(f, b2, probs)) / n2
         pf = [c1 * b1[a] + c2 * b2[a] for a in range(len(probs))]
@@ -620,14 +616,14 @@ def projection_norm_grid_search(
         den = sum(pa * abs(v) ** p for v, pa in zip(f, probs)) ** (1.0 / p)
         return num / den if den > 0 else 0.0
 
-    step = _math.pi / grid
+    step = pi / GRID_POINTS
     best_phi, best = 0.0, 0.0
-    for i in range(grid):
+    for i in range(GRID_POINTS):
         r = ratio(i * step)
         if r > best:
             best, best_phi = r, i * step
     lo, hi = best_phi - step, best_phi + step
-    for _ in range(refine):
+    for _ in range(GRID_REFINE):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
         if ratio(m1) < ratio(m2):
@@ -713,8 +709,6 @@ class UncomplementedCertificate:
     valid: bool
     sum_nu_partial: Fraction
     sum_nu_tail_bound: Fraction
-    sum_nu_total_bound: Fraction
-    convergence_certified: bool
     comparator_exponent: Fraction
     comparator_constant: Scalar
     comparator_partial_N: int
@@ -724,11 +718,17 @@ class UncomplementedCertificate:
     divergence_note: str
     typo_note: str
 
+    @property
+    def sum_nu_total_bound(self) -> Fraction:
+        return self.sum_nu_partial + self.sum_nu_tail_bound
 
-def uncomplemented_certificate(
-    cert: ConstructionCertificate,
-    comparator_N: int = 10 ** 6,
-) -> UncomplementedCertificate:
+    @property
+    def convergence_certified(self) -> bool:
+        """The tail bound holds once every nu_j is inside its bracket."""
+        return self.valid
+
+
+def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedCertificate:
     """Certify the mass/weight sequence hypotheses from a certificate.
 
     All bracket and weight-bound checks are exact rational comparisons
@@ -739,7 +739,8 @@ def uncomplemented_certificate(
     sum w_j^(2p/(p-2)) reduces to the comparator exponent 4/(p-2): for
     p >= 6 it is <= 1 and the comparison series diverges; for p = 4 it
     equals 2 and this comparator proves nothing, which is reported
-    verbatim rather than papered over.
+    verbatim rather than papered over.  The comparison series' float
+    partial sum runs to COMPARATOR_N (10^6) terms and proves nothing.
     """
     p = cert.p
     delta = cert.ball.delta
@@ -776,17 +777,17 @@ def uncomplemented_certificate(
     # from Python 3.12) would change the float bits of comparator_partial_sum
     neg_exponent = -float(exponent)
     partial = 0.0
-    for j in range(1, comparator_N + 1):
+    for j in range(1, COMPARATOR_N + 1):
         partial += j ** neg_exponent
     if exponent == 1:
-        reference = log(comparator_N)
+        reference = log(COMPARATOR_N)
         note = (
             "comparator exponent 4/(p-2) = 1: the comparison series is the "
             "harmonic series times (1/delta)^(2/(p-2)); divergence certified."
         )
         certified = valid
     elif exponent < 1:
-        reference = ((comparator_N + 1) ** (1 - float(exponent)) - 1) / (1 - float(exponent))
+        reference = ((COMPARATOR_N + 1) ** (1 - float(exponent)) - 1) / (1 - float(exponent))
         note = (
             f"comparator exponent 4/(p-2) = {exponent} < 1: comparison series "
             "diverges like N^(1-4/(p-2)); divergence certified."
@@ -811,11 +812,9 @@ def uncomplemented_certificate(
         valid=valid,
         sum_nu_partial=sum_nu_partial,
         sum_nu_tail_bound=tail,
-        sum_nu_total_bound=sum_nu_partial + tail,
-        convergence_certified=valid,
         comparator_exponent=exponent,
         comparator_constant=constant,
-        comparator_partial_N=comparator_N,
+        comparator_partial_N=COMPARATOR_N,
         comparator_partial_sum=partial,
         comparator_reference=reference,
         divergence_certified=certified,
@@ -890,17 +889,17 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
     ref_table = _reference_table(cert)
     per = certificate_span(cert)
     residuals = _residuals(cert, per)
-    iso = _sampled_isometry(cert, ref_table, per, residuals, trials, seed) if cert.entries else None
+    worst = _worst(residuals)
+    iso = _sampled_isometry(cert, ref_table, per, worst, trials, seed) if cert.entries else None
     uc = uncomplemented_certificate(cert)
     prec = cert.precision_bits
     issues = [] if ref_table[1:] == cert.target.values else ["target differs"]
     try:
-        ball = ball_params(cert.ball.mu_bar, cert.k, cert.p)
+        ball = ball_params(cert.ball.mu_bar)
         differ = [f.name for f in fields(BallParams) if getattr(ball, f.name) != getattr(cert.ball, f.name)]
         issues += [f"ball differs: {', '.join(differ)}"] if differ else []
     except DegenerateInputError as exc:
         issues.append(f"ball not recomputable: {exc}")
-    worst = max((abs(r) for resid in residuals for r in resid), default=Fraction(0))
     bad_bracket = [r.j for r in uc.rows if not r.bracket_ok]
     bad_order = [e.j for e in cert.entries if not decreasing_above(e.mu, cert.ball.delta)]
     missing = [str(a) if a == b else f"{a}..{b}" for a, b in cert.missing_runs]

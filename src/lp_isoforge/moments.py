@@ -51,13 +51,13 @@ import mpmath
 from .errors import CapExceededError, DegenerateInputError
 from .numeric import Scalar, to_mpf
 
-DEFAULT_ATOM_CAP = 3 ** 16
+ATOM_CAP = 3 ** 16
 
 __all__ = [
     "SymmetricAtomVariable",
     "IndependentSumSpec",
     "DiscreteDistribution",
-    "DEFAULT_ATOM_CAP",
+    "ATOM_CAP",
     "even_multinomial",
     "moment_coefficients",
     "term_tables",
@@ -208,15 +208,15 @@ def moments_from_even_cumulants(kappa, k: int) -> list:
     return moments
 
 
-def convolve(spec: IndependentSumSpec, cap: int = DEFAULT_ATOM_CAP) -> "DiscreteDistribution":
+def convolve(spec: IndependentSumSpec) -> "DiscreteDistribution":
     """Distribution of the sum by direct convolution, atoms merged on value.
 
     The product space has 3**n sign patterns; specs whose product space
-    exceeds `cap` are rejected up front rather than ground through.
+    exceeds ATOM_CAP are rejected up front rather than ground through.
     """
     n = len(spec)
-    if 3 ** n > cap:
-        raise CapExceededError(f"product space 3^{n} exceeds the atom cap {cap}")
+    if 3 ** n > ATOM_CAP:
+        raise CapExceededError(f"product space 3^{n} exceeds the atom cap {ATOM_CAP}")
     dist: dict = {Fraction(0): Fraction(1)}
     for t in spec.terms:
         half = t.mass / 2
@@ -235,7 +235,7 @@ def convolve(spec: IndependentSumSpec, cap: int = DEFAULT_ATOM_CAP) -> "Discrete
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finitely supported distribution: atoms are (value, prob), value-sorted."""
+    """Finitely supported distribution: atoms are (value, prob), values strictly increasing."""
 
     atoms: tuple
 
@@ -243,12 +243,8 @@ class DiscreteDistribution:
         atoms = tuple((_rational(v), _rational(p)) for v, p in self.atoms)
         if not atoms:
             raise DegenerateInputError("distribution needs at least one atom")
-        values = [v for v, _ in atoms]
-        if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-            atoms = tuple(sorted(atoms))
-            values = [v for v, _ in atoms]
-            if any(values[i] >= values[i + 1] for i in range(len(values) - 1)):
-                raise DegenerateInputError("atom values must be distinct")
+        if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
+            raise DegenerateInputError("atom values must strictly increase")
         if any(p < 0 for _, p in atoms):
             raise DegenerateInputError("probabilities must be nonnegative")
         total = sum((p for _, p in atoms), Fraction(0))

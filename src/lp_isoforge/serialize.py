@@ -209,7 +209,6 @@ def cert_from_dict(data) -> ConstructionCertificate:
         )
     return ConstructionCertificate(
         p=p,
-        k=k,
         precision_bits=prec,
         nu_fraction=_fraction(data["nu_fraction"], "nu_fraction"),
         ball=BallParams(

@@ -173,20 +173,18 @@ def target_h(mu_bar: MuVector, table: CmAlphaTable) -> HValues:
     return HValues(h_vector(mu_bar, table)[1:])
 
 
-def ball_params(mu_bar: MuVector, k: int, p: int) -> BallParams:
-    """Box radius and mass budget around mu_bar for the order-p construction.
+def ball_params(mu_bar: MuVector) -> BallParams:
+    """Box radius and mass budget around mu_bar for the order p = 2k construction.
 
-    M is the largest binom(2m,2l) dH_{m-l}/dmu_beta (m = 2..k, l < m) on
-    the box mu_bar +- eps_bar.  Each is a polynomial with nonnegative
-    coefficients in positive masses, hence nondecreasing in every mass, so
-    one gradient table at the top corner mu_bar + eps_bar gives M exactly.
+    k is the length of mu_bar, at least 2.  M is the largest
+    binom(2m,2l) dH_{m-l}/dmu_beta (m = 2..k, l < m) on the box
+    mu_bar +- eps_bar.  Each is a polynomial with nonnegative coefficients
+    in positive masses, hence nondecreasing in every mass, so one gradient
+    table at the top corner mu_bar + eps_bar gives M exactly.
     """
-    if mu_bar.k != k:
-        raise ValueError(f"mu_bar has length {mu_bar.k}, expected k={k}")
+    k = mu_bar.k
     if k < 2:
         raise DegenerateInputError("need k >= 2 (k-1 appears as a divisor)")
-    if p != 2 * k:
-        raise ValueError(f"p must equal 2k, got p={p}, k={k}")
     values = tuple(Fraction(v) for v in mu_bar.values)
     if not mu_bar.strictly_decreasing:
         raise DegenerateInputError("mu_bar must be strictly decreasing")
@@ -212,12 +210,12 @@ def ball_params(mu_bar: MuVector, k: int, p: int) -> BallParams:
     return BallParams(mu_bar=mu_bar, eps_bar=eps_bar, eps=eps, M=Fraction(M), eps0=eps0, delta=delta)
 
 
-def nu_schedule_value(ball: BallParams, p: int, j: int, nu_fraction: Fraction = DEFAULT_NU_FRACTION) -> Fraction:
-    """nu_j = nu_fraction * delta * j^(2-p), exact and strictly inside the bracket."""
+def nu_schedule_value(ball: BallParams, j: int, nu_fraction: Fraction = DEFAULT_NU_FRACTION) -> Fraction:
+    """nu_j = nu_fraction * delta * j^(2-p) with p = 2 ball.k, exact and strictly inside the bracket."""
     nu_fraction = validate_nu_fraction(nu_fraction)
     if j < 1:
         raise ValueError("j must be >= 1")
-    return nu_fraction * ball.delta / Fraction(j) ** (p - 2)
+    return nu_fraction * ball.delta / Fraction(j) ** (2 * ball.k - 2)
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,6 @@ class SolveResult:
     mu: MuVector
     residuals: tuple  # signed F_m - T_m at the returned point, mpf
     iterations: int
-    precision_bits: int
 
 
 def solve_mu(
@@ -333,7 +330,6 @@ def solve_mu(
             mu=MuVector(tuple(mu_cur)),
             residuals=tuple(g),
             iterations=iterations,
-            precision_bits=precision,
         )
 
 
@@ -387,7 +383,6 @@ class CertEntry:
 @dataclass(frozen=True)
 class ConstructionCertificate:
     p: int
-    k: int
     precision_bits: int
     nu_fraction: Fraction
     ball: BallParams
@@ -395,6 +390,11 @@ class ConstructionCertificate:
     entries: tuple
     failed_js: tuple = ()
     seed: int | None = None
+
+    @property
+    def k(self) -> int:
+        """The number of masses per scale, p / 2."""
+        return self.p // 2
 
     @property
     def missing_runs(self) -> tuple:
@@ -461,13 +461,13 @@ def construct_pair(
     nu_fraction = Fraction(nu_fraction)
     mu_bar = default_base_point(k)
     table = cm_alpha_table(k)
-    ball = ball_params(mu_bar, k, p)
+    ball = ball_params(mu_bar)
     target = target_h(mu_bar, table)
 
     entries = []
     failed = []
     for j in range(1, j_max + 1):
-        nu_j = nu_schedule_value(ball, p, j, nu_fraction)
+        nu_j = nu_schedule_value(ball, j, nu_fraction)
         result = None
         try:
             result = solve_mu(j, nu_j, target, mu_bar, table, precision, ball=ball)
@@ -500,7 +500,6 @@ def construct_pair(
         )
     return ConstructionCertificate(
         p=p,
-        k=k,
         precision_bits=precision,
         nu_fraction=nu_fraction,
         ball=ball,

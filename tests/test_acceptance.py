@@ -157,7 +157,7 @@ def test_criterion_05_newton_matches_quadratic_closed_form():
     rng = random.Random(505)
     table = cm_alpha_table(2)
     mu_bar = default_base_point(2)
-    ball = ball_params(mu_bar, 2, 4)
+    ball = ball_params(mu_bar)
     target = target_h(mu_bar, table)
     tol = mpmath.mpf(2) ** -120
     solved = failed = 0
@@ -227,7 +227,7 @@ def test_criterion_08_projection_identities_and_norm_oracle():
     assert P3.apply((Fraction(1),) * 27) == (Fraction(0),) * 27
 
     P2 = build_projection([IndependentSumSpec([SymmetricAtomVariable(1, m)]) for m in masses[:2]])
-    est = projection_norm_lower_bound(P2, 4, starts=8, iters=60, seed=0)
+    est = projection_norm_lower_bound(P2, 4, seed=0)
     grid = projection_norm_grid_search(P2, 4)
     assert est >= 1
     assert abs(float(est) - grid) / grid < 0.01
@@ -237,9 +237,9 @@ def test_criterion_08_projection_identities_and_norm_oracle():
 def test_criterion_09_norm_product_bound():
     t0 = time.monotonic()
     for k in range(2, 7):
-        chk = vpl_check(k, default_base_point(k), 2 * k)
+        chk = vpl_check(default_base_point(k))
         assert chk.holds and chk.lhs < chk.rhs
-    chk2 = vpl_check(2, (Fraction(2, 3), Fraction(1, 3)), 4)
+    chk2 = vpl_check((Fraction(2, 3), Fraction(1, 3)))
     with workprec(256):
         lhs_indep = to_mpf(Fraction(7, 3)) ** Fraction(1, 4) * (
             (to_mpf(2) ** to_mpf(Fraction(7, 3)) + 10) / 18
@@ -253,7 +253,7 @@ def test_criterion_09_norm_product_bound():
 
 def test_criterion_10_weight_sequence_hypotheses(cert_p6, cert_p4):
     t0 = time.monotonic()
-    uc6 = uncomplemented_certificate(cert_p6, comparator_N=10 ** 6)
+    uc6 = uncomplemented_certificate(cert_p6)
     assert uc6.valid and uc6.convergence_certified
     assert uc6.sum_nu_total_bound == uc6.sum_nu_partial + uc6.sum_nu_tail_bound
     assert uc6.divergence_certified

@@ -113,7 +113,7 @@ def degenerate_cert(k=3):
     """nu = 0 on every scale, masses exactly mu_bar: both spans coincide."""
     mu_bar = default_base_point(k)
     table = cm_alpha_table(k)
-    ball = ball_params(mu_bar, k, 2 * k)
+    ball = ball_params(mu_bar)
     target = target_h(mu_bar, table)
     entries = tuple(
         CertEntry(
@@ -127,7 +127,7 @@ def degenerate_cert(k=3):
         for j in range(1, 5)
     )
     return ConstructionCertificate(
-        p=2 * k, k=k, precision_bits=256, nu_fraction=Fraction(3, 4),
+        p=2 * k, precision_bits=256, nu_fraction=Fraction(3, 4),
         ball=ball, target=target, entries=entries,
     )
 
@@ -263,7 +263,7 @@ def test_c_k_equals_h_at_all_ones():
 
 
 def test_vpl_frozen_k2():
-    chk = vpl_check(2, default_base_point(2), 4)
+    chk = vpl_check(default_base_point(2))
     assert chk.holds
     with workprec(256):
         lhs_want = to_mpf(Fraction(7, 3)) ** Fraction(1, 4) * (
@@ -279,7 +279,7 @@ def test_vpl_frozen_k2():
 
 def test_vpl_degenerate_k1_is_equality():
     mass = Fraction(2, 5)
-    chk = vpl_check(1, (mass,), 2)
+    chk = vpl_check((mass,))
     assert chk.holds
     with workprec(256):
         assert abs(chk.lhs - to_mpf(mass)) < mpmath.mpf(2) ** -120
@@ -288,7 +288,7 @@ def test_vpl_degenerate_k1_is_equality():
 
 def test_vpl_scan():
     for k in range(2, 7):
-        chk = vpl_check(k, default_base_point(k), 2 * k)
+        chk = vpl_check(default_base_point(k))
         assert chk.holds
         assert chk.lhs < chk.rhs
 
@@ -351,15 +351,15 @@ def test_norm_bound_range_start_is_one():
     span = build_span([Fraction(1, 2)])
     P = build_projection(span)
     with workprec(256):
-        est = projection_norm_lower_bound(P, 2, starts=2, iters=10, seed=0)
+        est = projection_norm_lower_bound(P, 2, seed=0)
         assert est >= 1
         assert est - 1 < mpmath.mpf(2) ** -100
 
 
 def test_norm_bound_vs_grid_oracle():
     P = two_gen_projection()
-    est = projection_norm_lower_bound(P, 4, starts=6, iters=40, seed=0)
-    grid = projection_norm_grid_search(P, 4, grid=1200, refine=50)
+    est = projection_norm_lower_bound(P, 4, seed=0)
+    grid = projection_norm_grid_search(P, 4)
     assert est >= 1
     assert abs(float(est) - grid) / grid < 0.01
     with pytest.raises(ValueError):
@@ -451,17 +451,17 @@ def test_norm_bound_leaves_no_workers_and_matches_serial(monkeypatch):
         multiprocessing.context.BaseContext, "Pool", lambda ctx, *args: made.append(args) or pool(ctx, *args)
     )
     P = build_projection(build_span(NON_DYADIC_MASSES[1]))
-    monkeypatch.setattr(analysis, "_cpu_count", lambda: 5)
-    pooled = projection_norm_lower_bound(P, 4, starts=1, iters=20, seed=3)
-    assert made == [(2,)]  # two climbs, so two workers
+    monkeypatch.setattr(analysis, "_cpu_count", lambda: 13)
+    pooled = projection_norm_lower_bound(P, 4, seed=3)
+    assert made == [(12,)]  # twelve climbs, so twelve workers
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
-    assert projection_norm_lower_bound(P, 4, starts=1, iters=20, seed=3)._mpf_ == pooled._mpf_
+    assert projection_norm_lower_bound(P, 4, seed=3)._mpf_ == pooled._mpf_
 
 
 def bound_in_daemon(_):
     P = build_projection(build_span(NON_DYADIC_MASSES[0]))
-    return projection_norm_lower_bound(P, 4, starts=2, iters=10, seed=0)._mpf_
+    return projection_norm_lower_bound(P, 4, seed=0)._mpf_
 
 
 def test_norm_bound_runs_serially_inside_a_pool_worker():
@@ -477,26 +477,19 @@ def test_norm_bound_does_not_fork_beside_other_threads(monkeypatch):
 
     P = build_projection(build_span(NON_DYADIC_MASSES[0]))
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
-    serial = projection_norm_lower_bound(P, 4, starts=2, iters=10, seed=0)._mpf_
+    serial = projection_norm_lower_bound(P, 4, seed=0)._mpf_
     monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(10,))
     waiter.start()
     try:
-        beside = projection_norm_lower_bound(P, 4, starts=2, iters=10, seed=0)._mpf_
+        beside = projection_norm_lower_bound(P, 4, seed=0)._mpf_
     finally:
         release.set()
         waiter.join(10)
     assert not waiter.is_alive()
     assert beside == serial
-
-
-@pytest.mark.parametrize("arg", ["starts", "iters"])
-def test_norm_bound_rejects_negative_counts(arg):
-    P = build_projection(build_span([Fraction(1, 2)]))
-    with pytest.raises(ValueError, match=arg):
-        projection_norm_lower_bound(P, 4, **{arg: -1})
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +500,7 @@ def synthetic_cert(p, delta, nus, mu=None):
     k = p // 2
     mu_bar = default_base_point(k)
     table = cm_alpha_table(k)
-    real = ball_params(mu_bar, k, p)
+    real = ball_params(mu_bar)
     ball = BallParams(
         mu_bar=mu_bar, eps_bar=real.eps_bar, eps=real.eps,
         M=real.M, eps0=Fraction(delta), delta=Fraction(delta),
@@ -520,7 +513,7 @@ def synthetic_cert(p, delta, nus, mu=None):
         for j, nu in nus
     )
     return ConstructionCertificate(
-        p=p, k=k, precision_bits=256, nu_fraction=Fraction(3, 4),
+        p=p, precision_bits=256, nu_fraction=Fraction(3, 4),
         ball=ball, target=target_h(mu_bar, table), entries=entries,
     )
 
@@ -530,7 +523,7 @@ def test_uncomplemented_worked_example():
     # = sqrt(40/3) / j > sqrt(10) / j, so partial sums beat sqrt(10) H_N
     delta = Fraction(1, 10)
     nus = [(j, Fraction(3, 40) / j ** 4) for j in range(1, 13)]
-    uc = uncomplemented_certificate(synthetic_cert(6, delta, nus), comparator_N=1000)
+    uc = uncomplemented_certificate(synthetic_cert(6, delta, nus))
     assert uc.valid and not uc.offending_js
     assert all(r.bracket_ok and r.bounds_ok for r in uc.rows)
     assert uc.convergence_certified and uc.divergence_certified
@@ -541,11 +534,11 @@ def test_uncomplemented_worked_example():
             assert r.w ** 3 > mpmath.sqrt(10) / r.j
             assert r.w_lower < r.w < r.w_upper
     assert uc.comparator_partial_sum > uc.comparator_reference
-    assert uc.comparator_reference == pytest.approx(math.log(1000))
+    assert uc.comparator_reference == pytest.approx(math.log(10 ** 6))
 
 
 def test_uncomplemented_p6_real_certificate(cert_p6):
-    uc = uncomplemented_certificate(cert_p6, comparator_N=10 ** 5)
+    uc = uncomplemented_certificate(cert_p6)
     assert uc.valid
     assert uc.convergence_certified and uc.divergence_certified
     # sum nu_j is bounded by partial + integral tail, a finite total
@@ -558,7 +551,7 @@ def test_uncomplemented_p6_real_certificate(cert_p6):
 
 
 def test_uncomplemented_p4_defers(cert_p4):
-    uc = uncomplemented_certificate(cert_p4, comparator_N=10 ** 4)
+    uc = uncomplemented_certificate(cert_p4)
     assert uc.valid  # brackets hold; only the divergence verdict is withheld
     assert uc.convergence_certified
     assert not uc.divergence_certified
@@ -571,9 +564,9 @@ def test_uncomplemented_p4_defers(cert_p4):
 
 def test_uncomplemented_p8_exponent():
     ball_mu = default_base_point(4)
-    delta = ball_params(ball_mu, 4, 8).delta
+    delta = ball_params(ball_mu).delta
     nus = [(j, Fraction(3, 4) * delta / j ** 6) for j in range(1, 7)]
-    uc = uncomplemented_certificate(synthetic_cert(8, delta, nus), comparator_N=1000)
+    uc = uncomplemented_certificate(synthetic_cert(8, delta, nus))
     assert uc.comparator_exponent == Fraction(2, 3)
     assert uc.divergence_certified
     assert uc.comparator_partial_sum > uc.comparator_reference
@@ -586,7 +579,7 @@ def test_uncomplemented_flags_bracket_violation(cert_p6):
     entries = list(cert_p6.entries)
     entries[2] = bad
     cert = dataclasses.replace(cert_p6, entries=tuple(entries))
-    uc = uncomplemented_certificate(cert, comparator_N=100)
+    uc = uncomplemented_certificate(cert)
     assert not uc.valid
     assert uc.offending_js == (3,)
     assert not uc.rows[2].bracket_ok

@@ -304,13 +304,13 @@ def test_mass_polynomial_k2_matches_closed_form():
     # where P_j has fewer than 2 distinct roots in the open interval (0, 1)
     t = cm_alpha_table(2)
     mu_bar = default_base_point(2)
-    ball = ball_params(mu_bar, 2, 4)
+    ball = ball_params(mu_bar)
     target = target_h(mu_bar, t)
     tol = mpmath.mpf(2) ** -240
     outcomes = set()
     for j in range(1, 21):
         for fraction in (Fraction(51, 100), Fraction(3, 4), Fraction(99, 100)):
-            nu = nu_schedule_value(ball, 4, j, fraction)
+            nu = nu_schedule_value(ball, j, fraction)
             P = mass_polynomial(j, nu, target, t)
             inside = count_real_roots(P, 0, 1) - (_horner(P, 1) == 0)
             try:

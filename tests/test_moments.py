@@ -106,9 +106,15 @@ def test_convolve_frozen_atoms():
 
 
 def test_convolve_cap():
-    many = spec_of([(1, Fraction(1, 2))] * 5)
+    # 3^17 sign patterns exceed ATOM_CAP = 3^16; rejected before any atom is built
+    many = spec_of([(1, Fraction(1, 2))] * 17)
     with pytest.raises(CapExceededError):
-        convolve(many, cap=3 ** 4)
+        convolve(many)
+
+
+def test_distribution_rejects_unsorted_atoms():
+    with pytest.raises(DegenerateInputError):
+        DiscreteDistribution(((Fraction(1), Fraction(1, 2)), (Fraction(-1), Fraction(1, 2))))
 
 
 def test_abs_moment_frozen():

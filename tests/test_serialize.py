@@ -219,7 +219,7 @@ def test_report_payload_shapes(cert_p4):
     assert Fraction(di["max_rel_residual_exact"]) == iso.max_rel_residual
     assert Fraction(di["bound_exact"]) == iso.bound
 
-    uc = uncomplemented_certificate(cert_p4, comparator_N=100)
+    uc = uncomplemented_certificate(cert_p4)
     du = uncomplemented_to_dict(uc)
     assert du["valid"] is True
     assert len(du["rows"]) == len(cert_p4.entries)

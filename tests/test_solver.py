@@ -14,7 +14,7 @@ from lp_isoforge.errors import (
     LpIsoforgeError,
     NoSolutionError,
 )
-from lp_isoforge.momentpoly import cm_alpha_table, grad_table, moment_vector_F
+from lp_isoforge.momentpoly import MuVector, cm_alpha_table, grad_table, moment_vector_F
 from lp_isoforge.numeric import mpf_to_fraction, to_mpf
 from lp_isoforge.solver import (
     HValues,
@@ -59,7 +59,7 @@ def test_hvalues_validation():
 
 
 def test_ball_params_frozen_k2():
-    ball = ball_params(MU2, 2, 4)
+    ball = ball_params(MU2)
     # half-min-gap bound is 1/6; the fixed 3/4 safety factor gives 1/8
     assert ball.eps_bar == Fraction(1, 8)
     assert ball.eps == ball.eps_bar
@@ -69,7 +69,7 @@ def test_ball_params_frozen_k2():
 
 
 def test_ball_params_frozen_k3():
-    ball = ball_params(default_base_point(3), 3, 6)
+    ball = ball_params(default_base_point(3))
     assert ball.eps_bar == Fraction(3, 32)
     assert ball.M == Fraction(1155, 8)
     assert ball.delta == Fraction(1, 3080)
@@ -83,7 +83,7 @@ def test_ball_params_frozen_k4_to_k6():
         6: (Fraction(1710644355453, 87808), Fraction(1568, 2851073925755)),
     }
     for k, (M, delta) in frozen.items():
-        ball = ball_params(default_base_point(k), k, 2 * k)
+        ball = ball_params(default_base_point(k))
         assert (ball.M, ball.delta) == (M, delta)
 
 
@@ -92,7 +92,7 @@ def test_ball_params_matches_lattice_max():
     # rational lattice of the whole box (both faces included) must equal it
     for k in (2, 3, 4):
         mu_bar = default_base_point(k)
-        ball = ball_params(mu_bar, k, 2 * k)
+        ball = ball_params(mu_bar)
         table = cm_alpha_table(k)
         axes = [
             [v - ball.eps_bar + ball.eps_bar * Fraction(2 * t, 3) for t in range(4)]
@@ -110,22 +110,26 @@ def test_ball_params_matches_lattice_max():
 
 def test_ball_params_lower_bound_and_validation():
     for k in (2, 3, 4):
-        ball = ball_params(default_base_point(k), k, 2 * k)
+        ball = ball_params(default_base_point(k))
         assert ball.M >= math.comb(2 * k, 2)
         assert ball.delta > 0
-    with pytest.raises(ValueError):
-        ball_params(MU2, 2, 6)
+
+
+def test_ball_params_needs_two_masses():
+    # k = 1: k - 1 is a divisor of eps0
+    with pytest.raises(DegenerateInputError):
+        ball_params(MuVector((Fraction(1, 2),)))
 
 
 def test_nu_schedule():
-    ball = ball_params(MU2, 2, 4)
-    assert nu_schedule_value(ball, 4, 1) == Fraction(3, 4) * Fraction(1, 48)
-    assert nu_schedule_value(ball, 4, 10) == Fraction(1, 6400)
+    ball = ball_params(MU2)
+    assert nu_schedule_value(ball, 1) == Fraction(3, 4) * Fraction(1, 48)
+    assert nu_schedule_value(ball, 10) == Fraction(1, 6400)
     for bad in (Fraction(1, 2), Fraction(1), Fraction(2)):
         with pytest.raises(ValueError):
-            nu_schedule_value(ball, 4, 1, nu_fraction=bad)
+            nu_schedule_value(ball, 1, nu_fraction=bad)
     with pytest.raises(ValueError):
-        nu_schedule_value(ball, 4, 0)
+        nu_schedule_value(ball, 0)
 
 
 def test_solve_mu_zero_nu_is_free():
@@ -170,15 +174,15 @@ def test_residuals_survive_doubled_precision():
 
 
 def test_closed_form_at_bracket_top():
-    ball = ball_params(MU2, 2, 4)
+    ball = ball_params(MU2)
     mu = closed_form_k2(1, ball.delta, TARGET2)
     assert 0 < mu.values[1] < mu.values[0] < 1
 
 
 def test_closed_form_rejects_infeasible():
     # at j = 10 the pinned mass forces F_2 > H_2(mu_bar): no solution in (0,1)
-    ball = ball_params(MU2, 2, 4)
-    pinned = nu_schedule_value(ball, 4, 10)
+    ball = ball_params(MU2)
+    pinned = nu_schedule_value(ball, 10)
     with pytest.raises(NoSolutionError):
         closed_form_k2(10, pinned, TARGET2)
     # the bottom edge of the bracket is still feasible at j = 10
@@ -189,14 +193,14 @@ def test_closed_form_rejects_infeasible():
 
 
 def test_solver_agrees_solution_is_gone():
-    ball = ball_params(MU2, 2, 4)
-    pinned = nu_schedule_value(ball, 4, 10)
+    ball = ball_params(MU2)
+    pinned = nu_schedule_value(ball, 10)
     with pytest.raises(LpIsoforgeError):
         solve_mu(10, pinned, TARGET2, MU2, T2, 256)
 
 
 def test_continuity_in_nu():
-    ball = ball_params(MU2, 2, 4)
+    ball = ball_params(MU2)
     with workprec(256):
         prev_gap = None
         for t in range(1, 11):
