@@ -3,18 +3,14 @@
 Walks the whole pipeline: solve the moment-matching system for each
 scale, inspect the residuals and the nu window, spot-check the isometry
 on random coefficient vectors, write the certificate to disk, read it
-back, and finish with the summability report that separates the two
-spans.
+back, and finish with the verifier's checks, whose last lines are the
+summability results that separate the two spans.
 """
 
 import tempfile
 from pathlib import Path
 
-from lp_isoforge.analysis import (
-    isometry_check,
-    render_uncomplemented_report,
-    uncomplemented_certificate,
-)
+from lp_isoforge.analysis import isometry_check, verify_certificate
 from lp_isoforge.serialize import load_certificate, save_certificate
 from lp_isoforge.solver import construct_pair
 
@@ -50,8 +46,10 @@ def main() -> None:
         print(f"saved {path.stat().st_size} bytes, round trip equal: {again == cert}")
     print()
 
-    uc = uncomplemented_certificate(cert)
-    print(render_uncomplemented_report(uc))
+    report = verify_certificate(again, trials=50, seed=1)
+    for name, ok, detail in report.checks:
+        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else ""))
+    print(f"verdict: {'PASS' if report.passed else 'FAIL'}")
 
 
 if __name__ == "__main__":

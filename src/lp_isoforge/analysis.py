@@ -37,11 +37,13 @@ generators and produces evidence:
   to H_k at all-ones masses).
 
 * `uncomplemented_certificate` checks the mass-sequence hypotheses:
-  nu_j inside (delta/2, delta) * j^(2-p), the derived weights
-  w_j = nu_j^(-1/p) / j inside ((1/delta)^(1/p), (2/delta)^(1/p)) *
-  j^(-2/p) (checked exactly on p-th powers), convergence of sum nu_j via
-  an explicit integral tail bound, and divergence of sum w_j^(2p/(p-2))
-  by comparison with (1/delta)^(2/(p-2)) * sum j^(-4/(p-2)), a series
+  nu_j inside (delta/2, delta) * j^(2-p), one exact comparison per
+  entry; the weight bound on w_j = nu_j^(-1/p) / j, inside
+  ((1/delta)^(1/p), (2/delta)^(1/p)) * j^(-2/p), is that bracket
+  restated (w_j^p = 1/(nu_j j^p)), so it is not checked again; then
+  convergence of sum nu_j via an explicit integral tail bound, and
+  divergence of sum w_j^(2p/(p-2)) by comparison with
+  (1/delta)^(2/(p-2)) * sum j^(-4/(p-2)), a series
   that diverges iff 4/(p-2) <= 1, i.e. p >= 6.  For p = 4 the
   comparator converges and the certificate says so instead of guessing.
 
@@ -128,7 +130,6 @@ __all__ = [
     "projection_norm_grid_search",
     "projection_report",
     "uncomplemented_certificate",
-    "render_uncomplemented_report",
     "verify_certificate",
 ]
 
@@ -690,13 +691,23 @@ def projection_report(
 
 @dataclass(frozen=True)
 class UncomplementedRow:
+    """One scale: nu_j, its exact bracket verdict, and the display weights.
+
+    The weight bound (1/delta) j^-2 < w_j^p < (2/delta) j^-2 on
+    w_j^p = 1/(nu_j j^p) is the bracket restated, so `bounds_ok` reads
+    `bracket_ok`.  `w`, `w_lower` and `w_upper` are mpf, for display only.
+    """
+
     j: int
     nu: Fraction
     bracket_ok: bool
     w: Scalar
     w_lower: Scalar
     w_upper: Scalar
-    bounds_ok: bool
+
+    @property
+    def bounds_ok(self) -> bool:
+        return self.bracket_ok
 
 
 @dataclass(frozen=True)
@@ -711,12 +722,22 @@ class UncomplementedCertificate:
     sum_nu_tail_bound: Fraction
     comparator_exponent: Fraction
     comparator_constant: Scalar
-    comparator_partial_N: int
     comparator_partial_sum: float
     comparator_reference: float
     divergence_certified: bool
     divergence_note: str
-    typo_note: str
+
+    @property
+    def comparator_partial_N(self) -> int:
+        return COMPARATOR_N
+
+    @property
+    def typo_note(self) -> str:
+        return (
+            "The source derivation prints the divergence claim for this sum "
+            "as '>= infinity'; that is read as 'diverges' and flagged here as "
+            "a typo rather than silently reinterpreted."
+        )
 
     @property
     def sum_nu_total_bound(self) -> Fraction:
@@ -731,41 +752,34 @@ class UncomplementedCertificate:
 def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedCertificate:
     """Certify the mass/weight sequence hypotheses from a certificate.
 
-    All bracket and weight-bound checks are exact rational comparisons
-    (the weight bounds are checked on p-th powers: w_j^p = 1/(nu_j j^p)
-    must lie strictly between (1/delta) j^-2 and (2/delta) j^-2, which
-    is the bracket again).  Convergence of sum nu_j is certified with
-    the integral tail bound delta * J^(3-p)/(p-3).  Divergence of
-    sum w_j^(2p/(p-2)) reduces to the comparator exponent 4/(p-2): for
-    p >= 6 it is <= 1 and the comparison series diverges; for p = 4 it
-    equals 2 and this comparator proves nothing, which is reported
-    verbatim rather than papered over.  The comparison series' float
-    partial sum runs to COMPARATOR_N (10^6) terms and proves nothing.
+    The one exact check per entry is the bracket
+    delta/2 * j^(2-p) < nu_j < delta * j^(2-p); `offending_js` lists the
+    scales outside it.  The weight bound is the bracket restated: since
+    w_j^p = 1/(nu_j j^p), (1/delta) j^-2 < w_j^p < (2/delta) j^-2 holds
+    exactly when nu_j is inside its bracket.  Convergence of sum nu_j is
+    certified with the integral tail bound delta * J^(3-p)/(p-3).
+    Divergence of sum w_j^(2p/(p-2)) reduces to the comparator exponent
+    4/(p-2): for p >= 6 it is <= 1 and the comparison series diverges;
+    for p = 4 it equals 2 and this comparator proves nothing, which is
+    reported verbatim rather than papered over.  The comparison series'
+    float partial sum runs to COMPARATOR_N (10^6) terms and proves nothing.
     """
     p = cert.p
     delta = cert.ball.delta
     rows = []
     offending = []
     with workprec(cert.precision_bits):
+        lower_c = to_mpf(1 / delta) ** (Fraction(1, p))
+        upper_c = to_mpf(2 / delta) ** (Fraction(1, p))
         for e in cert.entries:
             j = e.j
-            lower = delta / 2 / Fraction(j) ** (p - 2)
-            upper = delta / Fraction(j) ** (p - 2)
-            bracket_ok = lower < e.nu < upper
-            # exact p-th-power comparison of the weight bounds
-            w_p = 1 / (e.nu * Fraction(j) ** p)
-            bounds_ok = (1 / delta) / j ** 2 < w_p < (2 / delta) / j ** 2
-            w = to_mpf(e.nu) ** (-Fraction(1, p)) / j
-            w_lower = to_mpf(1 / delta) ** (Fraction(1, p)) * mpmath.mpf(j) ** (-Fraction(2, p))
-            w_upper = to_mpf(2 / delta) ** (Fraction(1, p)) * mpmath.mpf(j) ** (-Fraction(2, p))
-            if not (bracket_ok and bounds_ok):
+            scale = Fraction(j) ** (p - 2)
+            bracket_ok = delta / 2 / scale < e.nu < delta / scale
+            if not bracket_ok:
                 offending.append(j)
-            rows.append(
-                UncomplementedRow(
-                    j=j, nu=e.nu, bracket_ok=bracket_ok,
-                    w=w, w_lower=w_lower, w_upper=w_upper, bounds_ok=bounds_ok,
-                )
-            )
+            w = to_mpf(e.nu) ** (-Fraction(1, p)) / j
+            j_pow = mpmath.mpf(j) ** (-Fraction(2, p))
+            rows.append(UncomplementedRow(j, e.nu, bracket_ok, w, lower_c * j_pow, upper_c * j_pow))
         J = max((e.j for e in cert.entries), default=0)
         sum_nu_partial = sum((e.nu for e in cert.entries), Fraction(0))
         # sum_{j>J} j^(2-p) < integral_J^inf x^(2-p) dx = J^(3-p)/(p-3)
@@ -773,6 +787,7 @@ def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedC
         exponent = Fraction(4, p - 2)
         constant = to_mpf(1 / delta) ** (Fraction(2, p - 2))
     valid = not offending
+    certified = valid and exponent <= 1
     # a plain running sum on purpose: math.fsum or builtin sum() (compensated
     # from Python 3.12) would change the float bits of comparator_partial_sum
     neg_exponent = -float(exponent)
@@ -785,14 +800,12 @@ def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedC
             "comparator exponent 4/(p-2) = 1: the comparison series is the "
             "harmonic series times (1/delta)^(2/(p-2)); divergence certified."
         )
-        certified = valid
     elif exponent < 1:
         reference = ((COMPARATOR_N + 1) ** (1 - float(exponent)) - 1) / (1 - float(exponent))
         note = (
             f"comparator exponent 4/(p-2) = {exponent} < 1: comparison series "
             "diverges like N^(1-4/(p-2)); divergence certified."
         )
-        certified = valid
     else:
         reference = 0.0
         note = (
@@ -802,7 +815,6 @@ def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedC
             "alternative mass schedule nu_j ~ j^(-3/2) suggested for p = 4 "
             "is recorded as not automated here."
         )
-        certified = False
     return UncomplementedCertificate(
         p=p,
         delta=delta,
@@ -814,53 +826,11 @@ def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedC
         sum_nu_tail_bound=tail,
         comparator_exponent=exponent,
         comparator_constant=constant,
-        comparator_partial_N=COMPARATOR_N,
         comparator_partial_sum=partial,
         comparator_reference=reference,
         divergence_certified=certified,
         divergence_note=note,
-        typo_note=(
-            "The source derivation prints the divergence claim for this sum "
-            "as '>= infinity'; that is read as 'diverges' and flagged here as "
-            "a typo rather than silently reinterpreted."
-        ),
     )
-
-
-def render_uncomplemented_report(uc: UncomplementedCertificate) -> str:
-    lines = [
-        f"Weight-sequence hypothesis certificate (p = {uc.p}, delta = {uc.delta})",
-        "",
-        f"{'j':>4}  {'nu_j':>14}  {'bracket':>8}  {'w_j':>12}  {'w bounds':>9}",
-    ]
-    with workprec(uc.precision_bits):
-        for r in uc.rows:
-            lines.append(
-                f"{r.j:>4}  {mpmath.nstr(to_mpf(r.nu), 8):>14}  "
-                f"{'ok' if r.bracket_ok else 'FAIL':>8}  "
-                f"{mpmath.nstr(to_mpf(r.w), 8):>12}  "
-                f"{'ok' if r.bounds_ok else 'FAIL':>9}"
-            )
-        lines += [
-            "",
-            f"sum nu_j over certified j: {mpmath.nstr(to_mpf(uc.sum_nu_partial), 10)}",
-            f"analytic tail bound delta * J^(3-p)/(p-3): {mpmath.nstr(to_mpf(uc.sum_nu_tail_bound), 10)}",
-            f"=> sum nu_j < {mpmath.nstr(to_mpf(uc.sum_nu_total_bound), 10)}  "
-            f"(convergence {'certified' if uc.convergence_certified else 'NOT certified'})",
-            "",
-            f"divergence comparator: w_j^(2p/(p-2)) > (1/delta)^(2/(p-2)) * j^(-4/(p-2))",
-            f"  constant c = {mpmath.nstr(to_mpf(uc.comparator_constant), 10)}, "
-            f"exponent = {uc.comparator_exponent}",
-            f"  comparison partial sum at N = {uc.comparator_partial_N}: "
-            f"{uc.comparator_partial_sum:.6f} vs reference "
-            f"{uc.comparator_reference:.6f}",
-            f"  {uc.divergence_note}",
-            "",
-            uc.typo_note,
-        ]
-        if uc.offending_js:
-            lines.insert(1, f"INVALID: bracket/bound failures at j = {list(uc.offending_js)}")
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -900,7 +870,6 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
         issues += [f"ball differs: {', '.join(differ)}"] if differ else []
     except DegenerateInputError as exc:
         issues.append(f"ball not recomputable: {exc}")
-    bad_bracket = [r.j for r in uc.rows if not r.bracket_ok]
     bad_order = [e.j for e in cert.entries if not decreasing_above(e.mu, cert.ball.delta)]
     missing = [str(a) if a == b else f"{a}..{b}" for a, b in cert.missing_runs]
     gaps = (("failed scales", cert.failed_js), ("missing j", missing), ("duplicated j", cert.duplicated_js))
@@ -921,7 +890,7 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
             f"max |residual| = {real_to_str(worst, prec)}, tolerance 2^-{prec // 2}",
         ),
         ("stored residuals honest", all(r == tuple(e.residuals) for r, e in zip(residuals, cert.entries)), ""),
-        ("nu_j inside (delta/2, delta) * j^(2-p)", not bad_bracket, listed(("offending j", bad_bracket))),
+        ("nu_j inside (delta/2, delta) * j^(2-p)", uc.valid, listed(("offending j", uc.offending_js))),
         ("mu^(j) strictly decreasing above delta", not bad_order, listed(("offending j", bad_order))),
         ("certificate complete", cert.complete, listed(*gaps)),
         ("isometry residual within propagation bound", *iso_outcome),

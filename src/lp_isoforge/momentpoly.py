@@ -113,13 +113,12 @@ def cm_alpha_table(k: int) -> CmAlphaTable:
 class MuVector:
     """Mass vector mu_1, ..., mu_k, each in (0, 1].
 
-    `strictly_decreasing` records whether mu_1 > mu_2 > ... > mu_k holds;
+    `strictly_decreasing` tells whether mu_1 > mu_2 > ... > mu_k holds;
     most of the solver's theory needs it, but evaluation does not, so it
     is a flag rather than a hard precondition.
     """
 
     values: tuple
-    strictly_decreasing: bool = None  # type: ignore[assignment]
 
     def __post_init__(self):
         values = tuple(self.values)
@@ -128,9 +127,11 @@ class MuVector:
         for v in values:
             if not 0 < v <= 1:
                 raise DegenerateInputError(f"masses must lie in (0, 1], got {v}")
-        dec = all(values[i] > values[i + 1] for i in range(len(values) - 1))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "strictly_decreasing", dec)
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        return all(a > b for a, b in zip(self.values, self.values[1:]))
 
     @property
     def k(self) -> int:
@@ -310,9 +311,7 @@ def vandermonde_check(mu, table: CmAlphaTable) -> VandermondeCheck:
     """
     values = tuple(mu)
     k = len(values)
-    if len(set(values)) != k or any(
-        values[i] <= values[i + 1] for i in range(k - 1)
-    ):
+    if any(values[i] <= values[i + 1] for i in range(k - 1)):
         raise DegenerateInputError("mu must be strictly decreasing for this check")
     if table.k != k:
         raise ValueError("table order must match len(mu)")

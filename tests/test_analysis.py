@@ -20,7 +20,6 @@ from lp_isoforge.analysis import (
     projection_norm_grid_search,
     projection_norm_lower_bound,
     reference_generator,
-    render_uncomplemented_report,
     uncomplemented_certificate,
     verify_certificate,
     vpl_check,
@@ -546,8 +545,7 @@ def test_uncomplemented_p6_real_certificate(cert_p6):
     assert uc.sum_nu_total_bound < 1
     with workprec(256):
         assert abs(uc.comparator_constant ** 2 - 3080) < mpmath.mpf(2) ** -110
-    report = render_uncomplemented_report(uc)
-    assert "divergence certified" in report
+    assert "divergence certified" in uc.divergence_note
 
 
 def test_uncomplemented_p4_defers(cert_p4):
@@ -570,6 +568,50 @@ def test_uncomplemented_p8_exponent():
     assert uc.comparator_exponent == Fraction(2, 3)
     assert uc.divergence_certified
     assert uc.comparator_partial_sum > uc.comparator_reference
+
+
+def weight_bound_holds(p, j, delta, nu) -> bool:
+    """The weight bound as once checked on p-th powers: (1/delta) j^-2 < w_j^p < (2/delta) j^-2."""
+    w_p = 1 / (nu * Fraction(j) ** p)
+    return (1 / delta) / j ** 2 < w_p < (2 / delta) / j ** 2
+
+
+@st.composite
+def bracket_cases(draw):
+    """(p, delta, [(j, nu)]) with each nu at an end of its bracket, near it, or anywhere positive."""
+    p = 2 * draw(st.integers(min_value=2, max_value=8))
+    delta = draw(st.fractions(min_value=0, max_value=4, max_denominator=10 ** 6).filter(bool))
+    js = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8, unique=True))
+    entries = []
+    for j in js:
+        lower, upper = delta / 2 / Fraction(j) ** (p - 2), delta / Fraction(j) ** (p - 2)
+        nu = draw(
+            st.sampled_from([lower, upper])
+            | st.fractions(min_value=lower / 2, max_value=2 * upper)
+            | st.fractions(min_value=0, max_value=10).filter(bool)
+        )
+        entries.append((j, nu))
+    return p, delta, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bracket_cases())
+def test_bracket_decides_the_weight_bound(cert_p4, case):
+    # the certificate decides each entry by the nu bracket alone; the old
+    # p-th-power weight comparison stays here as the oracle it must equal
+    p, delta, entries = case
+    cert = dataclasses.replace(
+        cert_p4,
+        p=p,
+        ball=dataclasses.replace(cert_p4.ball, delta=delta),
+        entries=tuple(dataclasses.replace(cert_p4.entries[0], j=j, nu=nu) for j, nu in entries),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "COMPARATOR_N", 10)  # the float comparator is beside the point here
+        uc = uncomplemented_certificate(cert)
+    expected = [weight_bound_holds(p, j, delta, nu) for j, nu in entries]
+    assert [r.bracket_ok for r in uc.rows] == [r.bounds_ok for r in uc.rows] == expected
+    assert uc.offending_js == tuple(j for (j, _), ok in zip(entries, expected) if not ok)
 
 
 def test_uncomplemented_flags_bracket_violation(cert_p6):

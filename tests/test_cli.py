@@ -1,6 +1,7 @@
 """Exit codes, wire formats, and check lines of the lp-isoforge entry point."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -258,6 +259,44 @@ def test_verify_json_payload(tmp_path, capsys, cert_p4):
     assert payload["verdict"] == "PASS"
     assert all(c["pass"] for c in payload["checks"])
     assert payload["isometry"]["within_bound"] is True
+
+
+# (construct argv, command argv, exit code, sha256 of the JSON payload with
+# the certificate path replaced by "<cert>"); one moved byte of a check
+# line, weight row or projection bound moves a hash, so refresh one only
+# for an intended change to that payload
+PINNED_PAYLOADS = {
+    "verify-p6": (
+        ["--p", "6", "--j-max", "5"], ["verify", "<cert>"], 0,
+        "264bc8a6f3be0142d248d4d617f1aba946d02c7f8a1337a8bd220ff0f9d4e0ba",
+    ),
+    "verify-p4-partial": (
+        ["--p", "4", "--j-max", "10"], ["verify", "<cert>"], 1,
+        "ae4f45c93b59c5133853e4da82f14214e7f3c38af712958004b8ba684852b416",
+    ),
+    "project": (
+        None, ["project", "--p", "4", "--n", "2", "--trials", "5"], 0,
+        "3ee56f3c4385f0e5abd4f20b94bf139f8801ed038eb4bc4a924eb8617cd97217",
+    ),
+    "p4": (
+        None, ["p4", "--n", "5"], 0,
+        "2fcabea10e1931fbcd20abe24efa3297bb7f51fa64bd37d0f7885e59a9aeccbe",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "construct_argv, argv, exit_code, digest", list(PINNED_PAYLOADS.values()), ids=list(PINNED_PAYLOADS)
+)
+def test_json_payload_bytes_pinned(tmp_path, capsys, construct_argv, argv, exit_code, digest):
+    cert = str(tmp_path / "cert.json")
+    if construct_argv:
+        main(["construct", *construct_argv, "--out", cert])
+        capsys.readouterr()
+    code, text, _ = run(capsys, *[cert if a == "<cert>" else a for a in argv], "--format", "json")
+    text = text.replace(json.dumps(cert), '"<cert>"')
+    assert code == exit_code
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 def test_verify_truncated_certificate(tmp_path, capsys, cert_p4):

@@ -1,9 +1,11 @@
 """Module boundaries: no module of the package imports a sibling's private name,
-and no private helper lives on callers outside the package.
+no private helper lives on callers outside the package, and no module
+imports a name it does not use.
 
 A `_`-prefixed name is a module's own kernel.  When another module needs
 it, it becomes public in its home module instead of being reached into;
 when only tests call it, it goes, and the tests keep their own copy.
+No linter runs on the package, so the unused-import check lives here.
 """
 
 import ast
@@ -92,3 +94,47 @@ def test_dead_helper_guard_flags_helpers_without_an_outside_caller(tmp_path):
         encoding="utf-8",
     )
     assert uncalled_private_helpers([module]) == ["module.py:4 _recursive", "module.py:7 _dead"]
+
+
+def unused_imports(path: Path) -> list:
+    """'file:line name' for each name a module imports and never uses.
+
+    A name is used when the module names it anywhere (annotations included)
+    or lists it in `__all__`.  `from __future__` imports are directives,
+    not names.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    imported = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    return [f"{path.name}:{line} {name}" for line, name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__ imports to re-export, so its names need no use
+    paths = sorted(set(PACKAGE_DIR.glob("*.py")) - {PACKAGE_DIR / "__init__.py"})
+    assert "analysis.py" in {p.name for p in paths}
+    assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+def test_unused_import_guard_flags_names_without_a_use(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from math import log, pi\n"
+        "from fractions import Fraction\n\n"
+        "__all__ = ['pi']\n\n"
+        "def f(x: Fraction) -> str:\n    return js.dumps(x)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(module) == ["module.py:2 os", "module.py:3 os", "module.py:5 log"]
