@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import pytest
 from mpmath import workprec
 
 import lp_isoforge
@@ -333,3 +334,34 @@ def test_construct_p6_frontier_certificate_bytes_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "6826a1b20c7f8493ebfd699f4eb0b7c82bc9381abf821742df59504fc717194a"
     )
+
+
+# the raw Newton kernel's loops run over k = p/2, so these pin the bytes at
+# k = 4, 6 and 8 and at other precisions and schedule positions; refresh
+# them only for an intended change to the solve
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--p", "8", "--j-max", "10"], "87f5234cbec9c9ff701ee8d351dd302ee90d67ffbfb35c7786d34a55579d854a"),
+        (["--p", "12", "--j-max", "5"], "0fb1c93fe2bc5fc3969747ce96f8854b084692d96057ee4ceb005ea7f1c69ab2"),
+        (["--p", "16", "--j-max", "3"], "a13e0835e1eaae110b4cda318996aa7e58dbc220005b7e689b7563c3c489f276"),
+        (
+            ["--p", "8", "--j-max", "10", "--precision", "128"],
+            "b763aff88194fcc52d81dce1164625c597b2647533b02c734eb687e78536b4ab",
+        ),
+        (
+            ["--p", "8", "--j-max", "10", "--precision", "512"],
+            "c4ab7bf2eef7d05752dc2295bd42d257204c5365d2f89451d56fd635e68145ef",
+        ),
+        (
+            ["--p", "8", "--j-max", "10", "--nu-fraction", "19/20"],
+            "7ace89f9d4168aa3b3710d9aa65e141bf21329efdc86cff8d136445a72b721e5",
+        ),
+    ],
+    ids=["p8", "p12", "p16", "p8-prec128", "p8-prec512", "p8-nu19/20"],
+)
+def test_construct_certificate_bytes_pinned_across_k(tmp_path, capsys, args, digest):
+    out = tmp_path / "cert.json"
+    assert main(["construct", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
