@@ -46,6 +46,9 @@ The layer exports whole tables, not single entries: `h_vector` gives
 [1, H_1, ..., H_k] and `grad_table` every dH_m/dmu_beta, each built from
 one elementary-symmetric table of the masses.  F, the Jacobian and the
 solver's targets and gradient bound are all reads of these two tables.
+The solver's Newton iteration evaluates F and the Jacobian on raw libmp
+tuples instead (`solver._RawSystem`); on mpf inputs the functions here
+are its bit-for-bit oracle in the tests.
 
 All functions evaluate exactly on Fraction inputs and in the active
 mpmath precision on mpf inputs, except `vandermonde_check`, which takes

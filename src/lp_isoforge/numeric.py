@@ -5,12 +5,18 @@ Two kinds of scalars flow through this package:
 * exact rationals (`fractions.Fraction`), used wherever the inputs are
   rational and the result must be bit-for-bit reproducible (moment
   identities, certificate residual re-evaluation, bracket checks);
-* binary floats of configurable precision (`mpmath.mpf`), used for the
-  Newton iteration, square roots and fractional powers.
+* binary floats of configurable precision (`mpmath.mpf`, or its raw
+  libmp tuple), used for the Newton iteration, square roots and
+  fractional powers.
 
 Precision discipline: every mpf computation runs inside an explicit
 ``workprec`` context and the precision in force is recorded alongside any
-serialized value.  Conversion from Fraction to mpf goes through
+serialized value.  The hot loops (the solver's Newton iteration,
+`raw_elimination` here, and the projection ascent in `analysis`) run on
+raw `mpmath.libmp` tuples instead, passing the precision to each libmp
+call explicitly; each operation rounds to nearest exactly as the mpf
+operator would inside ``workprec``, so their values are the mpf values
+bit for bit.  Conversion from Fraction to mpf goes through
 :func:`to_mpf`, built on ``mpmath.libmp.from_rational`` which rounds
 correctly to nearest.  The implicit path, ``mpmathify(Fraction)``, which
 mixed arithmetic such as ``Fraction * mpf`` takes, truncates instead (at
@@ -36,7 +42,23 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_rational, mpf_pos, prec_to_dps, round_nearest
+from mpmath.libmp import (
+    fone,
+    from_rational,
+    fzero,
+    mpf_abs,
+    mpf_div,
+    mpf_gt,
+    mpf_le,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_shift,
+    mpf_sub,
+    prec_to_dps,
+    round_nearest,
+    to_str,
+)
 
 from .errors import SingularJacobianError
 
@@ -61,8 +83,8 @@ __all__ = [
     "real_to_str",
     "parse_real",
     "det_exact",
-    "det_mpf",
-    "solve_linear_mpf",
+    "raw_max_abs",
+    "raw_elimination",
     "count_real_roots",
 ]
 
@@ -178,53 +200,68 @@ def det_exact(rows: Sequence[Sequence[Scalar]]) -> Fraction:
     return det
 
 
-def _pivoted_elimination(rows, rhs=None):
-    """Partial-pivot Gaussian elimination over mpf. Returns (det, solution)."""
+def raw_max_abs(values, prec: int) -> tuple:
+    """max(|v|) of raw libmp tuples, fzero for none: the value max(abs(v) ...) gives on mpf."""
+    out = fzero
+    for v in values:
+        v = mpf_abs(v, prec, round_nearest)
+        if mpf_gt(v, out):
+            out = v
+    return out
+
+
+def raw_elimination(rows, rhs, prec: int) -> tuple:
+    """Partial-pivot Gaussian elimination on raw libmp tuples at `prec` bits.
+
+    Returns (det, solution), solution None when rhs is None.  Every +, -,
+    * and / is one libmp call rounded to nearest at `prec`, so each value
+    equals the one mpf arithmetic gives inside ``workprec(prec)``.  The
+    pivot is the first entry of largest magnitude in its column; a pivot
+    at or below 2^-(prec/2) times the largest entry raises
+    SingularJacobianError.
+    """
+    rnd = round_nearest
     n = len(rows)
-    a = [[to_mpf(v) for v in row] for row in rows]
-    b = [to_mpf(v) for v in rhs] if rhs is not None else None
-    max_entry = max((abs(v) for row in a for v in row), default=mpf(0))
-    guard = mpf(2) ** (-(mp.prec // 2)) * (max_entry if max_entry > 0 else mpf(1))
-    det = mpf(1)
+    a = [list(row) for row in rows]
+    b = list(rhs) if rhs is not None else None
+    max_entry = raw_max_abs((v for row in a for v in row), prec)
+    guard = mpf_shift(max_entry if max_entry != fzero else fone, -(prec // 2))
+    det = fone
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot_row][col]) <= guard:
+        pivot_row, pivot_abs = col, mpf_abs(a[col][col], prec, rnd)
+        for r in range(col + 1, n):
+            v = mpf_abs(a[r][col], prec, rnd)
+            if mpf_gt(v, pivot_abs):
+                pivot_row, pivot_abs = r, v
+        if mpf_le(pivot_abs, guard):
             raise SingularJacobianError(
-                f"pivot magnitude {mpmath.nstr(abs(a[pivot_row][col]), 8)} below "
-                f"guard band at {mp.prec} bits"
+                f"pivot magnitude {to_str(pivot_abs, 8)} below guard band at {prec} bits"
             )
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             if b is not None:
                 b[col], b[pivot_row] = b[pivot_row], b[col]
-            det = -det
+            det = mpf_neg(det)
         pivot = a[col][col]
-        det *= pivot
+        det = mpf_mul(det, pivot, prec, rnd)
+        top = a[col]
+        # column col below the pivot is never read again, so it is not updated
         for r in range(col + 1, n):
-            factor = a[r][col] / pivot
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
+            row = a[r]
+            factor = mpf_div(row[col], pivot, prec, rnd)
+            for c in range(col + 1, n):
+                row[c] = mpf_sub(row[c], mpf_mul(factor, top[c], prec, rnd), prec, rnd)
             if b is not None:
-                b[r] -= factor * b[col]
-    solution = None
-    if b is not None:
-        solution = [mpf(0)] * n
-        for i in range(n - 1, -1, -1):
-            acc = b[i]
-            for j in range(i + 1, n):
-                acc -= a[i][j] * solution[j]
-            solution[i] = acc / a[i][i]
+                b[r] = mpf_sub(b[r], mpf_mul(factor, b[col], prec, rnd), prec, rnd)
+    if b is None:
+        return det, None
+    solution = [fzero] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for j in range(i + 1, n):
+            acc = mpf_sub(acc, mpf_mul(a[i][j], solution[j], prec, rnd), prec, rnd)
+        solution[i] = mpf_div(acc, a[i][i], prec, rnd)
     return det, solution
-
-
-def det_mpf(rows: Sequence[Sequence[Scalar]]) -> mpmath.mpf:
-    det, _ = _pivoted_elimination(rows)
-    return det
-
-
-def solve_linear_mpf(rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list:
-    _, sol = _pivoted_elimination(rows, rhs)
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,15 @@ configured binary precision, and from a continuation ladder in nu only
 where the root count says admissible masses exist; k = 2 additionally
 has a quadratic-formula closed form used as an independent cross-check.
 
+The iteration runs on raw `mpmath.libmp` tuples (sign, man, exp, bc):
+`_RawSystem` evaluates F^(j) and its Jacobian from one elementary-
+symmetric table per point, and `numeric.raw_elimination` solves each
+Newton system and gives the stored jac_det.  Every operation is one libmp
+call rounded to nearest at the working precision, on the operands of the
+mpf expression in its order, so each iterate is bit for bit what
+`momentpoly.moment_vector_F` and `jacobian_F` give on mpf inside
+``workprec``; the tuples only skip mpf's per-operator overhead.
+
 Everything that can be exact is exact: nu_j, delta, the targets, and the
 certificate residuals, which are re-evaluated in rational arithmetic at
 the (dyadic) returned point rather than trusted from the float loop.
@@ -57,6 +66,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_add,
+    mpf_ge,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+    to_str,
+)
 
 from .errors import (
     DegenerateInputError,
@@ -70,7 +96,6 @@ from .momentpoly import (
     cm_alpha_table,
     grad_table,
     h_vector,
-    jacobian_F,
     mass_polynomial,
     moment_vector_F,
 )
@@ -78,9 +103,9 @@ from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
     count_real_roots,
-    det_mpf,
     mpf_to_fraction,
-    solve_linear_mpf,
+    raw_elimination,
+    raw_max_abs,
     to_mpf,
     validate_precision,
     workprec,
@@ -225,6 +250,83 @@ class SolveResult:
     iterations: int
 
 
+class _RawSystem:
+    """F^(j)(., nu) and its Jacobian in mu on raw libmp tuples at `prec` bits.
+
+    Each value equals moment_vector_F or jacobian_F evaluated on mpf
+    inside ``workprec(prec)``, bit for bit: every +, - and * is one libmp
+    call rounded to nearest at `prec`, on the same operands in the same
+    order as the mpf expression, and the exact 0 and 1 of the Fraction
+    code are fzero and fone.  So nu * binom(2m, 2l) * j^(2l) stays two
+    roundings, computed once per (m, l) instead of once per use.
+    """
+
+    def __init__(self, j: int, nu, table: CmAlphaTable, prec: int):
+        rnd = round_nearest
+        self.k = k = table.k
+        self.prec = prec
+        self.cm = [None] + [[None] + [table.get(m, a) for a in range(1, m + 1)] for m in range(1, k + 1)]
+        jsq = j * j
+        self.coef = [None]  # coef[m][l] = nu * binom(2m, 2l) * j^(2l), 1 <= l <= m
+        for m in range(1, k + 1):
+            row = [None]
+            jpow = 1
+            for l in range(1, m + 1):
+                jpow *= jsq
+                row.append(mpf_mul_int(mpf_mul_int(nu, math.comb(2 * m, 2 * l), prec, rnd), jpow, prec, rnd))
+            self.coef.append(row)
+
+    def elem_sym(self, mu) -> list:
+        """[e_0, ..., e_k] of the masses: the one table both F and the Jacobian read."""
+        prec, rnd = self.prec, round_nearest
+        e = [fone] + [fzero] * len(mu)
+        top = 0
+        for v in mu:
+            top += 1
+            for a in range(top, 0, -1):
+                e[a] = mpf_add(e[a], mpf_mul(v, e[a - 1], prec, rnd), prec, rnd)
+        return e
+
+    def moment_vector(self, e) -> list:
+        """[F_1, ..., F_k] from the masses' elementary-symmetric table e."""
+        prec, rnd, cm = self.prec, round_nearest, self.cm
+        h = [fone]
+        for m in range(1, self.k + 1):
+            acc = fzero
+            for a in range(1, m + 1):
+                acc = mpf_add(acc, mpf_mul_int(e[a], cm[m][a], prec, rnd), prec, rnd)
+            h.append(acc)
+        out = []
+        for m in range(1, self.k + 1):
+            acc = h[m]
+            for l, c in enumerate(self.coef[m][1:], 1):
+                acc = mpf_add(acc, mpf_mul(c, h[m - l], prec, rnd), prec, rnd)
+            out.append(acc)
+        return out
+
+    def jacobian(self, mu, e) -> list:
+        """Rows dF_m/dmu_beta, m = 1..k, from the masses and their table e."""
+        prec, rnd, cm, k = self.prec, round_nearest, self.cm, self.k
+        grad = [None] + [[] for _ in range(k)]  # grad[m][beta] = dH_m/dmu_beta
+        for mu_beta in mu:
+            excl = [fone]  # P_{beta,alpha} = e_alpha - mu_beta P_{beta,alpha-1}
+            for alpha in range(1, k):
+                excl.append(mpf_sub(e[alpha], mpf_mul(mu_beta, excl[alpha - 1], prec, rnd), prec, rnd))
+            for m in range(1, k + 1):
+                acc = fzero
+                for a in range(1, m + 1):
+                    acc = mpf_add(acc, mpf_mul_int(excl[a - 1], cm[m][a], prec, rnd), prec, rnd)
+                grad[m].append(acc)
+        rows = []
+        for m in range(1, k + 1):
+            row = list(grad[m])
+            for l in range(1, m):
+                c = self.coef[m][l]
+                row = [mpf_add(r, mpf_mul(c, g, prec, rnd), prec, rnd) for r, g in zip(row, grad[m - l])]
+            rows.append(row)
+        return rows
+
+
 def solve_mu(
     j: int,
     nu: Fraction,
@@ -248,89 +350,101 @@ def solve_mu(
     one extra full step is taken if it improves the residual further;
     Newton's quadratic tail makes that nearly free and leaves a wide
     margin under the certificate threshold.
+
+    The iterates are raw libmp tuples (`_RawSystem`, `raw_elimination`),
+    rounded exactly as mpf arithmetic inside ``workprec(precision)``
+    rounds them.
     """
     validate_precision(precision)
     k = table.k
     init_values = tuple(init)
     if len(init_values) != k:
         raise ValueError(f"init must have length {k}")
+    if not isinstance(j, int) or j < 1:
+        raise ValueError(f"j must be a positive integer, got {j}")
+    nu = Fraction(nu)
+    if not 0 <= nu <= 1:
+        raise ValueError(f"nu must lie in [0, 1], got {nu}")
 
-    with workprec(precision):
-        tol_m = mpmath.mpf(2) ** (-(precision // 2))
-        nu_m = to_mpf(Fraction(nu))
-        tgt = [to_mpf(t) for t in target]
-        mu_cur = [to_mpf(v) for v in init_values]
-        lo = hi = None
-        if ball is not None:
-            lo = [to_mpf(Fraction(v) - ball.eps_bar) for v in ball.mu_bar]
-            hi = [to_mpf(Fraction(v) + ball.eps_bar) for v in ball.mu_bar]
+    prec, rnd = precision, round_nearest
+    tol = mpf_shift(fone, -(precision // 2))
+    system = _RawSystem(j, to_mpf(nu, prec)._mpf_, table, prec)
+    tgt = [to_mpf(t, prec)._mpf_ for t in target]
+    mu_cur = [to_mpf(v, prec)._mpf_ for v in init_values]
+    bounds = None
+    if ball is not None:
+        bounds = [
+            (to_mpf(Fraction(v) - ball.eps_bar, prec)._mpf_, to_mpf(Fraction(v) + ball.eps_bar, prec)._mpf_)
+            for v in ball.mu_bar
+        ]
 
-        def clip(vals):
-            if lo is None:
-                return vals
-            return [min(max(v, l), h) for v, l, h in zip(vals, lo, hi)]
+    def clip(vals):
+        if bounds is None:
+            return vals
+        out = []
+        for v, (lo, hi) in zip(vals, bounds):
+            v = lo if mpf_gt(lo, v) else v
+            out.append(hi if mpf_lt(hi, v) else v)
+        return out
 
-        def residual(vals):
-            return [f - t for f, t in zip(moment_vector_F(j, vals, nu_m, table), tgt)]
+    def residual(vals):
+        """(F - T, e) at vals; e serves the Jacobian of the next step at this point."""
+        e = system.elem_sym(vals)
+        return [mpf_sub(f, t, prec, rnd) for f, t in zip(system.moment_vector(e), tgt)], e
 
-        mu_cur = clip(mu_cur)
-        g = residual(mu_cur)
-        res = max(abs(v) for v in g)
-        iterations = 0
+    def newton_step(vals, e, g_vals):
+        return raw_elimination(system.jacobian(vals, e), [mpf_neg(v) for v in g_vals], prec)[1]
 
-        def newton_step(vals, g_vals):
-            jac = jacobian_F(j, vals, nu_m, table)
-            delta = solve_linear_mpf(jac.matrix, [-v for v in g_vals])
-            return delta
+    mu_cur = clip(mu_cur)
+    g, e = residual(mu_cur)
+    res = raw_max_abs(g, prec)
+    iterations = 0
 
-        while res >= tol_m:
-            if iterations >= MAX_NEWTON_ITERS:
-                raise NewtonDivergenceError(
-                    f"no convergence after {MAX_NEWTON_ITERS} iterations (j={j}, residual "
-                    f"{mpmath.nstr(res, 6)})"
-                )
-            delta = newton_step(mu_cur, g)
-            lam = mpmath.mpf(1)
-            accepted = None
-            for _ in range(MAX_STEP_HALVINGS):
-                cand = clip([m + lam * d for m, d in zip(mu_cur, delta)])
-                g_cand = residual(cand)
-                res_cand = max(abs(v) for v in g_cand)
-                if res_cand < res:
-                    accepted = (cand, g_cand, res_cand)
-                    break
-                lam = lam / 2
-            if accepted is None:
-                raise NewtonDivergenceError(
-                    f"step halving stalled (j={j}, residual {mpmath.nstr(res, 6)})"
-                )
-            mu_cur, g, res = accepted
-            iterations += 1
-
-        # polish: one more full step if it helps (residual drops ~quadratically);
-        # a start that already met the tolerance is returned untouched
-        if iterations and res > 0:
-            try:
-                delta = newton_step(mu_cur, g)
-                cand = clip([m + d for m, d in zip(mu_cur, delta)])
-                g_cand = residual(cand)
-                res_cand = max(abs(v) for v in g_cand)
-                if res_cand < res:
-                    mu_cur, g, res = cand, g_cand, res_cand
-                    iterations += 1
-            except SingularJacobianError:
-                pass
-
-        if any(not 0 < v <= 1 for v in mu_cur):
-            raise NoSolutionError(
-                f"converged outside the mass domain (j={j}, "
-                f"mu={[mpmath.nstr(v, 8) for v in mu_cur]})"
+    while mpf_ge(res, tol):
+        if iterations >= MAX_NEWTON_ITERS:
+            raise NewtonDivergenceError(
+                f"no convergence after {MAX_NEWTON_ITERS} iterations (j={j}, residual "
+                f"{to_str(res, 6)})"
             )
-        return SolveResult(
-            mu=MuVector(tuple(mu_cur)),
-            residuals=tuple(g),
-            iterations=iterations,
+        delta = newton_step(mu_cur, e, g)
+        lam = fone
+        accepted = None
+        for _ in range(MAX_STEP_HALVINGS):
+            cand = clip([mpf_add(m, mpf_mul(lam, d, prec, rnd), prec, rnd) for m, d in zip(mu_cur, delta)])
+            g_cand, e_cand = residual(cand)
+            res_cand = raw_max_abs(g_cand, prec)
+            if mpf_lt(res_cand, res):
+                accepted = (cand, g_cand, e_cand, res_cand)
+                break
+            lam = mpf_shift(lam, -1)
+        if accepted is None:
+            raise NewtonDivergenceError(f"step halving stalled (j={j}, residual {to_str(res, 6)})")
+        mu_cur, g, e, res = accepted
+        iterations += 1
+
+    # polish: one more full step if it helps (residual drops ~quadratically);
+    # a start that already met the tolerance is returned untouched
+    if iterations and mpf_gt(res, fzero):
+        try:
+            delta = newton_step(mu_cur, e, g)
+            cand = clip([mpf_add(m, d, prec, rnd) for m, d in zip(mu_cur, delta)])
+            g_cand, _ = residual(cand)
+            res_cand = raw_max_abs(g_cand, prec)
+            if mpf_lt(res_cand, res):
+                mu_cur, g, res = cand, g_cand, res_cand
+                iterations += 1
+        except SingularJacobianError:
+            pass
+
+    if any(mpf_le(v, fzero) or mpf_gt(v, fone) for v in mu_cur):
+        raise NoSolutionError(
+            f"converged outside the mass domain (j={j}, mu={[to_str(v, 8) for v in mu_cur]})"
         )
+    return SolveResult(
+        mu=MuVector(tuple(mp.make_mpf(v) for v in mu_cur)),
+        residuals=tuple(mp.make_mpf(v) for v in g),
+        iterations=iterations,
+    )
 
 
 def closed_form_k2(j: int, nu: Fraction, target: HValues, precision: int = DEFAULT_PRECISION_BITS) -> MuVector:
@@ -482,9 +596,9 @@ def construct_pair(
                 continue
         mu_sol = result.mu
         exact_res = _exact_residuals(j, nu_j, mu_sol.values, target, table)
-        with workprec(precision):
-            jac = jacobian_F(j, [to_mpf(v) for v in mu_sol.values], to_mpf(nu_j), table)
-            jac_det = det_mpf(jac.matrix)
+        mu_raw = [to_mpf(v, precision)._mpf_ for v in mu_sol.values]
+        system = _RawSystem(j, to_mpf(nu_j, precision)._mpf_, table, precision)
+        jac_det, _ = raw_elimination(system.jacobian(mu_raw, system.elem_sym(mu_raw)), None, precision)
         if not decreasing_above(mu_sol.values, ball.delta):
             failed.append(j)
             continue
@@ -494,7 +608,7 @@ def construct_pair(
                 nu=nu_j,
                 mu=mu_sol.values,
                 residuals=exact_res,
-                jac_det=jac_det,
+                jac_det=mp.make_mpf(jac_det),
                 newton_iters=result.iterations,
             )
         )

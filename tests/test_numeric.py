@@ -14,12 +14,11 @@ from lp_isoforge.numeric import (
     MAX_PRECISION_BITS,
     count_real_roots,
     det_exact,
-    det_mpf,
     frac_to_str,
     mpf_to_fraction,
     parse_real,
+    raw_elimination,
     real_to_str,
-    solve_linear_mpf,
     to_mpf,
     validate_precision,
 )
@@ -114,30 +113,83 @@ def test_det_exact_small_matrices():
     assert det_exact([[0, 1, 2], [1, 0, 1], [2, 3, 0]]) == 8
 
 
-def test_det_mpf_matches_exact():
+def _raw(rows):
+    return [[to_mpf(v, 256)._mpf_ for v in row] for row in rows]
+
+
+def test_raw_elimination_det_matches_exact():
     rng = random.Random(3)
-    with workprec(256):
-        for _ in range(10):
-            m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-                 for _ in range(3)]
-            want = det_exact(m)
-            got = det_mpf([[to_mpf(v) for v in row] for row in m])
+    for _ in range(10):
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+             for _ in range(3)]
+        want = det_exact(m)
+        got = mpmath.mp.make_mpf(raw_elimination(_raw(m), None, 256)[0])
+        with workprec(256):
             assert abs(got - to_mpf(want)) <= abs(to_mpf(want)) * mpmath.mpf(2) ** -200 + mpmath.mpf(2) ** -240
 
 
-def test_det_mpf_rejects_singular():
-    with workprec(256):
-        with pytest.raises(SingularJacobianError):
-            det_mpf([[to_mpf(1), to_mpf(2)], [to_mpf(2), to_mpf(4)]])
+def test_raw_elimination_rejects_singular():
+    with pytest.raises(SingularJacobianError):
+        raw_elimination(_raw([[1, 2], [2, 4]]), None, 256)
 
 
-def test_solve_linear_mpf():
+def test_raw_elimination_solves():
+    _, x = raw_elimination(_raw([[1, 1], [3, 5]]), _raw([[3, 11]])[0], 256)
     with workprec(256):
-        rows = [[to_mpf(1), to_mpf(1)], [to_mpf(3), to_mpf(5)]]
-        rhs = [to_mpf(3), to_mpf(11)]
-        x = solve_linear_mpf(rows, rhs)
-        assert abs(x[0] - 2) < mpmath.mpf(2) ** -250
-        assert abs(x[1] - 1) < mpmath.mpf(2) ** -250
+        assert abs(mpmath.mp.make_mpf(x[0]) - 2) < mpmath.mpf(2) ** -250
+        assert abs(mpmath.mp.make_mpf(x[1]) - 1) < mpmath.mpf(2) ** -250
+
+
+def _mpf_elimination(rows, rhs):
+    """The elimination in mpf operators at the context precision: the oracle."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    b = list(rhs)
+    max_entry = max(abs(v) for row in a for v in row)
+    guard = mpmath.mpf(2) ** (-(mpmath.mp.prec // 2)) * (max_entry if max_entry > 0 else 1)
+    det = mpmath.mpf(1)
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[pivot_row][col]) <= guard:
+            raise SingularJacobianError("singular")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    x = [mpmath.mpf(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for j in range(i + 1, n):
+            acc -= a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    return det, x
+
+
+@pytest.mark.parametrize("prec", [128, 256, 512])
+def test_raw_elimination_rounds_as_mpf_arithmetic(prec):
+    # random k x k systems with ties in |a| (the first maximal row pivots)
+    rng = random.Random(prec)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        with workprec(prec):
+            rows = [[to_mpf(Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))) / 3
+                     for _ in range(n)] for _ in range(n)]
+            rhs = [to_mpf(Fraction(rng.randint(-50, 50), rng.randint(1, 7))) for _ in range(n)]
+            try:
+                want = _mpf_elimination(rows, rhs)
+            except SingularJacobianError:
+                with pytest.raises(SingularJacobianError):
+                    raw_elimination([[v._mpf_ for v in row] for row in rows], [v._mpf_ for v in rhs], prec)
+                continue
+        det, x = raw_elimination([[v._mpf_ for v in row] for row in rows], [v._mpf_ for v in rhs], prec)
+        assert det == want[0]._mpf_
+        assert x == [v._mpf_ for v in want[1]]
 
 
 def _expand(roots, lead=1, extra=(1,)):

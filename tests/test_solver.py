@@ -1,6 +1,7 @@
 """Newton construction against the k = 2 closed form and its own invariants."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,7 @@ from lp_isoforge.errors import (
     LpIsoforgeError,
     NoSolutionError,
 )
-from lp_isoforge.momentpoly import MuVector, cm_alpha_table, grad_table, moment_vector_F
+from lp_isoforge.momentpoly import MuVector, cm_alpha_table, grad_table, jacobian_F, moment_vector_F
 from lp_isoforge.numeric import mpf_to_fraction, to_mpf
 from lp_isoforge.solver import (
     HValues,
@@ -30,6 +31,26 @@ from lp_isoforge.solver import (
 T2 = cm_alpha_table(2)
 MU2 = default_base_point(2)
 TARGET2 = target_h(MU2, T2)
+
+
+@pytest.mark.parametrize("prec", [128, 256, 512])
+def test_raw_system_rounds_as_mpf_arithmetic(prec):
+    # the solver's raw F rows and Jacobian entries against the exact layer's
+    # moment_vector_F and jacobian_F run on mpf inside workprec, bit for bit
+    rng = random.Random(prec)
+    for k in range(2, 9):
+        table = cm_alpha_table(k)
+        for j in sorted({1, 60, *rng.sample(range(2, 60), 3)}):
+            with workprec(prec):
+                mu = [to_mpf(Fraction(rng.randint(1, 2 ** prec), 2 ** prec)) for _ in range(k)]
+                nu = to_mpf(Fraction(rng.randint(0, 10 ** 6), 10 ** rng.randint(6, 12)))
+                want_f = [v._mpf_ for v in moment_vector_F(j, mu, nu, table)]
+                want_jac = [[to_mpf(v)._mpf_ for v in row] for row in jacobian_F(j, mu, nu, table).matrix]
+            system = solver._RawSystem(j, nu._mpf_, table, prec)
+            raw_mu = [v._mpf_ for v in mu]
+            e = system.elem_sym(raw_mu)
+            assert system.moment_vector(e) == want_f
+            assert system.jacobian(raw_mu, e) == want_jac
 
 
 def test_default_base_point():
