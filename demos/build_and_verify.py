@@ -23,8 +23,7 @@ def main() -> None:
     print(f"ball: eps_bar {cert.ball.eps_bar}, M {cert.ball.M}, delta {cert.ball.delta}")
     print()
 
-    worst = max(abs(r) for e in cert.entries for r in e.residuals)
-    print(f"worst residual across all entries: {float(worst):.3e}")
+    print(f"worst residual across all entries: {float(cert.worst_residual):.3e}")
     e = cert.entry(5)
     lo = cert.ball.delta / 2 / 5 ** (p - 2)
     hi = cert.ball.delta / 5 ** (p - 2)

@@ -99,7 +99,6 @@ from .numeric import (
     mpf_to_fraction,
     real_to_str,
     to_mpf,
-    validate_precision,
     workprec,
 )
 from .solver import BallParams, ConstructionCertificate, ball_params, decreasing_above, default_base_point
@@ -317,6 +316,12 @@ def vpl_check(mu_bar) -> VplCheck:
 # projection on the finite product space
 # ---------------------------------------------------------------------------
 
+def _check_even(p: int) -> None:
+    """The projection layer's order check: p an even integer >= 2."""
+    if type(p) is not int or p < 2 or p % 2:
+        raise ValueError(f"p must be an even integer >= 2, got {p!r}")
+
+
 @dataclass(frozen=True)
 class ProjectionOperator:
     """Orthogonal projection onto span{h_i} on the product of atom spaces.
@@ -373,22 +378,14 @@ class ProjectionOperator:
         den = self._tables[2] * L
         return tuple(Fraction(n, den) for n in N)
 
-    def abs_power_moment(self, f, r) -> Scalar:
-        """E |f|^r against the atom probabilities; exact for even integer r."""
-        if isinstance(r, int) and r % 2 == 0:
-            # mpf f: Fraction * mpf truncates pa; kept for bit-identity (the ascent mirrors it)
-            return sum((pa * fa ** r for fa, pa in zip(f, self.probs)), Fraction(0))
-        rr = to_mpf(r)
-        acc = mpmath.mpf(0)
-        for fa, pa in zip(f, self.probs):
-            va = abs(to_mpf(fa))
-            if va != 0:
-                acc += to_mpf(pa) * va ** rr
-        return acc
+    def abs_power_moment(self, f, p: int) -> Scalar:
+        """E |f|^p = E f^p against the atom probabilities, p even; exact for rational f."""
+        _check_even(p)
+        # mpf f: Fraction * mpf truncates pa; kept for bit-identity (the ascent mirrors it)
+        return sum((pa * fa ** p for fa, pa in zip(f, self.probs)), Fraction(0))
 
-    def norm(self, f, r) -> Scalar:
-        moment = self.abs_power_moment(f, r)
-        return to_mpf(moment) ** (1 / to_mpf(r))
+    def norm(self, f, p: int) -> Scalar:
+        return to_mpf(self.abs_power_moment(f, p)) ** (1 / to_mpf(p))
 
 
 def build_projection(generators) -> ProjectionOperator:
@@ -428,34 +425,21 @@ def _raw_apply(P: ProjectionOperator, f, prec: int) -> tuple:
     return tuple(mpf_shift(from_rational(n, den, prec, round_nearest), e) for n in P._apply_int(F))
 
 
-def _raw_norm(P: ProjectionOperator, p, prec: int):
-    """f -> P.norm(f, p)._mpf_ on raw mpf tuples at `prec` bits, bit for bit.
+def _raw_norm(P: ProjectionOperator, p: int, prec: int):
+    """f -> P.norm(f, p)._mpf_ on raw mpf tuples at `prec` bits, even p, bit for bit.
 
-    Mirrors both branches of abs_power_moment, roundings included: for
-    even integer p, Fraction * mpf converts each probability with
-    mpmath's default rounding, which truncates; otherwise to_mpf rounds
-    it to nearest and zero atoms are skipped.
+    Mirrors abs_power_moment's roundings: Fraction * mpf converts each
+    probability with mpmath's default rounding, which truncates.
     """
     rnd = round_nearest
-    even = isinstance(p, int) and p % 2 == 0
     with workprec(prec):
         inv_p = (1 / to_mpf(p))._mpf_
-        rr = to_mpf(p)._mpf_
-        if even:
-            probs = [from_rational(pa.numerator, pa.denominator, prec) for pa in P.probs]
-        else:
-            probs = [to_mpf(pa)._mpf_ for pa in P.probs]
+    probs = [from_rational(pa.numerator, pa.denominator, prec) for pa in P.probs]
 
     def norm(f) -> tuple:
         acc = fzero
         for fa, pa in zip(f, probs):
-            if even:
-                term = mpf_mul(mpf_pow_int(fa, p, prec, rnd), pa, prec, rnd)
-            elif fa != fzero:
-                term = mpf_mul(pa, mpf_pow(mpf_abs(fa, prec, rnd), rr, prec, rnd), prec, rnd)
-            else:
-                continue
-            acc = mpf_add(acc, term, prec, rnd)
+            acc = mpf_add(acc, mpf_mul(mpf_pow_int(fa, p, prec, rnd), pa, prec, rnd), prec, rnd)
         return mpf_pow(acc, inv_p, prec, rnd)
 
     return norm
@@ -473,10 +457,11 @@ def _signed_power(vec, expo, prec: int) -> tuple:
     return tuple(out)
 
 
-def _climb(P: ProjectionOperator, p: int, precision: int, f) -> tuple:
+def _climb(P: ProjectionOperator, p: int, f) -> tuple:
     """One start's ASCENT_ITERS-step fixed-point ascent: the best raw ratio
     ||Pg||_p / ||g||_p over its iterates, at least fone.  Module-level so a pool can run it."""
     rnd = round_nearest
+    precision = DEFAULT_PRECISION_BITS
     norm = _raw_norm(P, p, precision)
     with workprec(precision):
         q_exp = to_mpf(Fraction(1, p - 1))._mpf_  # q - 1
@@ -527,12 +512,7 @@ def _map_climbs(climb, start_vectors) -> list:
     return list(map(climb, start_vectors))
 
 
-def projection_norm_lower_bound(
-    P: ProjectionOperator,
-    p: int,
-    seed: int = 0,
-    precision: int = DEFAULT_PRECISION_BITS,
-) -> Scalar:
+def projection_norm_lower_bound(P: ProjectionOperator, p: int, seed: int = 0) -> Scalar:
     """Lower bound for ||P||_{L_p -> L_p} by fixed-point ascent.
 
     The first candidate is the first generator, evaluated in exact
@@ -541,7 +521,7 @@ def projection_norm_lower_bound(
     vectors and ASCENT_STARTS // 2 (4) random span combinations mapped
     through psi_q, all drawn from random.Random(seed).  Each start then
     iterates f <- psi_q(Pf) (q = p/(p-1)) ASCENT_ITERS (60) times at
-    `precision` bits, tracking the best ratio ||Pf||_p / ||f||_p seen at
+    DEFAULT_PRECISION_BITS, tracking the best ratio ||Pf||_p / ||f||_p seen at
     any iterate.  Every reported value is a genuinely attained ratio,
     hence a valid lower bound.
 
@@ -559,9 +539,8 @@ def projection_norm_lower_bound(
     bit-identical at any CPU count.  The workers' memory is not part of
     this process's ru_maxrss.
     """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    validate_precision(precision)
+    _check_even(p)
+    precision = DEFAULT_PRECISION_BITS
     rng = random.Random(seed)
     with workprec(precision):
         q_exp = to_mpf(Fraction(1, p - 1))._mpf_  # q - 1
@@ -580,7 +559,7 @@ def projection_norm_lower_bound(
             start_vectors.append(_signed_power(vec, q_exp, precision))
     P._tables  # built here, so each pickled climb carries the kernel tables
     best = fone  # exact: P(basis[0]) == basis[0]
-    for ratio in _map_climbs(partial(_climb, P, p, precision), start_vectors):
+    for ratio in _map_climbs(partial(_climb, P, p), start_vectors):
         if mpf_gt(ratio, best):
             best = ratio
     return mpmath.mp.make_mpf(best)
@@ -598,8 +577,7 @@ def projection_norm_grid_search(P: ProjectionOperator, p: int) -> float:
     """
     if P.n != 2:
         raise ValueError("grid oracle is for spans of exactly two generators")
-    if p < 2:
-        raise ValueError("p must be >= 2")
+    _check_even(p)
     probs = [float(v) for v in P.probs]
     b1 = [float(v) for v in P.basis[0]]
     b2 = [float(v) for v in P.basis[1]]
@@ -648,21 +626,26 @@ class ProjectionReport:
     def passed(self) -> bool:
         return all(ok for _, ok in self.checks)
 
+    @property
+    def relative_gap(self) -> float | None:
+        """|bound - grid_oracle| / grid_oracle in floats; None without the oracle."""
+        if self.grid_oracle is None:
+            return None
+        return abs(float(self.bound) - self.grid_oracle) / self.grid_oracle
 
-def projection_report(
-    p: int, n: int, trials: int = 100, seed: int = 0, precision: int = DEFAULT_PRECISION_BITS
-) -> ProjectionReport:
+
+def projection_report(p: int, n: int, trials: int = 100, seed: int = 0) -> ProjectionReport:
     """Project onto n unit-scale generators with masses from default_base_point, and check P.
 
     Checks, in order: idempotence, fixing each generator, killing
     constants, 2-norm contraction (the first and last on `trials` random
     rational functions from random.Random(seed)), and an attained p-norm
-    lower bound >= 1 from projection_norm_lower_bound(seed, precision).
+    lower bound >= 1 from projection_norm_lower_bound(seed).
     With n = 2 the angle sweep runs as an oracle.
     """
     masses = default_base_point(max(n, 2)).values[:n]
     P = build_projection([IndependentSumSpec([SymmetricAtomVariable(1, m)]) for m in masses])
-    bound = projection_norm_lower_bound(P, p, seed=seed, precision=precision)
+    bound = projection_norm_lower_bound(P, p, seed=seed)
     rng = random.Random(seed)
     fs = [[Fraction(rng.randint(-100, 100), rng.randint(1, 50)) for _ in P.probs] for _ in range(trials)]
     pairs = [(f, P.apply(f)) for f in fs]

@@ -21,6 +21,8 @@ result lives in the library.  Each argument is checked once, while
 parsing: --precision, --p and --nu-fraction by the library's own rule
 (numeric.validate_precision, solver.validate_p,
 solver.validate_nu_fraction), the integer minimums by _at_least.
+Only construct takes --precision: p4 and project run at
+DEFAULT_PRECISION_BITS, and verify at the certificate's precision.
 
 Every run is deterministic given its arguments: outputs carry no
 timestamps, randomness flows from --seed, and files are written with a
@@ -99,16 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_common(sp, handler, precision=False, seed=False, trials=False):
+    def add_common(sp, handler, seed=False, trials=False):
         sp.set_defaults(handler=handler)
-        if precision:
-            sp.add_argument(
-                "--precision",
-                type=_arg(int, validate_precision),
-                default=DEFAULT_PRECISION_BITS,
-                help=f"working precision in bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} "
-                f"(default {DEFAULT_PRECISION_BITS})",
-            )
         sp.add_argument("--out", default=None, help="write the report/certificate here")
         sp.add_argument(
             "--format",
@@ -133,7 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_NU_FRACTION,
         help="position of nu_j inside its bracket, strictly between 1/2 and 1 (default 3/4)",
     )
-    add_common(sp, cmd_construct, precision=True, seed=True)
+    sp.add_argument(
+        "--precision",
+        type=_arg(int, validate_precision),
+        default=DEFAULT_PRECISION_BITS,
+        help=f"working precision in bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} "
+        f"(default {DEFAULT_PRECISION_BITS})",
+    )
+    add_common(sp, cmd_construct, seed=True)
 
     sp = sub.add_parser("verify", help="recheck a certificate from its stored values")
     sp.add_argument("certificate", help="certificate JSON produced by construct")
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("p4", help="p = 4 matched pair table, rows n = 2..N")
     sp.add_argument("--n", type=_at_least(2), default=100, help="largest row (default 100)")
-    add_common(sp, cmd_p4, precision=True)
+    add_common(sp, cmd_p4)
 
     sp = sub.add_parser("moments", help="even moments of a sum from a JSON spec file")
     sp.add_argument("spec_file", help='JSON: {"terms": [{"scale": .., "mass": ..}], "orders": [..]}')
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("project", help="span projection identities and p-norm bound")
     sp.add_argument("--p", type=p_arg, default=4, help="even integer >= 4 (default 4)")
     sp.add_argument("--n", type=_at_least(1), default=2, help="number of generators (default 2)")
-    add_common(sp, cmd_project, precision=True, seed=True, trials=True)
+    add_common(sp, cmd_project, seed=True, trials=True)
 
     return parser
 
@@ -172,7 +173,7 @@ def cmd_construct(args) -> int:
     out = args.out or "certificate.json"
     save_certificate(cert, out)
 
-    worst = max((abs(r) for e in cert.entries for r in e.residuals), default=Fraction(0))
+    worst = cert.worst_residual
     summary = [
         f"certificate written to {out}",
         f"p = {cert.p} (k = {cert.k}), scales solved {len(cert.entries)}/{args.j_max}, "
@@ -230,9 +231,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_p4(args) -> int:
-    rows = build_p4_table(args.n, args.precision)
+    rows = build_p4_table(args.n)
     text = render_p4_text(rows) + "\n\n" + render_p4_report(rows)
-    _emit(args, text, p4_table_to_dict(rows, args.precision))
+    _emit(args, text, p4_table_to_dict(rows))
     return 0
 
 
@@ -275,7 +276,7 @@ def cmd_moments(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_project(args) -> int:
-    report = projection_report(args.p, args.n, args.trials, args.seed, args.precision)
+    report = projection_report(args.p, args.n, args.trials, args.seed)
     lines = [
         f"span: {args.n} generators, {report.atoms} atoms, p = {args.p}",
         f"masses: {', '.join(frac_to_str(m) for m in report.masses)}",
@@ -287,14 +288,13 @@ def cmd_project(args) -> int:
         "generators": args.n,
         "atoms": report.atoms,
         "checks": [{"name": n, "pass": ok} for n, ok in report.checks],
-        "norm_lower_bound": real_to_str(report.bound, args.precision),
+        "norm_lower_bound": real_to_str(report.bound, DEFAULT_PRECISION_BITS),
     }
     grid = report.grid_oracle
     if grid is not None:
-        gap = abs(float(report.bound) - grid) / grid
-        lines.append(f"grid oracle: {grid:.12g}  (relative gap {gap:.3g})")
+        lines.append(f"grid oracle: {grid:.12g}  (relative gap {report.relative_gap:.3g})")
         payload["grid_oracle"] = repr(grid)
-        payload["relative_gap"] = repr(gap)
+        payload["relative_gap"] = repr(report.relative_gap)
     _emit(args, "\n".join(lines), payload)
     return 0 if report.passed else 1
 

@@ -20,8 +20,9 @@ bit for bit.  Conversion from Fraction to mpf goes through
 :func:`to_mpf`, built on ``mpmath.libmp.from_rational`` which rounds
 correctly to nearest.  The implicit path, ``mpmathify(Fraction)``, which
 mixed arithmetic such as ``Fraction * mpf`` takes, truncates instead (at
-most 1 ulp off in mpmath 1.3); `ProjectionOperator.abs_power_moment`
-reaches it for even orders and keeps it so its values stay bit-identical.
+most 1 ulp off in mpmath 1.3); `ProjectionOperator.abs_power_moment`,
+which takes even orders only, reaches it on mpf vectors and keeps it so
+its values stay bit-identical.
 Conversion the other way (:func:`mpf_to_fraction`) is exact because every
 finite binary float is a dyadic rational.
 

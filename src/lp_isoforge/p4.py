@@ -2,8 +2,8 @@
 
 The generator on the Y-side is f = g + n**-0.5 * g' where g, g' are
 independent symmetric three-valued variables with E|g| = 1/(n log^2 n)
-and E|g'| = 1 (log is natural; log^2 n is rationalized once at the
-working precision so everything downstream is an exact Fraction).  Its
+and E|g'| = 1 (log is natural; log^2 n is rationalized once at
+DEFAULT_PRECISION_BITS so everything downstream is an exact Fraction).  Its
 moments are
 
     A = ||f||_2^2 = 1/(n log^2 n) + 1/n,
@@ -49,7 +49,6 @@ from .numeric import (
     mpf_to_fraction,
     real_to_str,
     to_mpf,
-    validate_precision,
     workprec,
 )
 
@@ -66,16 +65,15 @@ __all__ = [
 ]
 
 
-def log_sq(n: int, precision: int = DEFAULT_PRECISION_BITS) -> Fraction:
-    """log^2 n rationalized at `precision` bits (exact dyadic thereafter)."""
+def log_sq(n: int) -> Fraction:
+    """log^2 n rationalized at DEFAULT_PRECISION_BITS (exact dyadic thereafter)."""
     if n < 2:
         raise ValueError(f"n must be >= 2 (log n must not vanish), got {n}")
-    validate_precision(precision)
-    with workprec(precision):
+    with workprec(DEFAULT_PRECISION_BITS):
         return mpf_to_fraction(mpmath.ln(n) ** 2)
 
 
-def rosenthal_moments(n: int, precision: int = DEFAULT_PRECISION_BITS) -> tuple:
+def rosenthal_moments(n: int) -> tuple:
     """(A, B) = 2nd and 4th moments of g + n**-0.5 g', exact Fractions.
 
     A is the closed form directly; B is assembled by the even-moment
@@ -83,7 +81,7 @@ def rosenthal_moments(n: int, precision: int = DEFAULT_PRECISION_BITS) -> tuple:
     1/(n log^2 n) and m_{2l}(g') = n^-l (only the square of the scale
     enters even moments, and that square is exactly 1/n).
     """
-    L = log_sq(n, precision)
+    L = log_sq(n)
     mass_g = 1 / (n * L)
     A = mass_g + Fraction(1, n)
     table_g = [Fraction(1), mass_g, mass_g]
@@ -92,10 +90,10 @@ def rosenthal_moments(n: int, precision: int = DEFAULT_PRECISION_BITS) -> tuple:
     return A, B
 
 
-def match_three_valued(A, B, precision: int = DEFAULT_PRECISION_BITS) -> tuple:
+def match_three_valued(A, B) -> tuple:
     """Scale and mass (a, nu) of the single atom with a^2 nu = A, a^4 nu = B.
 
-    nu = A^2/B is exact; a = (B/A)^(1/2) is an mpf at `precision` bits
+    nu = A^2/B is exact; a = (B/A)^(1/2) is an mpf at DEFAULT_PRECISION_BITS
     (its exact square B/A is what every moment identity consumes).
     """
     A = Fraction(A)
@@ -105,17 +103,16 @@ def match_three_valued(A, B, precision: int = DEFAULT_PRECISION_BITS) -> tuple:
     nu = A * A / B
     if nu > 1:
         raise InfeasibleMassError(f"matched mass {nu} exceeds 1")
-    validate_precision(precision)
-    with workprec(precision):
+    with workprec(DEFAULT_PRECISION_BITS):
         a = mpmath.sqrt(to_mpf(B / A))
     return a, nu
 
 
-def printed_closed_forms(n: int, precision: int = DEFAULT_PRECISION_BITS) -> tuple:
+def printed_closed_forms(n: int) -> tuple:
     """(a_printed, nu_printed): the quoted closed forms, evaluated verbatim."""
-    L = log_sq(n, precision)
+    L = log_sq(n)
     nu_printed = (1 + 2 * L + L * L) / (n * L + 2 * L + L * L)
-    with workprec(precision):
+    with workprec(DEFAULT_PRECISION_BITS):
         a_printed = mpmath.sqrt(to_mpf(_printed_a_sq(n, L)))
     return a_printed, nu_printed
 
@@ -144,14 +141,13 @@ class P4PairRow:
     residual_4: Fraction
     residual_2_printed: Fraction
     residual_4_printed: Fraction
-    precision_bits: int
 
 
-def build_p4_row(n: int, precision: int = DEFAULT_PRECISION_BITS) -> P4PairRow:
-    L = log_sq(n, precision)
-    A, B = rosenthal_moments(n, precision)
-    a, nu = match_three_valued(A, B, precision)
-    a_printed, nu_printed = printed_closed_forms(n, precision)
+def build_p4_row(n: int) -> P4PairRow:
+    L = log_sq(n)
+    A, B = rosenthal_moments(n)
+    a, nu = match_three_valued(A, B)
+    a_printed, nu_printed = printed_closed_forms(n)
     a_sq = B / A
     ap_sq = _printed_a_sq(n, L)
     return P4PairRow(
@@ -166,15 +162,14 @@ def build_p4_row(n: int, precision: int = DEFAULT_PRECISION_BITS) -> P4PairRow:
         residual_4=a_sq * a_sq * nu - B,
         residual_2_printed=ap_sq * nu_printed - A,
         residual_4_printed=ap_sq * ap_sq * nu_printed - B,
-        precision_bits=precision,
     )
 
 
-def build_p4_table(N: int, precision: int = DEFAULT_PRECISION_BITS) -> list:
+def build_p4_table(N: int) -> list:
     """Rows n = 2..N (N-1 of them)."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    return [build_p4_row(n, precision) for n in range(2, N + 1)]
+    return [build_p4_row(n) for n in range(2, N + 1)]
 
 
 def render_p4_text(rows) -> str:
@@ -187,11 +182,12 @@ def render_p4_text(rows) -> str:
         f"{'resid4_printed':>{digits + 5}}"
     )
     lines = [header, "-" * len(header)]
-    for r in rows:
-        def d(x):
-            return mpmath.nstr(to_mpf(x, r.precision_bits), digits)
 
-        with workprec(r.precision_bits):
+    def d(x):
+        return mpmath.nstr(to_mpf(x), digits)
+
+    with workprec(DEFAULT_PRECISION_BITS):
+        for r in rows:
             lines.append(
                 f"{r.n:>5}  {d(r.A):>{digits + 3}}  {d(r.B):>{digits + 3}}  "
                 f"{d(r.a):>{digits + 3}}  {d(r.nu):>{digits + 3}}  "
@@ -204,7 +200,7 @@ def render_p4_text(rows) -> str:
 def render_p4_report(rows) -> str:
     """Narrative summary: what matches, what does not, and by exactly how much."""
     first, last = rows[0], rows[-1]
-    prec = first.precision_bits
+    prec = DEFAULT_PRECISION_BITS
     with workprec(prec):
         gap_first = abs(to_mpf(first.a) - to_mpf(first.a_printed)) / to_mpf(first.a)
         gap_last = abs(to_mpf(last.a) - to_mpf(last.a_printed)) / to_mpf(last.a)
@@ -229,7 +225,7 @@ def render_p4_report(rows) -> str:
             f"  n = {first.n}: residual_4_printed = "
             f"{mpmath.nstr(to_mpf(first.residual_4_printed), 8)} "
             f"(= -4/(n^2 log^2 n) = "
-            f"{mpmath.nstr(to_mpf(Fraction(-4) / (first.n ** 2 * log_sq(first.n, prec))), 8)})",
+            f"{mpmath.nstr(to_mpf(Fraction(-4) / (first.n ** 2 * log_sq(first.n))), 8)})",
             f"  n = {last.n}: residual_4_printed = "
             f"{mpmath.nstr(to_mpf(last.residual_4_printed), 8)}",
             "",

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import SchemaError
 from .momentpoly import MuVector
 from .moments import IndependentSumSpec, SymmetricAtomVariable
-from .numeric import frac_to_str, parse_real, real_to_str, validate_precision
+from .numeric import DEFAULT_PRECISION_BITS, frac_to_str, parse_real, real_to_str, validate_precision
 from .solver import BallParams, CertEntry, ConstructionCertificate, HValues
 
 __all__ = [
@@ -320,7 +320,7 @@ def uncomplemented_to_dict(res) -> dict:
 
 
 def p4_row_to_dict(row) -> dict:
-    prec = row.precision_bits
+    prec = DEFAULT_PRECISION_BITS
     return {
         "n": row.n,
         "A": frac_to_str(row.A),
@@ -336,8 +336,8 @@ def p4_row_to_dict(row) -> dict:
     }
 
 
-def p4_table_to_dict(rows, precision: int) -> dict:
+def p4_table_to_dict(rows) -> dict:
     return {
-        "precision_bits": precision,
+        "precision_bits": DEFAULT_PRECISION_BITS,
         "rows": [p4_row_to_dict(r) for r in rows],
     }

@@ -528,6 +528,11 @@ class ConstructionCertificate:
         return tuple(sorted(j for j, c in counts.items() if c > 1))
 
     @property
+    def worst_residual(self) -> Fraction:
+        """max |stored residual| over all entries, exact; 0 with no entries."""
+        return max((abs(r) for e in self.entries for r in e.residuals), default=Fraction(0))
+
+    @property
     def complete(self) -> bool:
         """Every scale 1..J solved exactly once: no failed, missing or repeated j."""
         return not (self.failed_js or self.missing_runs or self.duplicated_js)

@@ -197,11 +197,11 @@ def test_criterion_06_isometry_spot_check(cert_p6):
 
 def test_criterion_07_p4_table_exact_and_printed_residual():
     t0 = time.monotonic()
-    rows = build_p4_table(100, precision=256)
+    rows = build_p4_table(100)
     assert len(rows) == 99
     for row in rows:
         assert row.residual_2 == 0 and row.residual_4 == 0
-        L = log_sq(row.n, 256)
+        L = log_sq(row.n)
         assert row.residual_4_printed == Fraction(-4) / (row.n * row.n * L)
         assert row.residual_4_printed != 0
     report = render_p4_report(rows)

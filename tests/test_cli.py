@@ -455,11 +455,17 @@ def test_usage_error_exits_two(tmp_path, capsys, argv):
 
 
 def test_precision_is_a_usage_error_where_nothing_reads_it(tmp_path, capsys, cert_p4):
-    # verify works at the certificate's precision and moments is exact
+    # verify works at the certificate's precision, moments is exact, and
+    # project and p4 run at DEFAULT_PRECISION_BITS
     cert = tmp_path / "cert.json"
     save_certificate(cert_p4, cert)
     spec = write_moment_spec(tmp_path, [{"scale": 1, "mass": "1/2"}], [2])
-    for argv in (("verify", str(cert), "--trials", "2"), ("moments", spec)):
+    for argv in (
+        ("verify", str(cert), "--trials", "2"),
+        ("moments", spec),
+        ("project", "--p", "4", "--n", "1", "--trials", "2"),
+        ("p4", "--n", "3"),
+    ):
         assert run(capsys, *argv)[0] == 0
         code, out, err = run(capsys, *argv, "--precision", "512")
         assert code == 2 and out == ""
@@ -485,6 +491,7 @@ def test_project_payload_renders_projection_report(capsys, n):
     assert payload["checks"] == [{"name": name, "pass": ok} for name, ok in report.checks]
     assert payload["norm_lower_bound"] == real_to_str(report.bound, 256)
     assert payload.get("grid_oracle") == (None if n == 1 else repr(report.grid_oracle))
+    assert payload.get("relative_gap") == (None if n == 1 else repr(report.relative_gap))
 
 
 def test_out_file_mirrors_stdout(tmp_path, capsys):

@@ -9,7 +9,7 @@ from mpmath import workprec
 
 from lp_isoforge.errors import InfeasibleMassError
 from lp_isoforge.moments import IndependentSumSpec, SymmetricAtomVariable, convolve
-from lp_isoforge.numeric import to_mpf
+from lp_isoforge.numeric import DEFAULT_PRECISION_BITS, to_mpf
 from lp_isoforge.p4 import (
     build_p4_row,
     build_p4_table,
@@ -126,7 +126,7 @@ def test_table_shape_and_decay():
     assert all(r.residual_4_printed < 0 for r in rows)
 
     def rel_gap(r):
-        with workprec(r.precision_bits):
+        with workprec(DEFAULT_PRECISION_BITS):
             return abs(to_mpf(r.a) - to_mpf(r.a_printed)) / to_mpf(r.a)
 
     assert rel_gap(rows[0]) > rel_gap(rows[8]) > rel_gap(rows[-1])

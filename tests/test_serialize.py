@@ -227,9 +227,9 @@ def test_report_payload_shapes(cert_p4):
     assert "not certified" in du["divergence_note"]
     json.loads(dumps_json(du))
 
-    rows = build_p4_table(6, precision=192)
-    dt = p4_table_to_dict(rows, 192)
-    assert dt["precision_bits"] == 192
+    rows = build_p4_table(6)
+    dt = p4_table_to_dict(rows)
+    assert dt["precision_bits"] == 256
     assert len(dt["rows"]) == len(rows)
     assert dt["rows"][0]["n"] == rows[0].n
     assert dt["rows"][0]["residual_2_printed"] == "0/1"
