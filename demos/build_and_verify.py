@@ -35,7 +35,7 @@ def main() -> None:
     print(f"isometry check on {iso.trials} random vectors, orders {iso.orders_checked}")
     print(f"  max relative defect {float(iso.max_rel_residual):.3e}")
     print(f"  a-priori bound      {float(iso.bound):.3e}")
-    print(f"  within bound: {iso.max_rel_residual <= iso.bound}")
+    print(f"  within bound: {iso.within_bound}")
     print()
 
     with tempfile.TemporaryDirectory() as tmp:

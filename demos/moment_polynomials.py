@@ -40,7 +40,7 @@ def main() -> None:
     )
     print(f"mu = {mu}")
     # both sides are whole tables, every order at once
-    hs = h_vector(mu, table)
+    hs = h_vector(mu)
     directs = fold_even_moments(term_tables(spec, k), k)
     for m in range(1, k + 1):
         h, direct = hs[m], directs[m]
@@ -51,20 +51,20 @@ def main() -> None:
     extended = IndependentSumSpec(
         spec.terms + (SymmetricAtomVariable(j, nu),)
     )
-    fs = moment_vector_F(j, mu, nu, table)
+    fs = moment_vector_F(j, mu, nu)
     directs = fold_even_moments(term_tables(extended, k), k)
     for m in range(1, k + 1):
         f, direct = fs[m - 1], directs[m]
         print(f"  F_{m}(mu; j = {j}, nu = {nu}) = {f}  equal: {f == direct}")
     print()
 
-    jac = jacobian_F(j, mu, nu, table)
+    jac = jacobian_F(j, mu, nu)
     print("Jacobian dF_m / dmu_beta (rows m, columns beta):")
     for row in jac.matrix:
         print("  " + "  ".join(str(v) for v in row))
     print()
 
-    vc = vandermonde_check(mu, table)
+    vc = vandermonde_check(mu)
     print(f"H-block determinant:      {vc.det_jacobian}")
     print(f"Vandermonde determinant:  {vc.det_vandermonde}")
     print(f"their ratio:              {vc.ratio}")

@@ -15,7 +15,7 @@ illustration only; the verdicts rest on the exact counts.
 import mpmath
 
 from lp_isoforge.analysis import uncomplemented_certificate
-from lp_isoforge.momentpoly import cm_alpha_table, mass_polynomial
+from lp_isoforge.momentpoly import mass_polynomial
 from lp_isoforge.numeric import count_real_roots, frac_to_str, to_mpf
 from lp_isoforge.solver import (
     ball_params,
@@ -52,14 +52,13 @@ def reason(counts: dict, k: int) -> str:
 
 def scan(p: int, js) -> None:
     k = p // 2
-    table = cm_alpha_table(k)
     mu_bar = default_base_point(k)
     ball = ball_params(mu_bar)
-    target = target_h(mu_bar, table)
+    target = target_h(mu_bar)
     print(f"p = {p} (k = {k}), delta = {frac_to_str(ball.delta)}, nu_j = (3/4) delta j^(2-p):")
     print("     j  real  <= 0  (0,delta]  (delta,1]  > 1   verdict; roots")
     for j in js:
-        P = mass_polynomial(j, nu_schedule_value(ball, j), target, table)
+        P = mass_polynomial(j, nu_schedule_value(ball, j), target)
         c = root_counts(P, ball.delta)
         with mpmath.workprec(256):
             roots = ", ".join(mpmath.nstr(r, 4) for r in mpmath.polyroots([to_mpf(x) for x in P]))

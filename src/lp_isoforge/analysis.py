@@ -101,7 +101,7 @@ from .numeric import (
     to_mpf,
     workprec,
 )
-from .solver import BallParams, ConstructionCertificate, ball_params, decreasing_above, default_base_point
+from .solver import ConstructionCertificate, ball_params, decreasing_above, default_base_point, max_abs_residual
 
 SPACE_CAP = 3 ** 9
 ASCENT_STARTS = 8  # random starts of the projection ascent, plus half as many span combinations
@@ -175,11 +175,6 @@ def _residuals(cert: ConstructionCertificate, tables) -> tuple:
     return tuple(tuple(table[m] - t for m, t in enumerate(cert.target.values, 1)) for table in tables)
 
 
-def _worst(residuals) -> Fraction:
-    """max |residual| over every entry and order, 0 when there are none."""
-    return max((abs(r) for resid in residuals for r in resid), default=Fraction(0))
-
-
 @dataclass(frozen=True)
 class IsometryCheckResult:
     max_rel_residual: Fraction
@@ -187,6 +182,10 @@ class IsometryCheckResult:
     trials: int
     seed: int
     orders_checked: tuple
+
+    @property
+    def within_bound(self) -> bool:
+        return self.max_rel_residual <= self.bound
 
 
 def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int = 0) -> IsometryCheckResult:
@@ -208,7 +207,7 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
     if not cert.entries:
         raise DegenerateInputError("certificate has no solved entries")
     per = certificate_span(cert)
-    return _sampled_isometry(cert, _reference_table(cert), per, _worst(_residuals(cert, per)), trials, seed)
+    return _sampled_isometry(cert, _reference_table(cert), per, max_abs_residual(_residuals(cert, per)), trials, seed)
 
 
 def _sampled_isometry(cert, ref_table, per, eps_hat: Fraction, trials: int, seed: int) -> IsometryCheckResult:
@@ -842,14 +841,14 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
     ref_table = _reference_table(cert)
     per = certificate_span(cert)
     residuals = _residuals(cert, per)
-    worst = _worst(residuals)
+    worst = max_abs_residual(residuals)
     iso = _sampled_isometry(cert, ref_table, per, worst, trials, seed) if cert.entries else None
     uc = uncomplemented_certificate(cert)
     prec = cert.precision_bits
     issues = [] if ref_table[1:] == cert.target.values else ["target differs"]
     try:
         ball = ball_params(cert.ball.mu_bar)
-        differ = [f.name for f in fields(BallParams) if getattr(ball, f.name) != getattr(cert.ball, f.name)]
+        differ = [f.name for f in fields(ball) if getattr(ball, f.name) != getattr(cert.ball, f.name)]
         issues += [f"ball differs: {', '.join(differ)}"] if differ else []
     except DegenerateInputError as exc:
         issues.append(f"ball not recomputable: {exc}")
@@ -858,7 +857,7 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
     gaps = (("failed scales", cert.failed_js), ("missing j", missing), ("duplicated j", cert.duplicated_js))
 
     iso_outcome = (False, "no solved entries") if iso is None else (
-        iso.max_rel_residual <= iso.bound,
+        iso.within_bound,
         f"max_rel = {real_to_str(iso.max_rel_residual, prec)}, bound = {real_to_str(iso.bound, prec)}",
     )
 

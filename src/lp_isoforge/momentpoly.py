@@ -52,7 +52,9 @@ are its bit-for-bit oracle in the tests.
 
 All functions evaluate exactly on Fraction inputs and in the active
 mpmath precision on mpf inputs, except `vandermonde_check`, which takes
-rationals only.
+rationals only.  None takes the order k: it is the number of masses (of
+targets, for `mass_polynomial`), and each call builds its own C_{m,alpha}
+table with `cm_alpha_table(k)`.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ def _elem_sym_all(values: tuple) -> list:
     return e
 
 
-def mass_polynomial(j: int, nu, target, table: CmAlphaTable) -> tuple:
+def mass_polynomial(j: int, nu, target) -> tuple:
     """Coefficients (1, -e_1, e_2, ..., (-1)^k e_k) of P_j(x) = prod_i (x - mu_i), exact.
 
     F_m^(j)(mu, nu) = T_m reads sum_{alpha <= m} a_{m,alpha} e_alpha(mu)
@@ -166,7 +168,7 @@ def mass_polynomial(j: int, nu, target, table: CmAlphaTable) -> tuple:
     binom(2m,2l) j^(2l) C_{m-l,alpha}.  The system is triangular and
     a_{m,m} = C_{m,m} != 0, so forward substitution gives the unique
     e^(j) = (e_1, ..., e_k): mu solves the scale-j system exactly when its
-    masses are the k roots of P_j, highest degree first here.
+    masses are the k = len(target) roots of P_j, highest degree first here.
     """
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j}")
@@ -174,9 +176,8 @@ def mass_polynomial(j: int, nu, target, table: CmAlphaTable) -> tuple:
     if not 0 <= nu <= 1:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
     target = tuple(Fraction(t) for t in target)
-    k = table.k
-    if len(target) != k:
-        raise ValueError(f"target must have length {k}, got {len(target)}")
+    k = len(target)
+    table = cm_alpha_table(k)
     jsq = j * j
     e = [Fraction(1)]
     for m in range(1, k + 1):
@@ -191,56 +192,53 @@ def mass_polynomial(j: int, nu, target, table: CmAlphaTable) -> tuple:
     return tuple(-v if alpha % 2 else v for alpha, v in enumerate(e))
 
 
-def _excl_row(values: tuple, beta: int, e: list, upto: int) -> list:
-    """[P_{beta,0}, ..., P_{beta,upto}] sharing one e-table."""
+def _excl_row(values: tuple, beta: int, e: list) -> list:
+    """[P_{beta,0}, ..., P_{beta,k-1}] sharing one e-table."""
     mu_beta = values[beta - 1]
     row = [Fraction(1)]
-    for alpha in range(1, upto + 1):
-        if alpha > len(values) - 1:
-            row.append(Fraction(0))
-            continue
+    for alpha in range(1, len(values)):
         # recurrence P_{beta,alpha} = e_alpha - mu_beta * P_{beta,alpha-1}
         row.append(e[alpha] - mu_beta * row[alpha - 1])
     return row
 
 
-def _h_from(values: tuple, e: list, table: CmAlphaTable) -> list:
+def _h_from(e: list, table: CmAlphaTable) -> list:
     return [Fraction(1)] + [
-        sum((table.get(m, a) * e[a] for a in range(1, min(m, len(values)) + 1)), Fraction(0))
+        sum((table.get(m, a) * e[a] for a in range(1, m + 1)), Fraction(0))
         for m in range(1, table.k + 1)
     ]
 
 
 def _grad_from(values: tuple, e: list, table: CmAlphaTable) -> list:
-    excl = [_excl_row(values, beta, e, table.k - 1) for beta in range(1, len(values) + 1)]
+    excl = [_excl_row(values, beta, e) for beta in range(1, len(values) + 1)]
     return [[Fraction(0)] * len(values)] + [
         [sum((table.get(m, a) * row[a - 1] for a in range(1, m + 1)), Fraction(0)) for row in excl]
         for m in range(1, table.k + 1)
     ]
 
 
-def h_vector(mu, table: CmAlphaTable) -> list:
-    """[H_0 = 1, H_1, ..., H_k] of the masses mu, from one elementary-symmetric table."""
+def h_vector(mu) -> list:
+    """[H_0 = 1, H_1, ..., H_k] of the k = len(mu) masses, from one elementary-symmetric table."""
     values = tuple(mu)
-    return _h_from(values, _elem_sym_all(values), table)
+    return _h_from(_elem_sym_all(values), cm_alpha_table(len(values)))
 
 
-def grad_table(mu, table: CmAlphaTable) -> list:
-    """grad[m][beta-1] = dH_m/dmu_beta for m = 0..k; row 0 is zero (H_0 = 1)."""
+def grad_table(mu) -> list:
+    """grad[m][beta-1] = dH_m/dmu_beta for m = 0..k, k = len(mu); row 0 is zero (H_0 = 1)."""
     values = tuple(mu)
-    return _grad_from(values, _elem_sym_all(values), table)
+    return _grad_from(values, _elem_sym_all(values), cm_alpha_table(len(values)))
 
 
-def moment_vector_F(j: int, mu, nu, table: CmAlphaTable) -> tuple:
+def moment_vector_F(j: int, mu, nu) -> tuple:
     """(F_1^(j), ..., F_k^(j))(mu, nu), every F_m read from one H vector."""
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j}")
     if not 0 <= nu <= 1:
         raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    h = h_vector(mu, table)
+    h = h_vector(mu)
     jsq = j * j
     out = []
-    for m in range(1, table.k + 1):
+    for m in range(1, len(h)):
         acc = h[m]
         jpow = 1
         for l in range(1, m + 1):
@@ -268,17 +266,16 @@ class JacobianF:
         return len(self.matrix)
 
 
-def jacobian_F(j: int, mu, nu, table: CmAlphaTable) -> JacobianF:
+def jacobian_F(j: int, mu, nu) -> JacobianF:
     if not isinstance(j, int) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j}")
-    k = table.k
     values = tuple(mu)
-    if len(values) != k:
-        raise ValueError(f"mu must have length {k}, got {len(values)}")
+    k = len(values)
+    table = cm_alpha_table(k)
     # one elementary-symmetric table serves both H and its gradient
     e = _elem_sym_all(values)
     gradH = _grad_from(values, e, table)
-    hvals = _h_from(values, e, table)
+    hvals = _h_from(e, table)
     jsq = j * j
     matrix = []
     nu_column = []
@@ -306,7 +303,7 @@ class VandermondeCheck:
     expected_magnitude: int
 
 
-def vandermonde_check(mu, table: CmAlphaTable) -> VandermondeCheck:
+def vandermonde_check(mu) -> VandermondeCheck:
     """det J(mu, nu=0) against the Vandermonde determinant of the masses, exactly.
 
     Requires rational, strictly decreasing masses (the Vandermonde factor
@@ -316,13 +313,11 @@ def vandermonde_check(mu, table: CmAlphaTable) -> VandermondeCheck:
     k = len(values)
     if any(values[i] <= values[i + 1] for i in range(k - 1)):
         raise DegenerateInputError("mu must be strictly decreasing for this check")
-    if table.k != k:
-        raise ValueError("table order must match len(mu)")
-    det_j = det_exact(jacobian_F(1, values, Fraction(0), table).matrix)
+    det_j = det_exact(jacobian_F(1, values, Fraction(0)).matrix)
     det_v = Fraction(1)
     for i in range(k):
         for jj in range(i + 1, k):
             det_v *= values[jj] - values[i]
     if det_j == 0:
         raise SingularJacobianError("exact Jacobian determinant is zero")
-    return VandermondeCheck(det_j, det_v, det_j / det_v, table.diagonal_product())
+    return VandermondeCheck(det_j, det_v, det_j / det_v, cm_alpha_table(k).diagonal_product())

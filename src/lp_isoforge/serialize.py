@@ -277,7 +277,7 @@ def isometry_to_dict(res, precision: int) -> dict:
         "max_rel_residual_exact": frac_to_str(res.max_rel_residual),
         "bound": real_to_str(res.bound, precision),
         "bound_exact": frac_to_str(res.bound),
-        "within_bound": bool(res.max_rel_residual <= res.bound),
+        "within_bound": res.within_bound,
         "trials": res.trials,
         "seed": res.seed,
         "orders_checked": list(res.orders_checked),

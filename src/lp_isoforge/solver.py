@@ -91,7 +91,6 @@ from .errors import (
     SingularJacobianError,
 )
 from .momentpoly import (
-    CmAlphaTable,
     MuVector,
     cm_alpha_table,
     grad_table,
@@ -131,6 +130,7 @@ __all__ = [
     "nu_schedule_value",
     "closed_form_k2",
     "decreasing_above",
+    "max_abs_residual",
     "solve_mu",
     "construct_pair",
 ]
@@ -194,8 +194,8 @@ def default_base_point(k: int) -> MuVector:
     return MuVector(tuple(Fraction(k + 1 - i, k + 1) for i in range(1, k + 1)))
 
 
-def target_h(mu_bar: MuVector, table: CmAlphaTable) -> HValues:
-    return HValues(h_vector(mu_bar, table)[1:])
+def target_h(mu_bar: MuVector) -> HValues:
+    return HValues(h_vector(mu_bar)[1:])
 
 
 def ball_params(mu_bar: MuVector) -> BallParams:
@@ -218,7 +218,7 @@ def ball_params(mu_bar: MuVector) -> BallParams:
     eps_bar = Fraction(3, 4) * bound
     eps = eps_bar
 
-    grad = grad_table([v + eps_bar for v in values], cm_alpha_table(k))
+    grad = grad_table([v + eps_bar for v in values])
     # H_0 is constant, so l = m contributes no gradient term
     M = max(
         math.comb(2 * m, 2 * l) * g
@@ -261,10 +261,11 @@ class _RawSystem:
     roundings, computed once per (m, l) instead of once per use.
     """
 
-    def __init__(self, j: int, nu, table: CmAlphaTable, prec: int):
+    def __init__(self, j: int, nu, k: int, prec: int):
         rnd = round_nearest
-        self.k = k = table.k
+        self.k = k
         self.prec = prec
+        table = cm_alpha_table(k)
         self.cm = [None] + [[None] + [table.get(m, a) for a in range(1, m + 1)] for m in range(1, k + 1)]
         jsq = j * j
         self.coef = [None]  # coef[m][l] = nu * binom(2m, 2l) * j^(2l), 1 <= l <= m
@@ -332,14 +333,13 @@ def solve_mu(
     nu: Fraction,
     target: HValues,
     init,
-    table: CmAlphaTable,
     precision: int = DEFAULT_PRECISION_BITS,
     ball: BallParams | None = None,
 ) -> SolveResult:
     """Damped Newton for F^(j)(mu, nu) = target at exact nu, at `precision` bits.
 
-    Convergence means max_m |F_m - T_m| < 2^-(precision/2), within
-    MAX_NEWTON_ITERS iterations.
+    `init` holds k = target.k masses.  Convergence means
+    max_m |F_m - T_m| < 2^-(precision/2), within MAX_NEWTON_ITERS iterations.
     A start that already meets the tolerance is returned unchanged with
     iterations = 0, so nu = 0 costs nothing.  Steps are halved until the
     sup-norm residual decreases (at most MAX_STEP_HALVINGS times) and,
@@ -356,7 +356,7 @@ def solve_mu(
     rounds them.
     """
     validate_precision(precision)
-    k = table.k
+    k = target.k
     init_values = tuple(init)
     if len(init_values) != k:
         raise ValueError(f"init must have length {k}")
@@ -368,7 +368,7 @@ def solve_mu(
 
     prec, rnd = precision, round_nearest
     tol = mpf_shift(fone, -(precision // 2))
-    system = _RawSystem(j, to_mpf(nu, prec)._mpf_, table, prec)
+    system = _RawSystem(j, to_mpf(nu, prec)._mpf_, k, prec)
     tgt = [to_mpf(t, prec)._mpf_ for t in target]
     mu_cur = [to_mpf(v, prec)._mpf_ for v in init_values]
     bounds = None
@@ -447,17 +447,16 @@ def solve_mu(
     )
 
 
-def closed_form_k2(j: int, nu: Fraction, target: HValues, precision: int = DEFAULT_PRECISION_BITS) -> MuVector:
+def closed_form_k2(j: int, nu: Fraction, target: HValues) -> MuVector:
     """Quadratic-formula solution for k = 2 at exact nu; independent of the Newton path.
 
     F_1 pins the sum s = e_1 = T_1 - nu j^2 and F_2 = e_1 + 6 e_2 + nu
     (6 j^2 e_1 + j^4) pins the product q = e_2, so mu_1, mu_2 are the
     roots of x^2 - s x + q.  Rejects nonpositive discriminants and roots
-    outside (0, 1).
+    outside (0, 1).  The roots are taken at DEFAULT_PRECISION_BITS.
     """
     if target.k != 2:
         raise ValueError("closed form applies to k = 2 only")
-    validate_precision(precision)
     t1, t2 = target.values
     nu = Fraction(nu)
     jsq = j * j
@@ -466,7 +465,7 @@ def closed_form_k2(j: int, nu: Fraction, target: HValues, precision: int = DEFAU
     disc = s * s - 4 * q
     if disc <= 0:
         raise NoSolutionError(f"discriminant {disc} is not positive")
-    with workprec(precision):
+    with workprec(DEFAULT_PRECISION_BITS):
         s_m = to_mpf(s)
         root = mpmath.sqrt(to_mpf(disc))
         hi = (s_m + root) / 2
@@ -530,7 +529,7 @@ class ConstructionCertificate:
     @property
     def worst_residual(self) -> Fraction:
         """max |stored residual| over all entries, exact; 0 with no entries."""
-        return max((abs(r) for e in self.entries for r in e.residuals), default=Fraction(0))
+        return max_abs_residual(e.residuals for e in self.entries)
 
     @property
     def complete(self) -> bool:
@@ -544,15 +543,20 @@ class ConstructionCertificate:
         raise KeyError(f"no entry for j={j}")
 
 
+def max_abs_residual(rows) -> Fraction:
+    """max |r| over every residual row and order, exact; 0 when there are none."""
+    return max((abs(r) for row in rows for r in row), default=Fraction(0))
+
+
 def decreasing_above(mu: tuple, delta: Fraction) -> bool:
     """mu_1 > ... > mu_k > delta on exact values: the ordering every certified scale must meet."""
     mu = tuple(mpf_to_fraction(v) for v in mu)
     return all(a > b for a, b in zip(mu, mu[1:])) and mu[-1] > delta
 
 
-def _exact_residuals(j: int, nu: Fraction, mu_values, target: HValues, table: CmAlphaTable) -> tuple:
+def _exact_residuals(j: int, nu: Fraction, mu_values, target: HValues) -> tuple:
     mu_frac = tuple(mpf_to_fraction(v) for v in mu_values)
-    return tuple(f - t for f, t in zip(moment_vector_F(j, mu_frac, nu, table), target))
+    return tuple(f - t for f, t in zip(moment_vector_F(j, mu_frac, nu), target))
 
 
 def construct_pair(
@@ -579,9 +583,8 @@ def construct_pair(
     k = p // 2
     nu_fraction = Fraction(nu_fraction)
     mu_bar = default_base_point(k)
-    table = cm_alpha_table(k)
     ball = ball_params(mu_bar)
-    target = target_h(mu_bar, table)
+    target = target_h(mu_bar)
 
     entries = []
     failed = []
@@ -589,20 +592,20 @@ def construct_pair(
         nu_j = nu_schedule_value(ball, j, nu_fraction)
         result = None
         try:
-            result = solve_mu(j, nu_j, target, mu_bar, table, precision, ball=ball)
+            result = solve_mu(j, nu_j, target, mu_bar, precision, ball=ball)
         except (NewtonDivergenceError, SingularJacobianError, NoSolutionError):
-            if count_real_roots(mass_polynomial(j, nu_j, target, table), ball.delta, 1) < k:
+            if count_real_roots(mass_polynomial(j, nu_j, target), ball.delta, 1) < k:
                 failed.append(j)
                 continue
             try:
-                result = _continuation_solve(j, nu_j, target, mu_bar, table, precision)
+                result = _continuation_solve(j, nu_j, target, mu_bar, precision)
             except (NewtonDivergenceError, SingularJacobianError, NoSolutionError):
                 failed.append(j)
                 continue
         mu_sol = result.mu
-        exact_res = _exact_residuals(j, nu_j, mu_sol.values, target, table)
+        exact_res = _exact_residuals(j, nu_j, mu_sol.values, target)
         mu_raw = [to_mpf(v, precision)._mpf_ for v in mu_sol.values]
-        system = _RawSystem(j, to_mpf(nu_j, precision)._mpf_, table, precision)
+        system = _RawSystem(j, to_mpf(nu_j, precision)._mpf_, k, precision)
         jac_det, _ = raw_elimination(system.jacobian(mu_raw, system.elem_sym(mu_raw)), None, precision)
         if not decreasing_above(mu_sol.values, ball.delta):
             failed.append(j)
@@ -629,7 +632,7 @@ def construct_pair(
     )
 
 
-def _continuation_solve(j, nu_j, target, mu_bar, table, precision) -> SolveResult:
+def _continuation_solve(j, nu_j, target, mu_bar, precision) -> SolveResult:
     """Walk nu up a geometric ladder, unclipped.
 
     `construct_pair` runs it only after the direct solve failed and the
@@ -645,6 +648,6 @@ def _continuation_solve(j, nu_j, target, mu_bar, table, precision) -> SolveResul
     init = mu_bar
     for t in range(1, CONTINUATION_STEPS + 1):
         nu_t = nu_j * Fraction(2) ** (t - CONTINUATION_STEPS)
-        result = solve_mu(j, nu_t, target, init, table, precision, ball=None)
+        result = solve_mu(j, nu_t, target, init, precision, ball=None)
         init = result.mu
     return result

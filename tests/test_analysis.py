@@ -111,9 +111,8 @@ def test_span_norm_scales_coefficients():
 def degenerate_cert(k=3):
     """nu = 0 on every scale, masses exactly mu_bar: both spans coincide."""
     mu_bar = default_base_point(k)
-    table = cm_alpha_table(k)
     ball = ball_params(mu_bar)
-    target = target_h(mu_bar, table)
+    target = target_h(mu_bar)
     entries = tuple(
         CertEntry(
             j=j,
@@ -189,6 +188,8 @@ P6_SEED1_BOUND_DEN = int(
 def test_isometry_p6(cert_p6):
     res = isometry_check(cert_p6, trials=25, seed=1)
     assert res.max_rel_residual <= res.bound
+    assert res.within_bound
+    assert not dataclasses.replace(res, bound=res.max_rel_residual / 2).within_bound
     assert res.bound < Fraction(1, 2 ** 100)
     assert res.max_rel_residual == Fraction(P6_SEED1_RESIDUAL_NUM, P6_SEED1_RESIDUAL_DEN)
     assert res.bound == Fraction(P6_SEED1_BOUND_NUM, P6_SEED1_BOUND_DEN)
@@ -197,7 +198,7 @@ def test_isometry_p6(cert_p6):
 def test_isometry_on_closed_form_solutions(cert_p4):
     entries = []
     for e in cert_p4.entries:
-        mu = closed_form_k2(e.j, e.nu, cert_p4.target, 256)
+        mu = closed_form_k2(e.j, e.nu, cert_p4.target)
         entries.append(dataclasses.replace(e, mu=tuple(mu.values)))
     cert = dataclasses.replace(cert_p4, entries=tuple(entries))
     res = isometry_check(cert, trials=25, seed=2)
@@ -256,9 +257,8 @@ def test_c_k_frozen():
 
 def test_c_k_equals_h_at_all_ones():
     for k in range(1, 7):
-        t = cm_alpha_table(k)
         ones = (Fraction(1),) * k
-        assert c_k_constant(k) == h_vector(ones, t)[k]
+        assert c_k_constant(k) == h_vector(ones)[k]
 
 
 def test_vpl_frozen_k2():
@@ -508,7 +508,6 @@ def test_norm_bound_does_not_fork_beside_other_threads(monkeypatch):
 def synthetic_cert(p, delta, nus, mu=None):
     k = p // 2
     mu_bar = default_base_point(k)
-    table = cm_alpha_table(k)
     real = ball_params(mu_bar)
     ball = BallParams(
         mu_bar=mu_bar, eps_bar=real.eps_bar, eps=real.eps,
@@ -523,7 +522,7 @@ def synthetic_cert(p, delta, nus, mu=None):
     )
     return ConstructionCertificate(
         p=p, precision_bits=256, nu_fraction=Fraction(3, 4),
-        ball=ball, target=target_h(mu_bar, table), entries=entries,
+        ball=ball, target=target_h(mu_bar), entries=entries,
     )
 
 

@@ -1,5 +1,6 @@
 """Newton construction against the k = 2 closed form and its own invariants."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from lp_isoforge.errors import (
     LpIsoforgeError,
     NoSolutionError,
 )
-from lp_isoforge.momentpoly import MuVector, cm_alpha_table, grad_table, jacobian_F, moment_vector_F
+from lp_isoforge.momentpoly import MuVector, grad_table, jacobian_F, moment_vector_F
 from lp_isoforge.numeric import mpf_to_fraction, to_mpf
 from lp_isoforge.solver import (
     HValues,
@@ -23,14 +24,14 @@ from lp_isoforge.solver import (
     closed_form_k2,
     construct_pair,
     default_base_point,
+    max_abs_residual,
     nu_schedule_value,
     solve_mu,
     target_h,
 )
 
-T2 = cm_alpha_table(2)
 MU2 = default_base_point(2)
-TARGET2 = target_h(MU2, T2)
+TARGET2 = target_h(MU2)
 
 
 @pytest.mark.parametrize("prec", [128, 256, 512])
@@ -39,18 +40,27 @@ def test_raw_system_rounds_as_mpf_arithmetic(prec):
     # moment_vector_F and jacobian_F run on mpf inside workprec, bit for bit
     rng = random.Random(prec)
     for k in range(2, 9):
-        table = cm_alpha_table(k)
         for j in sorted({1, 60, *rng.sample(range(2, 60), 3)}):
             with workprec(prec):
                 mu = [to_mpf(Fraction(rng.randint(1, 2 ** prec), 2 ** prec)) for _ in range(k)]
                 nu = to_mpf(Fraction(rng.randint(0, 10 ** 6), 10 ** rng.randint(6, 12)))
-                want_f = [v._mpf_ for v in moment_vector_F(j, mu, nu, table)]
-                want_jac = [[to_mpf(v)._mpf_ for v in row] for row in jacobian_F(j, mu, nu, table).matrix]
-            system = solver._RawSystem(j, nu._mpf_, table, prec)
+                want_f = [v._mpf_ for v in moment_vector_F(j, mu, nu)]
+                want_jac = [[to_mpf(v)._mpf_ for v in row] for row in jacobian_F(j, mu, nu).matrix]
+            system = solver._RawSystem(j, nu._mpf_, k, prec)
             raw_mu = [v._mpf_ for v in mu]
             e = system.elem_sym(raw_mu)
             assert system.moment_vector(e) == want_f
             assert system.jacobian(raw_mu, e) == want_jac
+
+
+def test_max_abs_residual():
+    assert max_abs_residual([]) == max_abs_residual([(), ()]) == 0
+    assert max_abs_residual([(Fraction(1, 3), Fraction(-1, 2)), (Fraction(1, 4),)]) == Fraction(1, 2)
+
+
+def test_worst_residual_reads_the_stored_rows(cert_p4):
+    assert cert_p4.worst_residual == max(abs(r) for e in cert_p4.entries for r in e.residuals) > 0
+    assert dataclasses.replace(cert_p4, entries=()).worst_residual == 0
 
 
 def test_default_base_point():
@@ -68,7 +78,7 @@ def test_default_base_point():
 
 def test_target_values():
     assert TARGET2.values == (Fraction(1), Fraction(7, 3))
-    t3 = target_h(default_base_point(3), cm_alpha_table(3))
+    t3 = target_h(default_base_point(3))
     assert t3.values[0] == Fraction(3, 2)
 
 
@@ -114,14 +124,13 @@ def test_ball_params_matches_lattice_max():
     for k in (2, 3, 4):
         mu_bar = default_base_point(k)
         ball = ball_params(mu_bar)
-        table = cm_alpha_table(k)
         axes = [
             [v - ball.eps_bar + ball.eps_bar * Fraction(2 * t, 3) for t in range(4)]
             for v in mu_bar.values
         ]
         best = Fraction(0)
         for point in product(*axes):
-            grads = grad_table(point, table)
+            grads = grad_table(point)
             for m in range(2, k + 1):
                 for l in range(1, m):
                     for beta in range(1, k + 1):
@@ -154,7 +163,7 @@ def test_nu_schedule():
 
 
 def test_solve_mu_zero_nu_is_free():
-    res = solve_mu(1, Fraction(0), TARGET2, MU2, T2, 256)
+    res = solve_mu(1, Fraction(0), TARGET2, MU2, 256)
     assert res.iterations == 0
     with workprec(256):
         assert max(abs(v) for v in res.residuals) < mpmath.mpf(2) ** -128
@@ -179,18 +188,18 @@ def test_closed_form_frozen_digits():
 
 
 def test_solve_matches_closed_form_at_frozen_point():
-    res = solve_mu(1, Fraction(1, 100), TARGET2, MU2, T2, 256)
-    mu = closed_form_k2(1, Fraction(1, 100), TARGET2, 256)
+    res = solve_mu(1, Fraction(1, 100), TARGET2, MU2, 256)
+    mu = closed_form_k2(1, Fraction(1, 100), TARGET2)
     with workprec(256):
         for a, b in zip(res.mu.values, mu.values):
             assert abs(a - b) < mpmath.mpf(2) ** -128
 
 
 def test_residuals_survive_doubled_precision():
-    res = solve_mu(3, Fraction(1, 500), TARGET2, MU2, T2, 256)
+    res = solve_mu(3, Fraction(1, 500), TARGET2, MU2, 256)
     mu_frac = [mpf_to_fraction(v) for v in res.mu.values]
     with workprec(512):
-        for F, t in zip(moment_vector_F(3, mu_frac, Fraction(1, 500), T2), TARGET2.values):
+        for F, t in zip(moment_vector_F(3, mu_frac, Fraction(1, 500)), TARGET2.values):
             assert abs(to_mpf(F - t)) < mpmath.mpf(2) ** (-128 + 4)
 
 
@@ -217,7 +226,7 @@ def test_solver_agrees_solution_is_gone():
     ball = ball_params(MU2)
     pinned = nu_schedule_value(ball, 10)
     with pytest.raises(LpIsoforgeError):
-        solve_mu(10, pinned, TARGET2, MU2, T2, 256)
+        solve_mu(10, pinned, TARGET2, MU2, 256)
 
 
 def test_continuity_in_nu():
@@ -226,7 +235,7 @@ def test_continuity_in_nu():
         prev_gap = None
         for t in range(1, 11):
             nu = ball.delta / 2 ** t
-            res = solve_mu(1, nu, TARGET2, MU2, T2, 256, ball=ball)
+            res = solve_mu(1, nu, TARGET2, MU2, 256, ball=ball)
             gap = max(
                 abs(v - to_mpf(w)) for v, w in zip(res.mu.values, MU2.values)
             )
@@ -278,7 +287,7 @@ def test_certificate_p4_matches_closed_form(cert_p4):
     assert cert.complete
     with workprec(256):
         for e in cert.entries:
-            oracle = closed_form_k2(e.j, e.nu, cert.target, 256)
+            oracle = closed_form_k2(e.j, e.nu, cert.target)
             for a, b in zip(e.mu, oracle.values):
                 assert abs(a - b) < mpmath.mpf(2) ** -120
 
