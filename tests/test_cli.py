@@ -261,6 +261,17 @@ def test_verify_json_payload(tmp_path, capsys, cert_p4):
     assert payload["isometry"]["within_bound"] is True
 
 
+def pinned_run(tmp_path, capsys, construct_argv, argv):
+    """(exit code, sha256 of stdout with the certificate path replaced by "<cert>")."""
+    cert = str(tmp_path / "cert.json")
+    if construct_argv:
+        main(["construct", *construct_argv, "--out", cert])
+        capsys.readouterr()
+    code, text, _ = run(capsys, *[cert if a == "<cert>" else a for a in argv])
+    text = text.replace(json.dumps(cert), '"<cert>"')
+    return code, hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 # (construct argv, command argv, exit code, sha256 of the JSON payload with
 # the certificate path replaced by "<cert>"); one moved byte of a check
 # line, weight row or projection bound moves a hash, so refresh one only
@@ -273,6 +284,10 @@ PINNED_PAYLOADS = {
     "verify-p4-partial": (
         ["--p", "4", "--j-max", "10"], ["verify", "<cert>"], 1,
         "ae4f45c93b59c5133853e4da82f14214e7f3c38af712958004b8ba684852b416",
+    ),
+    "verify-p8": (
+        ["--p", "8", "--j-max", "5"], ["verify", "<cert>"], 0,
+        "ff8a3b7c293847014ca33971da6b1ed5d6af431d64fe129d698e70c93b95b5ea",
     ),
     "project": (
         None, ["project", "--p", "4", "--n", "2", "--trials", "5"], 0,
@@ -289,14 +304,27 @@ PINNED_PAYLOADS = {
     "construct_argv, argv, exit_code, digest", list(PINNED_PAYLOADS.values()), ids=list(PINNED_PAYLOADS)
 )
 def test_json_payload_bytes_pinned(tmp_path, capsys, construct_argv, argv, exit_code, digest):
-    cert = str(tmp_path / "cert.json")
-    if construct_argv:
-        main(["construct", *construct_argv, "--out", cert])
-        capsys.readouterr()
-    code, text, _ = run(capsys, *[cert if a == "<cert>" else a for a in argv], "--format", "json")
-    text = text.replace(json.dumps(cert), '"<cert>"')
-    assert code == exit_code
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert pinned_run(tmp_path, capsys, construct_argv, [*argv, "--format", "json"]) == (exit_code, digest)
+
+
+# the same for the default text report of verify
+PINNED_TEXT = {
+    "verify-p6": (
+        ["--p", "6", "--j-max", "5"], ["verify", "<cert>"], 0,
+        "17ad463c2a985adf037e5067d5e7d41d23dc8022ad90d21f6bb29d7a2f838161",
+    ),
+    "verify-p4-partial": (
+        ["--p", "4", "--j-max", "10"], ["verify", "<cert>"], 1,
+        "a1582066b51ec7ad65b4ca5f8bc26eedf6777bb8246b7ac5bdf4139e3bc0f083",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "construct_argv, argv, exit_code, digest", list(PINNED_TEXT.values()), ids=list(PINNED_TEXT)
+)
+def test_text_report_bytes_pinned(tmp_path, capsys, construct_argv, argv, exit_code, digest):
+    assert pinned_run(tmp_path, capsys, construct_argv, argv) == (exit_code, digest)
 
 
 def test_verify_truncated_certificate(tmp_path, capsys, cert_p4):
