@@ -36,16 +36,18 @@ generators and produces evidence:
   base generator, with C_k = sum_alpha binom(k,alpha) C_{k,alpha} (equal
   to H_k at all-ones masses).
 
-* `uncomplemented_certificate` checks the mass-sequence hypotheses:
-  nu_j inside (delta/2, delta) * j^(2-p), one exact comparison per
-  entry; the weight bound on w_j = nu_j^(-1/p) / j, inside
-  ((1/delta)^(1/p), (2/delta)^(1/p)) * j^(-2/p), is that bracket
+* `uncomplemented_certificate` checks the mass-sequence hypotheses in
+  exact arithmetic: nu_j inside (delta/2, delta) * j^(2-p), one
+  comparison per entry; the weight bound on w_j = nu_j^(-1/p) / j,
+  inside ((1/delta)^(1/p), (2/delta)^(1/p)) * j^(-2/p), is that bracket
   restated (w_j^p = 1/(nu_j j^p)), so it is not checked again; then
   convergence of sum nu_j via an explicit integral tail bound, and
   divergence of sum w_j^(2p/(p-2)) by comparison with
   (1/delta)^(2/(p-2)) * sum j^(-4/(p-2)), a series
   that diverges iff 4/(p-2) <= 1, i.e. p >= 6.  For p = 4 the
   comparator converges and the certificate says so instead of guessing.
+  The weights and comparator values that only the `verify` JSON shows
+  are computed by `serialize.uncomplemented_to_dict`.
 
 * `verify_certificate` rechecks a certificate from its stored values
   alone and returns a `VerifyReport`; the `verify` command renders it.
@@ -60,7 +62,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from math import comb, copysign, cos, lcm, log, pi, sin
+from math import comb, copysign, cos, lcm, pi, sin
 from operator import mul
 
 import mpmath
@@ -108,7 +110,6 @@ ASCENT_STARTS = 8  # random starts of the projection ascent, plus half as many s
 ASCENT_ITERS = 60  # fixed-point iterations per start
 GRID_POINTS = 2000  # angles in the grid oracle's sweep
 GRID_REFINE = 60  # ternary refinement steps around its best angle
-COMPARATOR_N = 10 ** 6  # terms in the divergence comparator's float partial sum
 
 __all__ = [
     "IsometryCheckResult",
@@ -673,62 +674,35 @@ def projection_report(p: int, n: int, trials: int = 100, seed: int = 0) -> Proje
 
 @dataclass(frozen=True)
 class UncomplementedRow:
-    """One scale: nu_j, its exact bracket verdict, and the display weights.
+    """One scale: nu_j and its exact bracket verdict.
 
     The weight bound (1/delta) j^-2 < w_j^p < (2/delta) j^-2 on
-    w_j^p = 1/(nu_j j^p) is the bracket restated, so `bounds_ok` reads
-    `bracket_ok`.  `w`, `w_lower` and `w_upper` are mpf, for display only.
+    w_j^p = 1/(nu_j j^p) is the bracket restated, so `bracket_ok` decides it.
     """
 
     j: int
     nu: Fraction
     bracket_ok: bool
-    w: Scalar
-    w_lower: Scalar
-    w_upper: Scalar
-
-    @property
-    def bounds_ok(self) -> bool:
-        return self.bracket_ok
 
 
 @dataclass(frozen=True)
 class UncomplementedCertificate:
+    """Exact facts only; the tail bound on sum nu_j holds exactly when `valid`."""
+
     p: int
     delta: Fraction
-    precision_bits: int
     rows: tuple
     offending_js: tuple
     valid: bool
     sum_nu_partial: Fraction
     sum_nu_tail_bound: Fraction
     comparator_exponent: Fraction
-    comparator_constant: Scalar
-    comparator_partial_sum: float
-    comparator_reference: float
     divergence_certified: bool
     divergence_note: str
 
     @property
-    def comparator_partial_N(self) -> int:
-        return COMPARATOR_N
-
-    @property
-    def typo_note(self) -> str:
-        return (
-            "The source derivation prints the divergence claim for this sum "
-            "as '>= infinity'; that is read as 'diverges' and flagged here as "
-            "a typo rather than silently reinterpreted."
-        )
-
-    @property
     def sum_nu_total_bound(self) -> Fraction:
         return self.sum_nu_partial + self.sum_nu_tail_bound
-
-    @property
-    def convergence_certified(self) -> bool:
-        """The tail bound holds once every nu_j is inside its bracket."""
-        return self.valid
 
 
 def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedCertificate:
@@ -743,53 +717,37 @@ def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedC
     Divergence of sum w_j^(2p/(p-2)) reduces to the comparator exponent
     4/(p-2): for p >= 6 it is <= 1 and the comparison series diverges;
     for p = 4 it equals 2 and this comparator proves nothing, which is
-    reported verbatim rather than papered over.  The comparison series'
-    float partial sum runs to COMPARATOR_N (10^6) terms and proves nothing.
+    reported verbatim rather than papered over.
     """
     p = cert.p
     delta = cert.ball.delta
     rows = []
     offending = []
-    with workprec(cert.precision_bits):
-        lower_c = to_mpf(1 / delta) ** (Fraction(1, p))
-        upper_c = to_mpf(2 / delta) ** (Fraction(1, p))
-        for e in cert.entries:
-            j = e.j
-            scale = Fraction(j) ** (p - 2)
-            bracket_ok = delta / 2 / scale < e.nu < delta / scale
-            if not bracket_ok:
-                offending.append(j)
-            w = to_mpf(e.nu) ** (-Fraction(1, p)) / j
-            j_pow = mpmath.mpf(j) ** (-Fraction(2, p))
-            rows.append(UncomplementedRow(j, e.nu, bracket_ok, w, lower_c * j_pow, upper_c * j_pow))
-        J = max((e.j for e in cert.entries), default=0)
-        sum_nu_partial = sum((e.nu for e in cert.entries), Fraction(0))
-        # sum_{j>J} j^(2-p) < integral_J^inf x^(2-p) dx = J^(3-p)/(p-3)
-        tail = delta * Fraction(1, J ** (p - 3) * (p - 3)) if J else Fraction(0)
-        exponent = Fraction(4, p - 2)
-        constant = to_mpf(1 / delta) ** (Fraction(2, p - 2))
+    for e in cert.entries:
+        j = e.j
+        scale = Fraction(j) ** (p - 2)
+        bracket_ok = delta / 2 / scale < e.nu < delta / scale
+        if not bracket_ok:
+            offending.append(j)
+        rows.append(UncomplementedRow(j, e.nu, bracket_ok))
+    J = max((e.j for e in cert.entries), default=0)
+    sum_nu_partial = sum((e.nu for e in cert.entries), Fraction(0))
+    # sum_{j>J} j^(2-p) < integral_J^inf x^(2-p) dx = J^(3-p)/(p-3)
+    tail = delta * Fraction(1, J ** (p - 3) * (p - 3)) if J else Fraction(0)
+    exponent = Fraction(4, p - 2)
     valid = not offending
     certified = valid and exponent <= 1
-    # a plain running sum on purpose: math.fsum or builtin sum() (compensated
-    # from Python 3.12) would change the float bits of comparator_partial_sum
-    neg_exponent = -float(exponent)
-    partial = 0.0
-    for j in range(1, COMPARATOR_N + 1):
-        partial += j ** neg_exponent
     if exponent == 1:
-        reference = log(COMPARATOR_N)
         note = (
             "comparator exponent 4/(p-2) = 1: the comparison series is the "
             "harmonic series times (1/delta)^(2/(p-2)); divergence certified."
         )
     elif exponent < 1:
-        reference = ((COMPARATOR_N + 1) ** (1 - float(exponent)) - 1) / (1 - float(exponent))
         note = (
             f"comparator exponent 4/(p-2) = {exponent} < 1: comparison series "
             "diverges like N^(1-4/(p-2)); divergence certified."
         )
     else:
-        reference = 0.0
         note = (
             f"comparator exponent 4/(p-2) = {exponent} > 1: the comparison "
             "series converges, so divergence not certified by this "
@@ -800,16 +758,12 @@ def uncomplemented_certificate(cert: ConstructionCertificate) -> UncomplementedC
     return UncomplementedCertificate(
         p=p,
         delta=delta,
-        precision_bits=cert.precision_bits,
         rows=tuple(rows),
         offending_js=tuple(offending),
         valid=valid,
         sum_nu_partial=sum_nu_partial,
         sum_nu_tail_bound=tail,
         comparator_exponent=exponent,
-        comparator_constant=constant,
-        comparator_partial_sum=partial,
-        comparator_reference=reference,
         divergence_certified=certified,
         divergence_note=note,
     )
@@ -832,7 +786,7 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
     """Recheck a certificate from its stored values alone.
 
     Targets and residuals come from the even-moment fold, the ball from
-    ball_params(mu_bar), brackets and weights from `uncomplemented_certificate`.
+    ball_params(mu_bar), the brackets from `uncomplemented_certificate`.
     Not rechecked: the provenance fields seed, newton_iters, jac_det and
     nu_fraction (each nu_j is held to its bracket, not to the schedule),
     and a dropped top scale J, since no j_max is stored.  A certificate
@@ -879,7 +833,7 @@ def verify_certificate(cert: ConstructionCertificate, trials: int = 100, seed: i
         ("weight bounds from the mass bracket", uc.valid, ""),
         (
             "sum nu_j converges (tail bound)",
-            uc.convergence_certified,
+            uc.valid,
             f"total <= {real_to_str(uc.sum_nu_total_bound, prec)}",
         ),
     ]

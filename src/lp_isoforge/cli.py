@@ -215,13 +215,16 @@ def cmd_verify(args) -> int:
         lines.append(f"note  {report.weights.divergence_note}")
     verdict = "PASS" if report.passed else "FAIL"
     lines.append("verdict: " + verdict)
-    payload = {
-        "certificate": args.certificate,
-        "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in report.checks],
-        "isometry": None if report.isometry is None else isometry_to_dict(report.isometry, cert.precision_bits),
-        "weights": uncomplemented_to_dict(report.weights),
-        "verdict": verdict,
-    }
+    payload = None  # text output never reads it, and its weights cost a 10^6-term loop
+    if args.fmt == "json":
+        prec = cert.precision_bits
+        payload = {
+            "certificate": args.certificate,
+            "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in report.checks],
+            "isometry": None if report.isometry is None else isometry_to_dict(report.isometry, prec),
+            "weights": uncomplemented_to_dict(report.weights, prec),
+            "verdict": verdict,
+        }
     _emit(args, "\n".join(lines), payload)
     return 0 if report.passed else 1
 

@@ -13,7 +13,8 @@ Conventions, fixed across every writer in the package:
   and raises SchemaError naming the field.
 
 This module is the package's one reader of input files: certificates and
-the moment spec files of `load_moment_spec`.
+the moment spec files of `load_moment_spec`.  `uncomplemented_to_dict`
+computes the display values the exact weight certificate does not hold.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import log
+
+import mpmath
 
 from .errors import SchemaError
 from .momentpoly import MuVector
 from .moments import IndependentSumSpec, SymmetricAtomVariable
-from .numeric import DEFAULT_PRECISION_BITS, frac_to_str, parse_real, real_to_str, validate_precision
+from .numeric import DEFAULT_PRECISION_BITS, frac_to_str, parse_real, real_to_str, to_mpf, validate_precision, workprec
 from .solver import BallParams, CertEntry, ConstructionCertificate, HValues
 
 __all__ = [
@@ -46,6 +50,7 @@ __all__ = [
 ]
 
 CERT_SCHEMA_ID = "lp-isoforge-cert/1"
+_COMPARATOR_N = 10 ** 6  # terms in the divergence comparator's float partial sum
 
 
 def dumps_json(obj) -> str:
@@ -284,38 +289,68 @@ def isometry_to_dict(res, precision: int) -> dict:
     }
 
 
-def uncomplemented_to_dict(res) -> dict:
-    prec = res.precision_bits
+def uncomplemented_to_dict(res, precision: int) -> dict:
+    """The weight certificate plus display values that prove nothing, at
+    `precision` bits: mpf weights w_j = nu_j^(-1/p) / j with their bracket,
+    and the comparator's constant and float partial sum."""
+    p = res.p
+    delta = res.delta
+    exponent = res.comparator_exponent
+    with workprec(precision):
+        lower_c = to_mpf(1 / delta) ** (Fraction(1, p))
+        upper_c = to_mpf(2 / delta) ** (Fraction(1, p))
+        rows = []
+        for r in res.rows:
+            j = r.j
+            w = to_mpf(r.nu) ** (-Fraction(1, p)) / j
+            j_pow = mpmath.mpf(j) ** (-Fraction(2, p))
+            rows.append(
+                {
+                    "j": j,
+                    "nu": frac_to_str(r.nu),
+                    "bracket_ok": r.bracket_ok,
+                    "w": real_to_str(w, precision),
+                    "w_lower": real_to_str(lower_c * j_pow, precision),
+                    "w_upper": real_to_str(upper_c * j_pow, precision),
+                    "bounds_ok": r.bracket_ok,
+                }
+            )
+        constant = to_mpf(1 / delta) ** (Fraction(2, p - 2))
+    # a plain running sum on purpose: math.fsum or builtin sum() (compensated
+    # from Python 3.12) would change the float bits of comparator_partial_sum
+    neg_exponent = -float(exponent)
+    partial = 0.0
+    for j in range(1, _COMPARATOR_N + 1):
+        partial += j ** neg_exponent
+    if exponent == 1:
+        reference = log(_COMPARATOR_N)
+    elif exponent < 1:
+        reference = ((_COMPARATOR_N + 1) ** (1 - float(exponent)) - 1) / (1 - float(exponent))
+    else:
+        reference = 0.0
     return {
-        "p": res.p,
-        "delta": frac_to_str(res.delta),
-        "precision_bits": prec,
+        "p": p,
+        "delta": frac_to_str(delta),
+        "precision_bits": precision,
         "valid": res.valid,
         "offending_js": list(res.offending_js),
-        "rows": [
-            {
-                "j": r.j,
-                "nu": frac_to_str(r.nu),
-                "bracket_ok": r.bracket_ok,
-                "w": real_to_str(r.w, prec),
-                "w_lower": real_to_str(r.w_lower, prec),
-                "w_upper": real_to_str(r.w_upper, prec),
-                "bounds_ok": r.bounds_ok,
-            }
-            for r in res.rows
-        ],
+        "rows": rows,
         "sum_nu_partial": frac_to_str(res.sum_nu_partial),
         "sum_nu_tail_bound": frac_to_str(res.sum_nu_tail_bound),
         "sum_nu_total_bound": frac_to_str(res.sum_nu_total_bound),
-        "convergence_certified": res.convergence_certified,
-        "comparator_exponent": frac_to_str(res.comparator_exponent),
-        "comparator_constant": real_to_str(res.comparator_constant, prec),
-        "comparator_partial_N": res.comparator_partial_N,
-        "comparator_partial_sum": repr(res.comparator_partial_sum),
-        "comparator_reference": repr(res.comparator_reference),
+        "convergence_certified": res.valid,
+        "comparator_exponent": frac_to_str(exponent),
+        "comparator_constant": real_to_str(constant, precision),
+        "comparator_partial_N": _COMPARATOR_N,
+        "comparator_partial_sum": repr(partial),
+        "comparator_reference": repr(reference),
         "divergence_certified": res.divergence_certified,
         "divergence_note": res.divergence_note,
-        "typo_note": res.typo_note,
+        "typo_note": (
+            "The source derivation prints the divergence claim for this sum "
+            "as '>= infinity'; that is read as 'diverges' and flagged here as "
+            "a typo rather than silently reinterpreted."
+        ),
     }
 
 

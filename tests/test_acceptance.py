@@ -47,9 +47,9 @@ from lp_isoforge.moments import (
     fold_even_moments,
     term_tables,
 )
-from lp_isoforge.numeric import mpf_to_fraction, to_mpf
+from lp_isoforge.numeric import mpf_to_fraction, parse_real, to_mpf
 from lp_isoforge.p4 import build_p4_table, log_sq, render_p4_report
-from lp_isoforge.serialize import load_certificate
+from lp_isoforge.serialize import load_certificate, uncomplemented_to_dict
 from lp_isoforge.solver import (
     ball_params,
     closed_form_k2,
@@ -251,17 +251,19 @@ def test_criterion_09_norm_product_bound():
 def test_criterion_10_weight_sequence_hypotheses(cert_p6, cert_p4):
     t0 = time.monotonic()
     uc6 = uncomplemented_certificate(cert_p6)
-    assert uc6.valid and uc6.convergence_certified
+    du6 = uncomplemented_to_dict(uc6, cert_p6.precision_bits)
+    assert uc6.valid  # the sum nu_j tail bound holds exactly when valid
     assert uc6.sum_nu_total_bound == uc6.sum_nu_partial + uc6.sum_nu_tail_bound
     assert uc6.divergence_certified
-    assert uc6.comparator_partial_N == 10 ** 6
-    assert uc6.comparator_partial_sum > uc6.comparator_reference > 13  # ln 1e6
+    assert du6["comparator_partial_N"] == 10 ** 6
+    assert float(du6["comparator_partial_sum"]) > float(du6["comparator_reference"]) > 13  # ln 1e6
     with workprec(256):
         # reported constant is sqrt(1/delta)
-        assert abs(uc6.comparator_constant ** 2 * to_mpf(cert_p6.ball.delta) - 1) < mpmath.mpf(2) ** -100
+        constant = parse_real(du6["comparator_constant"], 256)
+        assert abs(constant ** 2 * to_mpf(cert_p6.ball.delta) - 1) < mpmath.mpf(2) ** -100
 
     uc4 = uncomplemented_certificate(cert_p4)
-    assert uc4.valid and uc4.convergence_certified
+    assert uc4.valid
     assert not uc4.divergence_certified
     assert "divergence not certified by this comparator" in uc4.divergence_note
     assert time.monotonic() - t0 < 10

@@ -30,7 +30,7 @@ from lp_isoforge.errors import CapExceededError, DegenerateInputError, SchemaErr
 from lp_isoforge.momentpoly import cm_alpha_table, h_vector
 from lp_isoforge.moments import IndependentSumSpec, SymmetricAtomVariable, fold_even_moments, term_tables
 from lp_isoforge.numeric import frac_to_str, mpf_to_fraction, parse_real, real_to_str, to_mpf
-from lp_isoforge.serialize import cert_from_dict, cert_to_dict
+from lp_isoforge.serialize import cert_from_dict, cert_to_dict, uncomplemented_to_dict
 from lp_isoforge.solver import (
     BallParams,
     CertEntry,
@@ -532,41 +532,42 @@ def test_uncomplemented_worked_example():
     delta = Fraction(1, 10)
     nus = [(j, Fraction(3, 40) / j ** 4) for j in range(1, 13)]
     uc = uncomplemented_certificate(synthetic_cert(6, delta, nus))
+    du = uncomplemented_to_dict(uc, 256)
     assert uc.valid and not uc.offending_js
-    assert all(r.bracket_ok and r.bounds_ok for r in uc.rows)
-    assert uc.convergence_certified and uc.divergence_certified
+    assert all(r.bracket_ok for r in uc.rows) and all(row["bounds_ok"] for row in du["rows"])
+    assert uc.divergence_certified
     assert uc.comparator_exponent == 1
     with workprec(256):
-        assert abs(uc.comparator_constant ** 2 - 10) < mpmath.mpf(2) ** -120
-        for r in uc.rows:
-            assert r.w ** 3 > mpmath.sqrt(10) / r.j
-            assert r.w_lower < r.w < r.w_upper
-    assert uc.comparator_partial_sum > uc.comparator_reference
-    assert uc.comparator_reference == pytest.approx(math.log(10 ** 6))
+        assert abs(parse_real(du["comparator_constant"], 256) ** 2 - 10) < mpmath.mpf(2) ** -120
+        for row in du["rows"]:
+            w, w_lower, w_upper = (parse_real(row[key], 256) for key in ("w", "w_lower", "w_upper"))
+            assert w ** 3 > mpmath.sqrt(10) / row["j"]
+            assert w_lower < w < w_upper
+    assert float(du["comparator_partial_sum"]) > float(du["comparator_reference"])
+    assert float(du["comparator_reference"]) == pytest.approx(math.log(10 ** 6))
 
 
 def test_uncomplemented_p6_real_certificate(cert_p6):
     uc = uncomplemented_certificate(cert_p6)
-    assert uc.valid
-    assert uc.convergence_certified and uc.divergence_certified
+    assert uc.valid and uc.divergence_certified
     # sum nu_j is bounded by partial + integral tail, a finite total
     assert uc.sum_nu_total_bound == uc.sum_nu_partial + uc.sum_nu_tail_bound
     assert uc.sum_nu_total_bound < 1
+    constant = uncomplemented_to_dict(uc, 256)["comparator_constant"]
     with workprec(256):
-        assert abs(uc.comparator_constant ** 2 - 3080) < mpmath.mpf(2) ** -110
+        assert abs(parse_real(constant, 256) ** 2 - 3080) < mpmath.mpf(2) ** -110
     assert "divergence certified" in uc.divergence_note
 
 
 def test_uncomplemented_p4_defers(cert_p4):
     uc = uncomplemented_certificate(cert_p4)
     assert uc.valid  # brackets hold; only the divergence verdict is withheld
-    assert uc.convergence_certified
     assert not uc.divergence_certified
     assert uc.comparator_exponent == 2
     assert "divergence not certified by this comparator" in uc.divergence_note
     assert "j^(-3/2)" in uc.divergence_note
     assert "not automated" in uc.divergence_note
-    assert "typo" in uc.typo_note
+    assert "typo" in uncomplemented_to_dict(uc, 256)["typo_note"]
 
 
 def test_uncomplemented_p8_exponent():
@@ -576,7 +577,28 @@ def test_uncomplemented_p8_exponent():
     uc = uncomplemented_certificate(synthetic_cert(8, delta, nus))
     assert uc.comparator_exponent == Fraction(2, 3)
     assert uc.divergence_certified
-    assert uc.comparator_partial_sum > uc.comparator_reference
+    du = uncomplemented_to_dict(uc, 256)
+    assert float(du["comparator_partial_sum"]) > float(du["comparator_reference"])
+
+
+def exact(value) -> bool:
+    if type(value) is tuple:
+        return all(map(exact, value))
+    return type(value) in (int, bool, str, Fraction)
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+def test_weight_certificate_is_exact(small_certs, p):
+    # the verdict rests on exact facts; mpf weights and float sums are the payload's
+    uc = uncomplemented_certificate(small_certs[p])
+    inexact = [
+        (f.name, getattr(obj, f.name))
+        for obj in (uc, *uc.rows)
+        for f in dataclasses.fields(obj)
+        if f.name != "rows" and not exact(getattr(obj, f.name))
+    ]
+    assert inexact == []
+    assert uc.rows and all(type(r) is analysis.UncomplementedRow for r in uc.rows)
 
 
 def weight_bound_holds(p, j, delta, nu) -> bool:
@@ -615,11 +637,9 @@ def test_bracket_decides_the_weight_bound(cert_p4, case):
         ball=dataclasses.replace(cert_p4.ball, delta=delta),
         entries=tuple(dataclasses.replace(cert_p4.entries[0], j=j, nu=nu) for j, nu in entries),
     )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "COMPARATOR_N", 10)  # the float comparator is beside the point here
-        uc = uncomplemented_certificate(cert)
+    uc = uncomplemented_certificate(cert)
     expected = [weight_bound_holds(p, j, delta, nu) for j, nu in entries]
-    assert [r.bracket_ok for r in uc.rows] == [r.bounds_ok for r in uc.rows] == expected
+    assert [r.bracket_ok for r in uc.rows] == expected
     assert uc.offending_js == tuple(j for (j, _), ok in zip(entries, expected) if not ok)
 
 

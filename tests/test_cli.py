@@ -272,6 +272,20 @@ def pinned_run(tmp_path, capsys, construct_argv, argv):
     return code, hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+@pytest.mark.parametrize("fmt, calls", [("text", 0), ("json", 1)])
+def test_verify_renders_weights_only_for_json(tmp_path, capsys, monkeypatch, cert_p4, fmt, calls):
+    # the weight payload runs a 10^6-term float loop that text output never shows
+    path = tmp_path / "cert.json"
+    save_certificate(cert_p4, path)
+    seen = []
+    real = lp_isoforge.cli.uncomplemented_to_dict
+    monkeypatch.setattr(lp_isoforge.cli, "uncomplemented_to_dict", lambda *a: seen.append(a) or real(*a))
+    out = tmp_path / "report"
+    code, text, _ = run(capsys, "verify", str(path), "--trials", "5", "--format", fmt, "--out", str(out))
+    assert code == 0 and out.read_text() == text
+    assert len(seen) == calls
+
+
 # (construct argv, command argv, exit code, sha256 of the JSON payload with
 # the certificate path replaced by "<cert>"); one moved byte of a check
 # line, weight row or projection bound moves a hash, so refresh one only

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -220,10 +221,12 @@ def test_report_payload_shapes(cert_p4):
     assert Fraction(di["bound_exact"]) == iso.bound
 
     uc = uncomplemented_certificate(cert_p4)
-    du = uncomplemented_to_dict(uc)
+    du = uncomplemented_to_dict(uc, cert_p4.precision_bits)
     assert du["valid"] is True
     assert len(du["rows"]) == len(cert_p4.entries)
-    assert float(du["comparator_partial_sum"]) == uc.comparator_partial_sum
+    # repr round-trips the float; sum_{j <= 10^6} j^-2 = pi^2/6 - 1/10^6 + O(10^-12)
+    assert repr(float(du["comparator_partial_sum"])) == du["comparator_partial_sum"]
+    assert float(du["comparator_partial_sum"]) == pytest.approx(math.pi ** 2 / 6 - 1e-6, abs=1e-11)
     assert "not certified" in du["divergence_note"]
     json.loads(dumps_json(du))
 
