@@ -11,10 +11,12 @@ generators and produces evidence:
   into its even cumulants, O(n k^2) for n entries.  Cumulants of
   independent terms add and scale as c^(2l), so every order of a
   combination costs one integer dot product, O(n k) per trial, and one
-  cumulant-to-moment map returns its table.  Both sides are exact
-  rationals, equal to a fold of the scaled tables, so the reported
-  maximum relative residual is exact, and it is accompanied by a
-  propagation bound:
+  integer cumulant-to-moment map (`moments.integer_moment_map`) returns
+  its table times per-order denominators fixed once per check.  A trial
+  builds no Fraction: the worst ratio is kept as a pair of integers and
+  becomes one Fraction at the end.  Both sides are exact rationals,
+  equal to a fold of the scaled tables, so the reported maximum relative
+  residual is exact, and it is accompanied by a propagation bound:
   every term of the even-moment expansion is positive, so the relative
   error of the sum is at most the worst relative error of a factor,
   giving  max_rel <= (1 + eps_hat/H_min)^k - 1  with eps_hat the largest
@@ -62,7 +64,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from math import comb, copysign, cos, lcm, pi, sin
+from math import comb, copysign, cos, gcd, lcm, pi, sin
 from operator import mul
 
 import mpmath
@@ -91,7 +93,7 @@ from .moments import (
     convolve,
     even_cumulants,
     fold_even_moments,
-    moments_from_even_cumulants,
+    integer_moment_map,
     term_tables,
 )
 from .momentpoly import MuVector, cm_alpha_table
@@ -197,11 +199,15 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
     (the relative residual is homogeneous, so this costs nothing and
     keeps the arithmetic in integers).  Every generator's moment table
     becomes its even cumulants once, O(n k^2) exact operations for n
-    entries; cumulants of independent terms add and scale as c^(2l), so
-    a trial costs one integer dot product per order, O(n k) in all, and
-    two cumulant-to-moment maps yield every order 2..p of both spans.
-    The moments are the same exact rationals the fold of the scaled
-    tables gives.  The returned bound is the positivity propagation
+    entries, held over one common denominator D_l per order; cumulants
+    of independent terms add and scale as c^(2l), so a trial costs one
+    integer dot product per order, O(n k) in all, and two integer
+    cumulant-to-moment maps (`moments.integer_moment_map`, set up once
+    per check) yield Q_m times every order 2m = 2..p of both spans.  The
+    trial loop runs on integers alone, comparing ratios by
+    cross-multiplication; the one Fraction it builds is the reported
+    maximum, the same exact rational the fold of the scaled tables
+    gives.  The returned bound is the positivity propagation
     constant (1 + eps_hat/H_min)^k - 1; the residual can never exceed it
     while the certificate is honest.
     """
@@ -223,36 +229,42 @@ def _sampled_isometry(cert, ref_table, per, eps_hat: Fraction, trials: int, seed
     # order l: kappa_2l(f~_j) = nums[l][j] / dens[l], one denominator per order
     dens = [lcm(*(kappa[l].denominator for kappa in per_kappa)) for l in range(k + 1)]
     nums = [[kappa[l].numerator * (dens[l] // kappa[l].denominator) for kappa in per_kappa] for l in range(k + 1)]
+    # each side's map returns Q_m E S^(2m) as integers, R_m for h and P_m
+    # for f~; the relative residual |P_m/Q^per_m - R_m/Q^ref_m| / (R_m/Q^ref_m)
+    # is |P_m r_m - R_m s_m| / (R_m s_m), (r_m, s_m) = (Q^ref_m, Q^per_m)
+    # over their gcd, and the worst one is kept as a pair of integers
+    ref_q, ref_moments = integer_moment_map([x.denominator for x in ref_kappa], k)
+    per_q, per_moments = integer_moment_map(dens, k)
+    ref_nums = [x.numerator for x in ref_kappa]
+    cross = [(a // gcd(a, b), b // gcd(a, b)) for a, b in zip(ref_q, per_q)][1:]
 
     rng = random.Random(seed)
-    worst = Fraction(0)
+    worst_num, worst_den = 0, 1
     for _ in range(trials):
         while True:
             c = []
             for _ in range(n):
                 den = rng.randint(1, 1000)
-                c.append(Fraction(rng.randint(-den, den), den))
-            if any(c):
+                c.append((rng.randint(-den, den), den))
+            if any(a for a, _ in c):
                 break
-        scale = lcm(*(q.denominator for q in c))
-        squares = [int(q * scale) ** 2 for q in c]
+        # scale by the lcm of the reduced denominators: every a/d * scale is an integer
+        scale = lcm(*(d // gcd(a, d) for a, d in c))
+        squares = [(a * scale // d) ** 2 for a, d in c]
         # K_2l = sum_j c_j^(2l) kappa_2l(g_j); every h_j has kappa(h)
         ref_sum = [0] * (k + 1)
         per_sum = [0] * (k + 1)
         powers = squares
         for l in range(1, k + 1):
-            ref_sum[l] = ref_kappa[l] * sum(powers)
-            per_sum[l] = Fraction(sum(map(mul, powers, nums[l])), dens[l])
+            ref_sum[l] = ref_nums[l] * sum(powers)
+            per_sum[l] = sum(map(mul, powers, nums[l]))
             powers = list(map(mul, powers, squares))
-        ref_moments = moments_from_even_cumulants(ref_sum, k)
-        per_moments = moments_from_even_cumulants(per_sum, k)
-        for m in range(1, k + 1):
-            v = ref_moments[m]
-            rel = abs(per_moments[m] - v) / v
-            if rel > worst:
-                worst = rel
+        for (r, s), ref_m, per_m in zip(cross, ref_moments(ref_sum)[1:], per_moments(per_sum)[1:]):
+            num, den = abs(per_m * r - ref_m * s), ref_m * s
+            if num * worst_den > worst_num * den:
+                worst_num, worst_den = num, den
     return IsometryCheckResult(
-        max_rel_residual=worst,
+        max_rel_residual=Fraction(worst_num, worst_den),
         bound=bound,
         trials=trials,
         seed=seed,

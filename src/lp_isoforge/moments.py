@@ -31,7 +31,12 @@ a caller reads every order it needs from one fold.  `even_cumulants` and
 `moments_from_even_cumulants` convert a table to its even cumulants and
 back; cumulants of independent summands add, so many sums of the same
 summands under different scalings cost one conversion per summand and
-then O(n k) per sum instead of a fold each.
+then O(n k) per sum instead of a fold each.  The way back is written
+once, in `integer_moment_map`: with each order's cumulants over one
+denominator, it runs on integer numerators and returns the moments
+times fixed common denominators, so such sums build no Fraction at all;
+`moments_from_even_cumulants` is that map on its input's own
+denominators.
 
 `convolve` is the independent oracle for the same quantity: it builds the
 full distribution of the sum by direct convolution (atoms merged on equal
@@ -64,6 +69,7 @@ __all__ = [
     "fold_even_moments",
     "even_cumulants",
     "moments_from_even_cumulants",
+    "integer_moment_map",
     "convolve",
     "abs_moment",
 ]
@@ -199,13 +205,46 @@ def moments_from_even_cumulants(kappa, k: int) -> list:
     Cumulants of independent summands add and kappa_2l(c g) =
     c^(2l) kappa_2l(g), so a sum's table is this map applied to summed,
     scaled cumulants; the result equals `fold_even_moments` exactly.
+    Runs `integer_moment_map` on the cumulants' own denominators.
     """
     if len(kappa) < k + 1:
         raise ValueError(f"cumulants must cover orders up to {2 * k}")
-    moments = [Fraction(1)] + [Fraction(0)] * k
+    kappa = [Fraction(x) for x in kappa[: k + 1]]
+    q, to_moments = integer_moment_map([x.denominator for x in kappa], k)
+    return [Fraction(a, d) for a, d in zip(to_moments([x.numerator for x in kappa]), q)]
+
+
+def integer_moment_map(dens, k: int) -> tuple:
+    """(Q, to_moments): the cumulant-to-moment map on integers.
+
+    For cumulants kappa_2l = N_l / dens[l], l = 1..k (dens[0] is
+    ignored), put Q_0 = 1 and Q_m = lcm_{l=1..m} dens[l] Q_{m-l}.  Then
+    Q_m E g^(2m) is an integer, and the recursion of
+    `moments_from_even_cumulants` becomes
+
+        Q_m E g^(2m) = sum_{l=1}^{m} f_{m,l} N_l (Q_{m-l} E g^(2m-2l)),
+        f_{m,l} = binom(2m-1, 2l-1) Q_m / (dens[l] Q_{m-l}),
+
+    with integer factors f_{m,l} computed here once.  `to_moments(N)`
+    maps numerators [N_0, N_1, ..., N_k] (N_0 is ignored) to the integers
+    [Q_0 E g^0, ..., Q_k E g^(2k)], O(k^2) integer operations and no
+    gcd, so many sums that share the denominators cost no Fraction each.
+    """
+    q = [1]
     for m in range(1, k + 1):
-        moments[m] = sum(math.comb(2 * m - 1, 2 * l - 1) * kappa[l] * moments[m - l] for l in range(1, m + 1))
-    return moments
+        q.append(math.lcm(*(dens[l] * q[m - l] for l in range(1, m + 1))))
+    factors = [
+        [math.comb(2 * m - 1, 2 * l - 1) * q[m] // (dens[l] * q[m - l]) for l in range(1, m + 1)]
+        for m in range(k + 1)
+    ]
+
+    def to_moments(nums) -> list:
+        scaled = [1]
+        for m in range(1, k + 1):
+            scaled.append(sum(f * nums[l] * scaled[m - l] for l, f in enumerate(factors[m], 1)))
+        return scaled
+
+    return q, to_moments
 
 
 def convolve(spec: IndependentSumSpec) -> "DiscreteDistribution":

@@ -220,19 +220,25 @@ def test_single_coefficient_vectors_reproduce_residuals(cert_p6):
             assert ref_moments[m] == cert_p6.target.values[m - 1]
 
 
+SMALL_J_MAX = {4: 8, 6: 20, 8: 12, 10: 6, 12: 6, 16: 4}
+
+
 @pytest.fixture(scope="module")
 def small_certs(cert_p6):
-    return {6: cert_p6, **{p: construct_pair(p, j_max, 256) for p, j_max in ((4, 8), (8, 12), (12, 6))}}
+    return {6: cert_p6, **{p: construct_pair(p, j_max, 256) for p, j_max in SMALL_J_MAX.items() if p != 6}}
 
 
+# p = 10 and p = 16 reach orders 10 and 16, where the span's per-order
+# cumulant denominators differ most
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("p", [4, 6, 8, 12])
+@pytest.mark.parametrize("p", sorted(SMALL_J_MAX))
 def test_isometry_check_equals_fold_oracle(small_certs, p, seed):
     cert = small_certs[p]
-    assert len(cert.entries) == {4: 8, 6: 20, 8: 12, 12: 6}[p]
-    res = isometry_check(cert, trials=40, seed=seed)
-    assert (res.max_rel_residual, res.bound) == fold_isometry_oracle(cert, 40, seed)
-    assert 0 < res.max_rel_residual <= res.bound
+    assert len(cert.entries) == SMALL_J_MAX[p]
+    for trials in (1, 40):
+        res = isometry_check(cert, trials=trials, seed=seed)
+        assert (res.max_rel_residual, res.bound) == fold_isometry_oracle(cert, trials, seed)
+        assert 0 < res.max_rel_residual <= res.bound
 
 
 def test_isometry_requires_entries():

@@ -303,6 +303,16 @@ PINNED_PAYLOADS = {
         ["--p", "8", "--j-max", "5"], ["verify", "<cert>"], 0,
         "ff8a3b7c293847014ca33971da6b1ed5d6af431d64fe129d698e70c93b95b5ea",
     ),
+    # k = 5 and k = 8: the orders where the span's per-order cumulant
+    # denominators differ most
+    "verify-p10": (
+        ["--p", "10", "--j-max", "6"], ["verify", "<cert>"], 0,
+        "ee4561c183eb5bd30b608c45c21cec1ac780bef8eea8af4bd7cd1bc09dbc5227",
+    ),
+    "verify-p16": (
+        ["--p", "16", "--j-max", "4"], ["verify", "<cert>"], 0,
+        "537b7c2c48630dcb95511430ffbd591c6ab90b1746a8b5b49e14294b58d1c18f",
+    ),
     "project": (
         None, ["project", "--p", "4", "--n", "2", "--trials", "5"], 0,
         "3ee56f3c4385f0e5abd4f20b94bf139f8801ed038eb4bc4a924eb8617cd97217",

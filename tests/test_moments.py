@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import workprec
 
 from lp_isoforge.errors import CapExceededError, DegenerateInputError
@@ -17,6 +17,7 @@ from lp_isoforge.moments import (
     convolve,
     even_cumulants,
     fold_even_moments,
+    integer_moment_map,
     moment_coefficients,
     moments_from_even_cumulants,
     term_tables,
@@ -255,3 +256,32 @@ def test_cumulants_add_to_the_fold(k, tables, coeffs):
     summed = [sum(c ** (2 * l) * kappa[l] for c, kappa in zip(coeffs, kappas)) for l in range(k + 1)]
     scaled = [[c ** (2 * l) * t[l] for l in range(k + 1)] for c, t in zip(coeffs, tables)]
     assert moments_from_even_cumulants(summed, k) == fold_even_moments(scaled, k)
+
+
+# a centred Gaussian table v^l (2l-1)!! has kappa_2 = v and no higher cumulant
+gaussian_table = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12).map(
+    lambda v: [Fraction(1)] + [math.prod(range(1, 2 * l, 2)) * v ** l for l in range(1, 7)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=6),
+    tables=st.lists(
+        st.one_of(st.lists(table_entry, min_size=7, max_size=7), gaussian_table), min_size=1, max_size=5
+    ),
+    coeffs=st.lists(st.integers(min_value=-4, max_value=4), min_size=5, max_size=5),
+)
+@example(k=3, tables=[[1, 1, 3, 15, 105, 945, 10395]], coeffs=[2, 0, 0, 0, 0])
+def test_integer_moment_map_is_q_times_the_fold(k, tables, coeffs):
+    # summed cumulants over one denominator per order, as isometry_check holds them
+    tables = [[Fraction(1)] + list(map(Fraction, t[1:])) for t in tables]
+    kappas = [even_cumulants(t, k) for t in tables]
+    dens = [math.lcm(*(kappa[l].denominator for kappa in kappas)) for l in range(k + 1)]
+    nums = [sum(c ** (2 * l) * kappa[l] * dens[l] for c, kappa in zip(coeffs, kappas)) for l in range(k + 1)]
+    assert all(n.denominator == 1 for n in map(Fraction, nums))
+    q, to_moments = integer_moment_map(dens, k)
+    scaled = [[c ** (2 * l) * t[l] for l in range(k + 1)] for c, t in zip(coeffs, tables)]
+    moments = to_moments([int(n) for n in nums])
+    assert all(type(x) is int for x in q + moments)
+    assert moments == [q_m * e for q_m, e in zip(q, fold_even_moments(scaled, k))]
