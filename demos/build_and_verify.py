@@ -28,7 +28,7 @@ def main() -> None:
     lo = cert.ball.delta / 2 / 5 ** (p - 2)
     hi = cert.ball.delta / 5 ** (p - 2)
     print(f"entry j = 5: nu {e.nu}, window ({lo}, {hi})")
-    print(f"            mu {tuple(str(m)[:12] for m in e.mu)}")
+    print(f"            mu {tuple(f'{float(m):.10f}' for m in e.mu)}")
     print()
 
     iso = isometry_check(cert, trials=50, seed=1)

@@ -11,16 +11,17 @@ Layout:
 
 * `moments`: exact even moments of sums of independent symmetric
   variables with rational scales and masses by a term-by-term fold,
-  which returns every order as one table, the even-cumulant conversions
-  (cumulants of independent terms add), and the brute-force convolution
-  oracle.
+  which returns every order as one table, the even-cumulant conversion
+  and its integer inverse (cumulants of independent terms add), and the
+  brute-force convolution oracle.
 * `momentpoly`: the moment polynomials H_m and F_m^(j) in the masses,
   their gradients and Jacobians, and the Vandermonde determinant check.
   H, dH and F come as whole tables (`h_vector`, `grad_table`,
   `moment_vector_F`); callers read the entries they need from one table.
 * `solver`: the solvable box around a base point, the damped Newton
   solve for the perturbed masses (on raw libmp tuples, rounded as mpf
-  arithmetic rounds), and certificate construction.
+  arithmetic rounds, returned as exact dyadic rationals), and
+  certificate construction.
 * `p4`: the closed-form two-generator pair at p = 4, matched column
   against the printed closed forms.
 * `analysis`: isometry spot checks, span projections with p-norm lower
@@ -76,7 +77,6 @@ from .moments import (
     even_cumulants,
     fold_even_moments,
     moment_coefficients,
-    moments_from_even_cumulants,
     term_tables,
 )
 from .numeric import (

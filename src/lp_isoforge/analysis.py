@@ -100,7 +100,6 @@ from .momentpoly import MuVector, cm_alpha_table
 from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
-    mpf_to_fraction,
     real_to_str,
     to_mpf,
     workprec,
@@ -154,12 +153,12 @@ def certificate_span(cert: ConstructionCertificate) -> tuple:
     """Moment tables [E f~_j^0, ..., E f~_j^p] of the f~_j side, one per entry.
 
     f~_j has masses mu^(j) plus one atom of scale j and mass nu_j.  The
-    stored mu are dyadic, so the tables are exact rationals; nothing is
-    trusted from the solve itself.
+    stored mu are exact dyadic rationals, so the tables are exact;
+    nothing is trusted from the solve itself.
     """
     tables = []
     for e in cert.entries:
-        terms = [SymmetricAtomVariable(1, mpf_to_fraction(v)) for v in e.mu]
+        terms = [SymmetricAtomVariable(1, v) for v in e.mu]
         if e.nu != 0:
             # nu = 0 would be an a.s.-zero summand; skip it rather than
             # build a degenerate variable

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_common(sp, handler, seed=False, trials=False):
+    def add_common(sp, handler, seed=None, trials=False):
         sp.set_defaults(handler=handler)
         sp.add_argument("--out", default=None, help="write the report/certificate here")
         sp.add_argument(
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="stdout and --out rendering (default text)",
         )
         if seed:
-            sp.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+            sp.add_argument("--seed", type=int, default=0, help=seed)
         if trials:
             sp.add_argument("--trials", type=_at_least(1), default=100, help="random spot checks to run")
 
@@ -134,11 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"working precision in bits, {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} "
         f"(default {DEFAULT_PRECISION_BITS})",
     )
-    add_common(sp, cmd_construct, seed=True)
+    add_common(sp, cmd_construct, seed="recorded in the certificate only; construct draws no random number")
 
     sp = sub.add_parser("verify", help="recheck a certificate from its stored values")
     sp.add_argument("certificate", help="certificate JSON produced by construct")
-    add_common(sp, cmd_verify, seed=True, trials=True)
+    add_common(sp, cmd_verify, seed="seed for all randomness", trials=True)
 
     sp = sub.add_parser("p4", help="p = 4 matched pair table, rows n = 2..N")
     sp.add_argument("--n", type=_at_least(2), default=100, help="largest row (default 100)")
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("project", help="span projection identities and p-norm bound")
     sp.add_argument("--p", type=p_arg, default=4, help="even integer >= 4 (default 4)")
     sp.add_argument("--n", type=_at_least(1), default=2, help="number of generators (default 2)")
-    add_common(sp, cmd_project, seed=True, trials=True)
+    add_common(sp, cmd_project, seed="seed for all randomness", trials=True)
 
     return parser
 
@@ -235,7 +235,9 @@ def cmd_verify(args) -> int:
 
 def cmd_p4(args) -> int:
     rows = build_p4_table(args.n)
-    text = render_p4_text(rows) + "\n\n" + render_p4_report(rows)
+    text = None  # JSON output never reads it
+    if args.fmt == "text":
+        text = render_p4_text(rows) + "\n\n" + render_p4_report(rows)
     _emit(args, text, p4_table_to_dict(rows))
     return 0
 

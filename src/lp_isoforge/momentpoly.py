@@ -116,8 +116,11 @@ def cm_alpha_table(k: int) -> CmAlphaTable:
 
 @dataclass(frozen=True)
 class MuVector:
-    """Mass vector mu_1, ..., mu_k, each in (0, 1].
+    """Mass vector mu_1, ..., mu_k, each an exact rational in (0, 1].
 
+    The masses are ints or Fractions; a float, an mpf or a bool raises
+    TypeError, so every mass vector can be rechecked exactly.  Solver roots
+    enter as the exact dyadic values of their binary floats.
     `strictly_decreasing` tells whether mu_1 > mu_2 > ... > mu_k holds;
     most of the solver's theory needs it, but evaluation does not, so it
     is a flag rather than a hard precondition.
@@ -130,6 +133,8 @@ class MuVector:
         if not values:
             raise DegenerateInputError("mu vector must be nonempty")
         for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise TypeError(f"masses must be ints or Fractions, got {type(v).__name__}")
             if not 0 < v <= 1:
                 raise DegenerateInputError(f"masses must lie in (0, 1], got {v}")
         object.__setattr__(self, "values", values)

@@ -27,16 +27,14 @@ fractional order leaves them, through mpf powers.
 
 The layer exports whole tables, not single moments: `term_tables` gives
 each summand's [1, E f^2, ..., E f^(2k)], the fold gives the sum's, and
-a caller reads every order it needs from one fold.  `even_cumulants` and
-`moments_from_even_cumulants` convert a table to its even cumulants and
-back; cumulants of independent summands add, so many sums of the same
-summands under different scalings cost one conversion per summand and
-then O(n k) per sum instead of a fold each.  The way back is written
-once, in `integer_moment_map`: with each order's cumulants over one
-denominator, it runs on integer numerators and returns the moments
-times fixed common denominators, so such sums build no Fraction at all;
-`moments_from_even_cumulants` is that map on its input's own
-denominators.
+a caller reads every order it needs from one fold.  `even_cumulants`
+converts a table to its even cumulants; cumulants of independent
+summands add, so many sums of the same summands under different scalings
+cost one conversion per summand and then O(n k) per sum instead of a
+fold each.  The way back is `integer_moment_map`: with each order's
+cumulants over one denominator, it runs on integer numerators and
+returns the moments times fixed common denominators, so such sums build
+no Fraction at all.
 
 `convolve` is the independent oracle for the same quantity: it builds the
 full distribution of the sum by direct convolution (atoms merged on equal
@@ -68,7 +66,6 @@ __all__ = [
     "term_tables",
     "fold_even_moments",
     "even_cumulants",
-    "moments_from_even_cumulants",
     "integer_moment_map",
     "convolve",
     "abs_moment",
@@ -197,30 +194,14 @@ def even_cumulants(table, k: int) -> list:
     return kappa
 
 
-def moments_from_even_cumulants(kappa, k: int) -> list:
-    """[1, E g^2, ..., E g^(2k)] back from [0, kappa_2, ..., kappa_2k].
-
-    The inverse of `even_cumulants`:
-    E g^(2m) = sum_{l=1}^{m} binom(2m-1, 2l-1) kappa_2l E g^(2m-2l).
-    Cumulants of independent summands add and kappa_2l(c g) =
-    c^(2l) kappa_2l(g), so a sum's table is this map applied to summed,
-    scaled cumulants; the result equals `fold_even_moments` exactly.
-    Runs `integer_moment_map` on the cumulants' own denominators.
-    """
-    if len(kappa) < k + 1:
-        raise ValueError(f"cumulants must cover orders up to {2 * k}")
-    kappa = [Fraction(x) for x in kappa[: k + 1]]
-    q, to_moments = integer_moment_map([x.denominator for x in kappa], k)
-    return [Fraction(a, d) for a, d in zip(to_moments([x.numerator for x in kappa]), q)]
-
-
 def integer_moment_map(dens, k: int) -> tuple:
     """(Q, to_moments): the cumulant-to-moment map on integers.
 
     For cumulants kappa_2l = N_l / dens[l], l = 1..k (dens[0] is
     ignored), put Q_0 = 1 and Q_m = lcm_{l=1..m} dens[l] Q_{m-l}.  Then
-    Q_m E g^(2m) is an integer, and the recursion of
-    `moments_from_even_cumulants` becomes
+    Q_m E g^(2m) is an integer, and the inverse of `even_cumulants`,
+    E g^(2m) = sum_{l=1}^{m} binom(2m-1, 2l-1) kappa_2l E g^(2m-2l),
+    becomes
 
         Q_m E g^(2m) = sum_{l=1}^{m} f_{m,l} N_l (Q_{m-l} E g^(2m-2l)),
         f_{m,l} = binom(2m-1, 2l-1) Q_m / (dens[l] Q_{m-l}),

@@ -4,10 +4,10 @@ Two kinds of scalars flow through this package:
 
 * exact rationals (`fractions.Fraction`), used wherever the inputs are
   rational and the result must be bit-for-bit reproducible (moment
-  identities, certificate residual re-evaluation, bracket checks);
+  identities, certificate masses and residuals, bracket checks);
 * binary floats of configurable precision (`mpmath.mpf`, or its raw
-  libmp tuple), used for the Newton iteration, square roots and
-  fractional powers.
+  libmp tuple), used for the Newton iteration, square roots,
+  fractional powers and the decimal encoding.
 
 Precision discipline: every mpf computation runs inside an explicit
 ``workprec`` context and the precision in force is recorded alongside any
@@ -24,11 +24,13 @@ most 1 ulp off in mpmath 1.3); `ProjectionOperator.abs_power_moment`,
 which takes even orders only, reaches it on mpf vectors and keeps it so
 its values stay bit-identical.
 Conversion the other way (:func:`mpf_to_fraction`) is exact because every
-finite binary float is a dyadic rational.
+finite binary float is a dyadic rational.  Masses take it once, where they
+enter: the solver's returned roots and the certificate reader.
 
 Decimal serialization uses enough digits that parsing the string at the
 same precision reproduces the identical mpf, so certificates survive a
-round trip byte-for-byte.
+round trip byte-for-byte: a mass written from its exact dyadic value and
+read back converts to the same rational.
 
 :func:`count_real_roots` counts the distinct real roots of a rational
 polynomial in an interval by a Sturm sequence, in exact arithmetic.

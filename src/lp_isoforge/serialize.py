@@ -3,14 +3,18 @@
 Conventions, fixed across every writer in the package:
 
 * rationals serialize as "num/den" strings, reals as decimal strings
-  carrying the full working precision (round-trip verified at parse
-  time), so a certificate survives platforms and JSON libraries intact;
+  carrying the full working precision: `real_to_str` writes enough digits
+  that `parse_real` at the same precision reads back the identical
+  binary float, so a certificate survives platforms and JSON libraries
+  intact;
 * key order is fixed by construction, output is `indent=2` with a
   trailing newline and carries no timestamps, so identical runs produce
   byte-identical files;
 * certificates carry the schema id "lp-isoforge-cert/1"; `cert_from_dict`
   is the one reader and validator: it checks each field as it parses it
-  and raises SchemaError naming the field.
+  and raises SchemaError naming the field.  It reads each real at the
+  certificate's precision and converts each mass once, on entry, to the
+  exact dyadic rational of that float; only jac_det stays a float.
 
 This module is the package's one reader of input files: certificates and
 the moment spec files of `load_moment_spec`.  `uncomplemented_to_dict`
@@ -30,7 +34,17 @@ import mpmath
 from .errors import SchemaError
 from .momentpoly import MuVector
 from .moments import IndependentSumSpec, SymmetricAtomVariable
-from .numeric import DEFAULT_PRECISION_BITS, frac_to_str, parse_real, real_to_str, to_mpf, validate_precision, workprec
+from .numeric import (
+    DEFAULT_PRECISION_BITS,
+    MAX_PRECISION_BITS,
+    frac_to_str,
+    mpf_to_fraction,
+    parse_real,
+    real_to_str,
+    to_mpf,
+    validate_precision,
+    workprec,
+)
 from .solver import BallParams, CertEntry, ConstructionCertificate, HValues
 
 __all__ = [
@@ -51,6 +65,9 @@ __all__ = [
 
 CERT_SCHEMA_ID = "lp-isoforge-cert/1"
 _COMPARATOR_N = 10 ** 6  # terms in the divergence comparator's float partial sum
+# the least mass the reader accepts: a mass's exact rational grows with its
+# decimal exponent, and every mass construct writes lies above delta
+_MIN_MASS = mpmath.ldexp(1, -MAX_PRECISION_BITS)
 
 
 def dumps_json(obj) -> str:
@@ -170,10 +187,12 @@ def cert_from_dict(data) -> ConstructionCertificate:
 
     Any deviation raises SchemaError naming the field: key sets, types and
     minima, string grammars, p = 2k, vector lengths k, and the domains
-    mu in (0, 1], nu in (0, 1], target > 0 and ball values > 0 (the
-    verifier divides by nu and delta).  Field invariants (ball, brackets,
-    ordering, residual size) are the verifier's job: it must be able to
-    load a bad certificate in order to reject it.
+    mu in [2^-MAX_PRECISION_BITS, 1], nu in (0, 1], target > 0 and ball
+    values > 0 (the verifier divides by nu and delta).  A mass is bounded
+    as a float, before it becomes an exact rational whose size grows with
+    its exponent.  Field invariants (ball, brackets, ordering, residual
+    size) are the verifier's job: it must be able to load a bad
+    certificate in order to reject it.
     """
     _object(data, "certificate", _CERT_KEYS, optional=("seed",))
     if data["schema"] != CERT_SCHEMA_ID:
@@ -191,8 +210,14 @@ def cert_from_dict(data) -> ConstructionCertificate:
     def fractions(value, name):
         return tuple(_fraction(s, f"{name}[{i}]") for i, s in enumerate(_list(value, name, k)))
 
-    def reals(value, name):
-        return tuple(_checked(f"{name}[{i}]", parse_real, s, prec) for i, s in enumerate(_list(value, name, k)))
+    def masses(value, name):
+        out = []
+        for i, s in enumerate(_list(value, name, k)):
+            x = _checked(f"{name}[{i}]", parse_real, s, prec)
+            if not _MIN_MASS <= x <= 1:
+                raise SchemaError(f"{name}[{i}] = {s} lies outside [2^-{MAX_PRECISION_BITS}, 1]")
+            out.append(mpf_to_fraction(x))
+        return tuple(out)
 
     ball = _object(data["ball"], "ball", _BALL_KEYS)
     entries = []
@@ -206,7 +231,7 @@ def cert_from_dict(data) -> ConstructionCertificate:
             CertEntry(
                 j=e["j"],
                 nu=nu,
-                mu=_checked(f"{where} mu", MuVector, reals(e["mu"], f"{where} mu")).values,
+                mu=_checked(f"{where} mu", MuVector, masses(e["mu"], f"{where} mu")).values,
                 residuals=fractions(e["residuals"], f"{where} residuals"),
                 jac_det=_checked(f"{where} jac_det", parse_real, e["jac_det"], prec),
                 newton_iters=_integer(e["newton_iters"], f"{where} newton_iters", 0),

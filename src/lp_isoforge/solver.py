@@ -53,9 +53,12 @@ mpf expression in its order, so each iterate is bit for bit what
 `momentpoly.moment_vector_F` and `jacobian_F` give on mpf inside
 ``workprec``; the tuples only skip mpf's per-operator overhead.
 
-Everything that can be exact is exact: nu_j, delta, the targets, and the
-certificate residuals, which are re-evaluated in rational arithmetic at
-the (dyadic) returned point rather than trusted from the float loop.
+Everything that can be exact is exact: nu_j, delta, the targets, the
+masses, and the certificate residuals.  `solve_mu` and `closed_form_k2`
+return the exact dyadic values of their binary-float roots, converted
+once per return, never per iterate; the residuals are re-evaluated in
+rational arithmetic at those values rather than trusted from the float
+loop.  Only the Newton loop and the stored jac_det are floats.
 """
 
 from __future__ import annotations
@@ -210,7 +213,7 @@ def ball_params(mu_bar: MuVector) -> BallParams:
     k = mu_bar.k
     if k < 2:
         raise DegenerateInputError("need k >= 2 (k-1 appears as a divisor)")
-    values = tuple(Fraction(v) for v in mu_bar.values)
+    values = mu_bar.values
     if not mu_bar.strictly_decreasing:
         raise DegenerateInputError("mu_bar must be strictly decreasing")
     gaps = [values[i] - values[i + 1] for i in range(k - 1)]
@@ -245,8 +248,7 @@ def nu_schedule_value(ball: BallParams, j: int, nu_fraction: Fraction = DEFAULT_
 
 @dataclass(frozen=True)
 class SolveResult:
-    mu: MuVector
-    residuals: tuple  # signed F_m - T_m at the returned point, mpf
+    mu: MuVector  # the exact dyadic values of the converged iterate
     iterations: int
 
 
@@ -353,7 +355,8 @@ def solve_mu(
 
     The iterates are raw libmp tuples (`_RawSystem`, `raw_elimination`),
     rounded exactly as mpf arithmetic inside ``workprec(precision)``
-    rounds them.
+    rounds them.  The returned masses are the exact dyadic values of the
+    last iterate.
     """
     validate_precision(precision)
     k = target.k
@@ -441,8 +444,7 @@ def solve_mu(
             f"converged outside the mass domain (j={j}, mu={[to_str(v, 8) for v in mu_cur]})"
         )
     return SolveResult(
-        mu=MuVector(tuple(mp.make_mpf(v) for v in mu_cur)),
-        residuals=tuple(mp.make_mpf(v) for v in g),
+        mu=MuVector(tuple(mpf_to_fraction(mp.make_mpf(v)) for v in mu_cur)),
         iterations=iterations,
     )
 
@@ -453,7 +455,8 @@ def closed_form_k2(j: int, nu: Fraction, target: HValues) -> MuVector:
     F_1 pins the sum s = e_1 = T_1 - nu j^2 and F_2 = e_1 + 6 e_2 + nu
     (6 j^2 e_1 + j^4) pins the product q = e_2, so mu_1, mu_2 are the
     roots of x^2 - s x + q.  Rejects nonpositive discriminants and roots
-    outside (0, 1).  The roots are taken at DEFAULT_PRECISION_BITS.
+    outside (0, 1).  The roots are taken at DEFAULT_PRECISION_BITS and
+    returned as the exact dyadic values of those floats.
     """
     if target.k != 2:
         raise ValueError("closed form applies to k = 2 only")
@@ -474,15 +477,17 @@ def closed_form_k2(j: int, nu: Fraction, target: HValues) -> MuVector:
             raise NoSolutionError(
                 f"roots {mpmath.nstr(hi, 8)}, {mpmath.nstr(lo, 8)} not inside (0, 1)"
             )
-        return MuVector((hi, lo))
+        return MuVector((mpf_to_fraction(hi), mpf_to_fraction(lo)))
 
 
 @dataclass(frozen=True)
 class CertEntry:
     """One solved scale: the mass vector and the evidence it is a solution.
 
-    `residuals` are exact rationals, re-evaluated from the dyadic value of
-    the stored mu, not carried over from the float iteration.
+    `mu` holds exact dyadic Fractions and `residuals` exact rationals,
+    re-evaluated from those masses, not carried over from the float
+    iteration.  `jac_det` alone is an mpf: provenance the verifier does
+    not recheck.
     """
 
     j: int
@@ -550,13 +555,11 @@ def max_abs_residual(rows) -> Fraction:
 
 def decreasing_above(mu: tuple, delta: Fraction) -> bool:
     """mu_1 > ... > mu_k > delta on exact values: the ordering every certified scale must meet."""
-    mu = tuple(mpf_to_fraction(v) for v in mu)
     return all(a > b for a, b in zip(mu, mu[1:])) and mu[-1] > delta
 
 
 def _exact_residuals(j: int, nu: Fraction, mu_values, target: HValues) -> tuple:
-    mu_frac = tuple(mpf_to_fraction(v) for v in mu_values)
-    return tuple(f - t for f, t in zip(moment_vector_F(j, mu_frac, nu), target))
+    return tuple(f - t for f, t in zip(moment_vector_F(j, mu_values, nu), target))
 
 
 def construct_pair(

@@ -36,8 +36,10 @@ def cert_p4():
 # let a ZeroDivisionError, TypeError or mpmath ValueError escape: zero
 # denominators, integers written as floats, reals outside the decimal grammar,
 # precisions above the cap (an OverflowError at 2**70, a MemoryError at
-# 2**40 once the first real is parsed), and a zero or negative delta or a
-# zero nu, which the verifier divides by
+# 2**40 once the first real is parsed), a zero or negative delta or a
+# zero nu, which the verifier divides by, and masses outside
+# [2^-MAX_PRECISION_BITS, 1], whose exact rationals grow with the exponent
+# (1e-400000 would stall the verifier, 1e400000000 the reader)
 MALFORMED_EDITS = {
     "precision_bits 2**40": lambda d: d.update(precision_bits=2 ** 40),
     "precision_bits 2**70": lambda d: d.update(precision_bits=2 ** 70),
@@ -51,6 +53,8 @@ MALFORMED_EDITS = {
     "ball.delta 0/1": lambda d: d["ball"].update(delta="0/1"),
     "ball.delta -1/48": lambda d: d["ball"].update(delta="-1/48"),
     "entry nu 0/1": lambda d: d["entries"][0].update(nu="0/1"),
+    "mu 1e-400000": lambda d: d["entries"][0]["mu"].__setitem__(0, "1e-400000"),
+    "mu 1e400000000": lambda d: d["entries"][0]["mu"].__setitem__(0, "1e400000000"),
 }
 
 

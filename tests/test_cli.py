@@ -286,6 +286,18 @@ def test_verify_renders_weights_only_for_json(tmp_path, capsys, monkeypatch, cer
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("fmt, calls", [("text", 1), ("json", 0)])
+def test_p4_renders_text_only_for_text(capsys, monkeypatch, fmt, calls):
+    # the table text and its report are discarded under JSON
+    seen = []
+    for name in ("render_p4_text", "render_p4_report"):
+        real = getattr(lp_isoforge.cli, name)
+        monkeypatch.setattr(lp_isoforge.cli, name, lambda *a, real=real, name=name: seen.append(name) or real(*a))
+    code, text, _ = run(capsys, "p4", "--n", "5", "--format", fmt)
+    assert code == 0 and text
+    assert sorted(seen) == sorted(["render_p4_report", "render_p4_text"] * calls)
+
+
 # (construct argv, command argv, exit code, sha256 of the JSON payload with
 # the certificate path replaced by "<cert>"); one moved byte of a check
 # line, weight row or projection bound moves a hash, so refresh one only

@@ -30,7 +30,7 @@ from lp_isoforge.momentpoly import (
     moment_vector_F,
     vandermonde_check,
 )
-from lp_isoforge.numeric import count_real_roots, mpf_to_fraction, to_mpf
+from lp_isoforge.numeric import count_real_roots, to_mpf
 from lp_isoforge.solver import ball_params, closed_form_k2, default_base_point, nu_schedule_value, target_h
 
 
@@ -347,9 +347,8 @@ def test_mass_polynomial_brackets_p6_certificate_masses(cert_p6):
     # 2^-128 does not ask for more
     for e in cert_p6.entries:
         P = mass_polynomial(e.j, e.nu, cert_p6.target)
-        for m in e.mu:
-            _, _, exp, bc = m._mpf_
+        for x in e.mu:
+            _, _, exp, bc = to_mpf(x, cert_p6.precision_bits)._mpf_
             window = 64 * Fraction(2) ** (exp + bc - cert_p6.precision_bits)
-            x = mpf_to_fraction(m)
             assert _horner(P, x - window) * _horner(P, x + window) < 0
             assert count_real_roots(P, x - window, x + window) == 1

@@ -12,6 +12,7 @@ from mpmath import workprec
 
 from lp_isoforge.analysis import isometry_check, uncomplemented_certificate
 from lp_isoforge.errors import SchemaError
+from lp_isoforge.momentpoly import MuVector
 from lp_isoforge.numeric import frac_to_str, parse_real, real_to_str, to_mpf
 from lp_isoforge.p4 import build_p4_table
 from lp_isoforge.serialize import (
@@ -25,6 +26,7 @@ from lp_isoforge.serialize import (
     save_certificate,
     uncomplemented_to_dict,
 )
+from lp_isoforge.solver import construct_pair
 
 
 def test_round_trip_is_identity(cert_p4):
@@ -155,6 +157,22 @@ def test_values_outside_domain_rejected(cert_p4, edit):
     edit(d)
     with pytest.raises(SchemaError):
         cert_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "p, j_max, prec", [(4, 8, 256), (6, None, 256), (8, 4, 128), (8, 4, 512)], ids=["p4-ladder", "p6", "p8-128", "p8-512"]
+)
+def test_certificate_masses_are_exact(cert_p6, p, j_max, prec):
+    # masses become exact dyadics once, where they enter (the solver's roots,
+    # the reader); no mu, nu or residual is a float, built or reloaded.
+    # p = 4 to j = 8 walks the continuation ladder at j = 5..8
+    built = cert_p6 if j_max is None else construct_pair(p, j_max, prec)
+    for cert in (built, cert_from_dict(cert_to_dict(built))):
+        inexact = [(e.j, v) for e in cert.entries for v in (*e.mu, e.nu, *e.residuals) if type(v) is not Fraction]
+        assert cert.entries and inexact == []
+    for bad in (mpmath.mpf("0.5"), 0.5, True):
+        with pytest.raises(TypeError):
+            MuVector((bad,))
 
 
 def test_malformed_value_rejected(cert_p6, malformed_edit):

@@ -165,34 +165,31 @@ def test_nu_schedule():
 def test_solve_mu_zero_nu_is_free():
     res = solve_mu(1, Fraction(0), TARGET2, MU2, 256)
     assert res.iterations == 0
-    with workprec(256):
-        assert max(abs(v) for v in res.residuals) < mpmath.mpf(2) ** -128
-        for got, want in zip(res.mu.values, MU2.values):
-            assert got == to_mpf(want)
+    residuals = [f - t for f, t in zip(moment_vector_F(1, res.mu.values, Fraction(0)), TARGET2.values)]
+    assert max(abs(r) for r in residuals) < Fraction(1, 2 ** 128)
+    for got, want in zip(res.mu.values, MU2.values):
+        assert got == mpf_to_fraction(to_mpf(want, 256))
 
 
 def test_closed_form_recovers_base_point():
     mu = closed_form_k2(1, Fraction(0), TARGET2)
-    with workprec(256):
-        assert abs(mu.values[0] - to_mpf(Fraction(2, 3))) < mpmath.mpf(2) ** -250
-        assert abs(mu.values[1] - to_mpf(Fraction(1, 3))) < mpmath.mpf(2) ** -250
+    assert abs(mu.values[0] - Fraction(2, 3)) < Fraction(1, 2 ** 250)
+    assert abs(mu.values[1] - Fraction(1, 3)) < Fraction(1, 2 ** 250)
 
 
 def test_closed_form_frozen_digits():
     # recomputed by hand: s = 0.99, q = 0.21232222, disc = 0.13081111,
     # sqrt(disc) = 0.36167819
     mu = closed_form_k2(1, Fraction(1, 100), TARGET2)
-    with workprec(256):
-        assert abs(mu.values[0] - mpmath.mpf("0.675839")) < 1e-6
-        assert abs(mu.values[1] - mpmath.mpf("0.314161")) < 1e-6
+    assert abs(mu.values[0] - Fraction("0.675839")) < Fraction(1, 10 ** 6)
+    assert abs(mu.values[1] - Fraction("0.314161")) < Fraction(1, 10 ** 6)
 
 
 def test_solve_matches_closed_form_at_frozen_point():
     res = solve_mu(1, Fraction(1, 100), TARGET2, MU2, 256)
     mu = closed_form_k2(1, Fraction(1, 100), TARGET2)
-    with workprec(256):
-        for a, b in zip(res.mu.values, mu.values):
-            assert abs(a - b) < mpmath.mpf(2) ** -128
+    for a, b in zip(res.mu.values, mu.values):
+        assert abs(a - b) < Fraction(1, 2 ** 128)
 
 
 def test_residuals_survive_doubled_precision():
@@ -217,9 +214,8 @@ def test_closed_form_rejects_infeasible():
         closed_form_k2(10, pinned, TARGET2)
     # the bottom edge of the bracket is still feasible at j = 10
     mu = closed_form_k2(10, Fraction(1, 9600), TARGET2)
-    with workprec(256):
-        assert abs(mu.values[0] - mpmath.mpf("0.94732")) < 1e-4
-        assert abs(mu.values[1] - mpmath.mpf("0.042262")) < 1e-4
+    assert abs(mu.values[0] - Fraction("0.94732")) < Fraction(1, 10 ** 4)
+    assert abs(mu.values[1] - Fraction("0.042262")) < Fraction(1, 10 ** 4)
 
 
 def test_solver_agrees_solution_is_gone():
@@ -231,18 +227,15 @@ def test_solver_agrees_solution_is_gone():
 
 def test_continuity_in_nu():
     ball = ball_params(MU2)
-    with workprec(256):
-        prev_gap = None
-        for t in range(1, 11):
-            nu = ball.delta / 2 ** t
-            res = solve_mu(1, nu, TARGET2, MU2, 256, ball=ball)
-            gap = max(
-                abs(v - to_mpf(w)) for v, w in zip(res.mu.values, MU2.values)
-            )
-            if prev_gap is not None:
-                assert gap < prev_gap
-            prev_gap = gap
-        assert prev_gap < mpmath.mpf(2) ** -12
+    prev_gap = None
+    for t in range(1, 11):
+        nu = ball.delta / 2 ** t
+        res = solve_mu(1, nu, TARGET2, MU2, 256, ball=ball)
+        gap = max(abs(v - w) for v, w in zip(res.mu.values, MU2.values))
+        if prev_gap is not None:
+            assert gap < prev_gap
+        prev_gap = gap
+    assert prev_gap < Fraction(1, 2 ** 12)
 
 
 def test_construct_validation():
@@ -285,11 +278,10 @@ def test_certificate_p6_invariants(cert_p6):
 def test_certificate_p4_matches_closed_form(cert_p4):
     cert = cert_p4
     assert cert.complete
-    with workprec(256):
-        for e in cert.entries:
-            oracle = closed_form_k2(e.j, e.nu, cert.target)
-            for a, b in zip(e.mu, oracle.values):
-                assert abs(a - b) < mpmath.mpf(2) ** -120
+    for e in cert.entries:
+        oracle = closed_form_k2(e.j, e.nu, cert.target)
+        for a, b in zip(e.mu, oracle.values):
+            assert abs(a - b) < Fraction(1, 2 ** 120)
 
 
 def _ladder_spy(monkeypatch):
