@@ -304,7 +304,7 @@ def vpl_check(mu_bar) -> VplCheck:
     away from equality the margin is macroscopic and the slack is
     irrelevant.
     """
-    mu = MuVector(tuple(Fraction(v) for v in (mu_bar.values if isinstance(mu_bar, MuVector) else mu_bar)))
+    mu = MuVector(tuple(mu_bar))
     k = mu.k
     p = 2 * k
     dist = convolve(reference_generator(mu))

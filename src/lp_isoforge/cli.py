@@ -235,10 +235,10 @@ def cmd_verify(args) -> int:
 
 def cmd_p4(args) -> int:
     rows = build_p4_table(args.n)
-    text = None  # JSON output never reads it
-    if args.fmt == "text":
-        text = render_p4_text(rows) + "\n\n" + render_p4_report(rows)
-    _emit(args, text, p4_table_to_dict(rows))
+    if args.fmt == "json":
+        _emit(args, None, p4_table_to_dict(rows))
+    else:
+        _emit(args, render_p4_text(rows) + "\n\n" + render_p4_report(rows), None)
     return 0
 
 

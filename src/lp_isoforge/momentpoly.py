@@ -51,8 +51,9 @@ tuples instead (`solver._RawSystem`); on mpf inputs the functions here
 are its bit-for-bit oracle in the tests.
 
 All functions evaluate exactly on Fraction inputs and in the active
-mpmath precision on mpf inputs, except `vandermonde_check`, which takes
-rationals only.  None takes the order k: it is the number of masses (of
+mpmath precision on mpf inputs, except `mass_polynomial` and
+`vandermonde_check`, which take rationals only; `validate_scale` checks
+every j and nu.  None takes the order k: it is the number of masses (of
 targets, for `mass_polynomial`), and each call builds its own C_{m,alpha}
 table with `cm_alpha_table(k)`.
 """
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError, SingularJacobianError
-from .numeric import Scalar, det_exact
+from .numeric import Scalar, as_rational, det_exact
 
 __all__ = [
     "CmAlphaTable",
@@ -72,6 +73,7 @@ __all__ = [
     "JacobianF",
     "VandermondeCheck",
     "cm_alpha_table",
+    "validate_scale",
     "mass_polynomial",
     "h_vector",
     "grad_table",
@@ -118,9 +120,9 @@ def cm_alpha_table(k: int) -> CmAlphaTable:
 class MuVector:
     """Mass vector mu_1, ..., mu_k, each an exact rational in (0, 1].
 
-    The masses are ints or Fractions; a float, an mpf or a bool raises
-    TypeError, so every mass vector can be rechecked exactly.  Solver roots
-    enter as the exact dyadic values of their binary floats.
+    The masses pass `numeric.as_rational`, so a float, an mpf, a bool or a
+    string raises TypeError and every mass vector can be rechecked exactly.
+    Solver roots enter as the exact dyadic values of their binary floats.
     `strictly_decreasing` tells whether mu_1 > mu_2 > ... > mu_k holds;
     most of the solver's theory needs it, but evaluation does not, so it
     is a flag rather than a hard precondition.
@@ -129,12 +131,10 @@ class MuVector:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(self.values)
+        values = tuple(as_rational(v) for v in self.values)
         if not values:
             raise DegenerateInputError("mu vector must be nonempty")
         for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-                raise TypeError(f"masses must be ints or Fractions, got {type(v).__name__}")
             if not 0 < v <= 1:
                 raise DegenerateInputError(f"masses must lie in (0, 1], got {v}")
         object.__setattr__(self, "values", values)
@@ -165,6 +165,15 @@ def _elem_sym_all(values: tuple) -> list:
     return e
 
 
+def validate_scale(j: int, nu=None):
+    """The scale rules of F^(j): j a positive integer and, if given, nu in [0, 1], uncoerced; returns nu."""
+    if type(j) is not int or j < 1:
+        raise ValueError(f"j must be a positive integer, got {j!r}")
+    if nu is not None and not 0 <= nu <= 1:
+        raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    return nu
+
+
 def mass_polynomial(j: int, nu, target) -> tuple:
     """Coefficients (1, -e_1, e_2, ..., (-1)^k e_k) of P_j(x) = prod_i (x - mu_i), exact.
 
@@ -175,12 +184,8 @@ def mass_polynomial(j: int, nu, target) -> tuple:
     e^(j) = (e_1, ..., e_k): mu solves the scale-j system exactly when its
     masses are the k = len(target) roots of P_j, highest degree first here.
     """
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"j must be a positive integer, got {j}")
-    nu = Fraction(nu)
-    if not 0 <= nu <= 1:
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
-    target = tuple(Fraction(t) for t in target)
+    nu = validate_scale(j, as_rational(nu))
+    target = tuple(as_rational(t) for t in target)
     k = len(target)
     table = cm_alpha_table(k)
     jsq = j * j
@@ -236,10 +241,7 @@ def grad_table(mu) -> list:
 
 def moment_vector_F(j: int, mu, nu) -> tuple:
     """(F_1^(j), ..., F_k^(j))(mu, nu), every F_m read from one H vector."""
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"j must be a positive integer, got {j}")
-    if not 0 <= nu <= 1:
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    validate_scale(j, nu)
     h = h_vector(mu)
     jsq = j * j
     out = []
@@ -272,8 +274,7 @@ class JacobianF:
 
 
 def jacobian_F(j: int, mu, nu) -> JacobianF:
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"j must be a positive integer, got {j}")
+    validate_scale(j, nu)
     values = tuple(mu)
     k = len(values)
     table = cm_alpha_table(k)

@@ -52,7 +52,7 @@ from typing import Iterator, Sequence
 import mpmath
 
 from .errors import CapExceededError, DegenerateInputError
-from .numeric import Scalar, to_mpf
+from .numeric import Scalar, as_rational, to_mpf
 
 ATOM_CAP = 3 ** 16
 
@@ -72,12 +72,6 @@ __all__ = [
 ]
 
 
-def _rational(x) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class SymmetricAtomVariable:
     """Symmetric variable on {+scale, 0, -scale} with P(|f| = scale) = mass; both exact."""
@@ -86,8 +80,7 @@ class SymmetricAtomVariable:
     mass: Fraction
 
     def __post_init__(self):
-        scale = _rational(self.scale)
-        mass = _rational(self.mass)
+        scale, mass = as_rational(self.scale), as_rational(self.mass)
         if not scale > 0:
             raise DegenerateInputError(f"scale must be positive, got {self.scale}")
         if not (0 < mass <= 1):
@@ -260,7 +253,7 @@ class DiscreteDistribution:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((_rational(v), _rational(p)) for v, p in self.atoms)
+        atoms = tuple((as_rational(v), as_rational(p)) for v, p in self.atoms)
         if not atoms:
             raise DegenerateInputError("distribution needs at least one atom")
         if any(a >= b for (a, _), (b, _) in zip(atoms, atoms[1:])):
@@ -284,7 +277,7 @@ def abs_moment(dist: DiscreteDistribution, r) -> Scalar:
 
     Fractional r goes through mpf powers at the active working precision.
     """
-    r = _rational(r)
+    r = as_rational(r)
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
     if r.denominator == 1:

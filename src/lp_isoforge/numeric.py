@@ -2,9 +2,9 @@
 
 Two kinds of scalars flow through this package:
 
-* exact rationals (`fractions.Fraction`), used wherever the inputs are
-  rational and the result must be bit-for-bit reproducible (moment
-  identities, certificate masses and residuals, bracket checks);
+* exact rationals (`fractions.Fraction`, admitted by :func:`as_rational`
+  from ints and Fractions only), used wherever the result must be exact
+  (moment identities, certificate masses and residuals, bracket checks);
 * binary floats of configurable precision (`mpmath.mpf`, or its raw
   libmp tuple), used for the Newton iteration, square roots,
   fractional powers and the decimal encoding.
@@ -80,6 +80,7 @@ __all__ = [
     "MAX_PRECISION_BITS",
     "workprec",
     "validate_precision",
+    "as_rational",
     "to_mpf",
     "mpf_to_fraction",
     "frac_to_str",
@@ -100,6 +101,15 @@ def validate_precision(bits: int) -> int:
             f"bits, got {bits!r}"
         )
     return bits
+
+
+def as_rational(x) -> Fraction:
+    """The one exactness rule: an int as a Fraction, a Fraction as itself, anything else a TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
 def to_mpf(x: Scalar, prec: int | None = None) -> mpmath.mpf:
@@ -315,12 +325,12 @@ def count_real_roots(coeffs: Sequence, lo, hi) -> int:
     value just right of it, so V(lo) - V(hi) counts the roots in (lo, hi]
     even when lo or hi is one.
     """
-    p = [Fraction(c) for c in coeffs]
+    p = [as_rational(c) for c in coeffs]
     while p and p[0] == 0:
         p.pop(0)
     if not p:
         raise ValueError("the zero polynomial has no finite root count")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = as_rational(lo), as_rational(hi)
     if lo > hi:
         raise ValueError(f"empty interval ({lo}, {hi}]")
     a, b = p, _derivative(p)

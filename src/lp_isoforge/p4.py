@@ -46,6 +46,7 @@ from .moments import fold_even_moments
 from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
+    as_rational,
     mpf_to_fraction,
     real_to_str,
     to_mpf,
@@ -96,8 +97,7 @@ def match_three_valued(A, B) -> tuple:
     nu = A^2/B is exact; a = (B/A)^(1/2) is an mpf at DEFAULT_PRECISION_BITS
     (its exact square B/A is what every moment identity consumes).
     """
-    A = Fraction(A)
-    B = Fraction(B)
+    A, B = as_rational(A), as_rational(B)
     if A <= 0 or B <= 0:
         raise ValueError("moments must be positive")
     nu = A * A / B

@@ -100,10 +100,12 @@ from .momentpoly import (
     h_vector,
     mass_polynomial,
     moment_vector_F,
+    validate_scale,
 )
 from .numeric import (
     DEFAULT_PRECISION_BITS,
     Scalar,
+    as_rational,
     count_real_roots,
     mpf_to_fraction,
     raw_elimination,
@@ -146,7 +148,7 @@ class HValues:
     values: tuple
 
     def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(as_rational(v) for v in self.values)
         if not values or any(v <= 0 for v in values):
             raise DegenerateInputError("H values must be positive")
         object.__setattr__(self, "values", values)
@@ -184,7 +186,7 @@ def validate_p(p: int) -> int:
 
 def validate_nu_fraction(nu_fraction) -> Fraction:
     """The schedule position as a Fraction strictly inside (1/2, 1)."""
-    nu_fraction = Fraction(nu_fraction)
+    nu_fraction = as_rational(nu_fraction)
     if not Fraction(1, 2) < nu_fraction < 1:
         raise ValueError(f"nu_fraction must lie strictly inside (1/2, 1), got {nu_fraction}")
     return nu_fraction
@@ -240,10 +242,8 @@ def ball_params(mu_bar: MuVector) -> BallParams:
 
 def nu_schedule_value(ball: BallParams, j: int, nu_fraction: Fraction = DEFAULT_NU_FRACTION) -> Fraction:
     """nu_j = nu_fraction * delta * j^(2-p) with p = 2 ball.k, exact and strictly inside the bracket."""
-    nu_fraction = validate_nu_fraction(nu_fraction)
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return nu_fraction * ball.delta / Fraction(j) ** (2 * ball.k - 2)
+    validate_scale(j)
+    return validate_nu_fraction(nu_fraction) * ball.delta / j ** (2 * ball.k - 2)
 
 
 @dataclass(frozen=True)
@@ -363,11 +363,7 @@ def solve_mu(
     init_values = tuple(init)
     if len(init_values) != k:
         raise ValueError(f"init must have length {k}")
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"j must be a positive integer, got {j}")
-    nu = Fraction(nu)
-    if not 0 <= nu <= 1:
-        raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    nu = validate_scale(j, as_rational(nu))
 
     prec, rnd = precision, round_nearest
     tol = mpf_shift(fone, -(precision // 2))
@@ -377,7 +373,7 @@ def solve_mu(
     bounds = None
     if ball is not None:
         bounds = [
-            (to_mpf(Fraction(v) - ball.eps_bar, prec)._mpf_, to_mpf(Fraction(v) + ball.eps_bar, prec)._mpf_)
+            (to_mpf(v - ball.eps_bar, prec)._mpf_, to_mpf(v + ball.eps_bar, prec)._mpf_)
             for v in ball.mu_bar
         ]
 
@@ -460,8 +456,8 @@ def closed_form_k2(j: int, nu: Fraction, target: HValues) -> MuVector:
     """
     if target.k != 2:
         raise ValueError("closed form applies to k = 2 only")
+    nu = validate_scale(j, as_rational(nu))
     t1, t2 = target.values
-    nu = Fraction(nu)
     jsq = j * j
     s = t1 - nu * jsq
     q = (t2 - s - nu * (6 * jsq * s + jsq * jsq)) / 6
@@ -576,15 +572,16 @@ def construct_pair(
     roots means no admissible mass vector exists, and the scale goes to
     failed_js at once.  Otherwise nu is walked up a geometric ladder
     (nu_j * 2^(t - CONTINUATION_STEPS)) with each solution seeding the
-    next.  Scales the ladder cannot solve are recorded in failed_js too,
-    and the certificate is marked partial rather than discarded.
+    next.  Scales the ladder cannot solve, and solutions that break
+    mu_1 > ... > mu_k > delta (checked before any residual is computed),
+    go to failed_js too; the certificate is then partial, not discarded.
     """
     validate_p(p)
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     validate_precision(precision)
+    nu_fraction = validate_nu_fraction(nu_fraction)
     k = p // 2
-    nu_fraction = Fraction(nu_fraction)
     mu_bar = default_base_point(k)
     ball = ball_params(mu_bar)
     target = target_h(mu_bar)
@@ -593,7 +590,6 @@ def construct_pair(
     failed = []
     for j in range(1, j_max + 1):
         nu_j = nu_schedule_value(ball, j, nu_fraction)
-        result = None
         try:
             result = solve_mu(j, nu_j, target, mu_bar, precision, ball=ball)
         except (NewtonDivergenceError, SingularJacobianError, NoSolutionError):
@@ -606,13 +602,13 @@ def construct_pair(
                 failed.append(j)
                 continue
         mu_sol = result.mu
+        if not decreasing_above(mu_sol.values, ball.delta):
+            failed.append(j)
+            continue
         exact_res = _exact_residuals(j, nu_j, mu_sol.values, target)
         mu_raw = [to_mpf(v, precision)._mpf_ for v in mu_sol.values]
         system = _RawSystem(j, to_mpf(nu_j, precision)._mpf_, k, precision)
         jac_det, _ = raw_elimination(system.jacobian(mu_raw, system.elem_sym(mu_raw)), None, precision)
-        if not decreasing_above(mu_sol.values, ball.delta):
-            failed.append(j)
-            continue
         entries.append(
             CertEntry(
                 j=j,

@@ -288,14 +288,15 @@ def test_verify_renders_weights_only_for_json(tmp_path, capsys, monkeypatch, cer
 
 @pytest.mark.parametrize("fmt, calls", [("text", 1), ("json", 0)])
 def test_p4_renders_text_only_for_text(capsys, monkeypatch, fmt, calls):
-    # the table text and its report are discarded under JSON
+    # the table text and its report are discarded under JSON, the payload
+    # under text
     seen = []
-    for name in ("render_p4_text", "render_p4_report"):
+    for name in ("render_p4_text", "render_p4_report", "p4_table_to_dict"):
         real = getattr(lp_isoforge.cli, name)
         monkeypatch.setattr(lp_isoforge.cli, name, lambda *a, real=real, name=name: seen.append(name) or real(*a))
     code, text, _ = run(capsys, "p4", "--n", "5", "--format", fmt)
     assert code == 0 and text
-    assert sorted(seen) == sorted(["render_p4_report", "render_p4_text"] * calls)
+    assert sorted(seen) == sorted(["render_p4_report", "render_p4_text"] * calls + ["p4_table_to_dict"] * (1 - calls))
 
 
 # (construct argv, command argv, exit code, sha256 of the JSON payload with

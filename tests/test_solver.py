@@ -319,3 +319,24 @@ def test_construct_p6_skips_ladder_past_frontier(monkeypatch):
 def test_construct_rejects_bad_fraction():
     with pytest.raises(ValueError):
         construct_pair(4, 2, nu_fraction=Fraction(1, 3))
+
+
+def test_construct_fails_an_unordered_solution_before_its_residuals(monkeypatch):
+    # a solve that breaks mu_1 > mu_2 > delta goes to failed_js without
+    # paying for the exact residual recheck or the jac_det elimination
+    rechecked = []
+    real_residuals = solver._exact_residuals
+    monkeypatch.setattr(solver, "_exact_residuals", lambda *a: rechecked.append(a[0]) or real_residuals(*a))
+    real_solve = solver.solve_mu
+
+    def unordered_at_2(j, *args, **kwargs):
+        result = real_solve(j, *args, **kwargs)
+        if j == 2:
+            return solver.SolveResult(mu=MuVector(result.mu.values[::-1]), iterations=result.iterations)
+        return result
+
+    monkeypatch.setattr(solver, "solve_mu", unordered_at_2)
+    cert = construct_pair(4, 3, 256)
+    assert cert.failed_js == (2,)
+    assert [e.j for e in cert.entries] == [1, 3]
+    assert rechecked == [1, 3]
