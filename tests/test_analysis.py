@@ -435,28 +435,39 @@ def test_raw_norm_matches_norm(masses, p):
 
 
 @pytest.mark.parametrize(
-    "masses, p, want",
+    "masses, p, seed, want",
     [
         # project --p 6 --n 3 --seed 0
         (
-            (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)), 6,
+            (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)), 6, 0,
             (0, 74463078928774523059064894513689887948404508524156127379136282530576170425067, -255, 256),
         ),
         # project --p 4 --n 2 (non-dyadic probabilities)
         (
-            (Fraction(2, 3), Fraction(1, 3)), 4,
+            (Fraction(2, 3), Fraction(1, 3)), 4, 0,
             (0, 64975984750209689446478421705877567924565296239869695642858630199332624037883, -255, 256),
         ),
+        # project --p 8 --n 3 --seed 2
+        (
+            (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)), 8, 2,
+            (0, 79979414414801889572905995951455296971480788884110164009426379139119985148127, -255, 256),
+        ),
+        # project --p 4 --n 2 --seed 5
+        (
+            (Fraction(2, 3), Fraction(1, 3)), 4, 5,
+            (0, 16242330271692142052388046822908103530047111427882953907261641099789978349197, -253, 254),
+        ),
     ],
-    ids=["p6 n3", "p4 n2"],
+    ids=["p6 n3", "p4 n2", "p8 n3 seed2", "p4 n2 seed5"],
 )
-def test_norm_bound_pinned(masses, p, want, monkeypatch):
-    # recorded with the serial Fraction round-trip ascent; the raw ascent
-    # must match bit for bit on any number of worker processes
+def test_norm_bound_pinned(masses, p, seed, want, monkeypatch):
+    # the first two were recorded with the serial Fraction round-trip
+    # ascent, the last two with the raw ascent before its climbs shared
+    # antipodal atoms; it must match bit for bit on any number of workers
     P = build_projection(build_span(masses))
     for workers in (1, 2, 5):
         monkeypatch.setattr(analysis, "_cpu_count", lambda: workers)
-        assert projection_norm_lower_bound(P, p, seed=0)._mpf_ == want
+        assert projection_norm_lower_bound(P, p, seed=seed)._mpf_ == want
 
 
 def test_norm_bound_leaves_no_workers_and_matches_serial(monkeypatch):
