@@ -188,10 +188,10 @@ def parse_real(s: str, prec: int) -> mpmath.mpf:
 # small dense linear algebra (k x k with k <= 8; no library pulls its weight)
 # ---------------------------------------------------------------------------
 
-def det_exact(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Determinant by Gaussian elimination over Q (Fraction division); exact for rational entries."""
+def det_exact(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination over Q (Fraction division) of int or Fraction entries."""
     n = len(rows)
-    a = [[Fraction(v) for v in row] for row in rows]
+    a = [[as_rational(v) for v in row] for row in rows]
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     sign = 1

@@ -11,8 +11,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import workprec
+from mpmath.libmp import from_rational, mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from lp_isoforge.analysis import (
+    ProjectionOperator,
     build_projection,
     c_k_constant,
     certificate_span,
@@ -25,7 +27,7 @@ from lp_isoforge.analysis import (
     vpl_check,
 )
 from lp_isoforge import analysis
-from lp_isoforge.analysis import _raw_apply, _raw_norm
+from lp_isoforge.analysis import _per_magnitude, _raw_apply, _raw_norm, _trial_checks
 from lp_isoforge.errors import CapExceededError, DegenerateInputError, SchemaError
 from lp_isoforge.momentpoly import cm_alpha_table, h_vector
 from lp_isoforge.moments import IndependentSumSpec, SymmetricAtomVariable, fold_even_moments, term_tables
@@ -432,6 +434,72 @@ def test_raw_norm_matches_norm(masses, p):
         for trial in range(40):
             f = random_mpf_vector(rng, P.atom_count, zeros=trial % 4)
             assert norm([v._mpf_ for v in f]) == P.norm(f, p)._mpf_
+
+
+def test_per_magnitude_equals_per_atom_map_once_per_magnitude():
+    # mixed signs, repeated magnitudes, exact zeros; the probabilities split
+    # one magnitude in two
+    third = mpmath.mpf(1) / 3
+    values = [third, -third, 0, 2 * third, -2 * third, 0, third, -third, -third, 5, 2 * third]
+    vec = [to_mpf(v)._mpf_ for v in values]
+    magnitudes = {abs(v) for v in values}
+    probs = [from_rational(1, d, 256) for d in (4, 4, 2, 8, 8, 2, 4, 4, 16, 32, 8)]
+    ints = [3, -3, 0, 10 ** 40, -(10 ** 40), 0, -3, 7]
+    calls = []
+
+    def spy(fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        return counted
+
+    odd_mpf = [
+        lambda v: mpf_div(v, from_rational(7, 3, 256), 256, round_nearest),
+        lambda v: mpf_pow_int(v, 3, 256, round_nearest),
+    ]
+    for fn in odd_mpf:
+        calls.clear()
+        assert _per_magnitude(spy(fn), vec) == tuple(fn(v) for v in vec)
+        assert len(calls) == len(magnitudes)
+
+    def rounded(n):
+        return from_rational(n, 3 ** 50, 256, round_nearest)
+
+    calls.clear()
+    assert _per_magnitude(spy(rounded), ints) == tuple(rounded(n) for n in ints)
+    assert len(calls) == len({abs(n) for n in ints})
+
+    def term(v, pa):
+        return mpf_mul(mpf_pow_int(v, 6, 256, round_nearest), pa, 256, round_nearest)
+
+    calls.clear()
+    assert _per_magnitude(spy(term), vec, probs) == tuple(term(v, pa) for v, pa in zip(vec, probs))
+    assert len(calls) == len({(abs(v), pa) for v, pa in zip(values, probs)}) == len(magnitudes) + 1
+
+
+def trial_checks_by_fractions(P, trials, seed):
+    """The same two verdicts through P.apply and abs_power_moment."""
+    rng = random.Random(seed)
+    fs = [[Fraction(rng.randint(-100, 100), rng.randint(1, 50)) for _ in P.probs] for _ in range(trials)]
+    pairs = [(f, P.apply(f)) for f in fs]
+    return (
+        all(P.apply(Pf) == Pf for _, Pf in pairs),
+        all(P.abs_power_moment(Pf, 2) <= P.abs_power_moment(f, 2) for f, Pf in pairs),
+    )
+
+
+@pytest.mark.parametrize(
+    "scale, want",
+    # norms_sq scaled by 2 is P/2, by 1/2 is 2P: neither is idempotent, and 2P expands
+    [(1, (True, True)), (2, (False, True)), (Fraction(1, 2), (False, False))],
+    ids=["P", "P/2", "2P"],
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trial_checks_match_the_fraction_formulation(n, scale, want):
+    P = build_projection(build_span(default_base_point(max(n, 2)).values[:n]))
+    Q = ProjectionOperator(P.probs, P.basis, tuple(scale * ns for ns in P.norms_sq))
+    for seed in range(4):
+        assert _trial_checks(Q, 20, seed) == trial_checks_by_fractions(Q, 20, seed) == want
 
 
 @pytest.mark.parametrize(

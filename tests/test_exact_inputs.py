@@ -13,10 +13,10 @@ import mpmath
 import pytest
 
 from lp_isoforge import solver
-from lp_isoforge.analysis import vpl_check
+from lp_isoforge.analysis import build_projection, vpl_check
 from lp_isoforge.momentpoly import MuVector, jacobian_F, mass_polynomial
-from lp_isoforge.moments import DiscreteDistribution, SymmetricAtomVariable, abs_moment
-from lp_isoforge.numeric import as_rational, count_real_roots
+from lp_isoforge.moments import DiscreteDistribution, IndependentSumSpec, SymmetricAtomVariable, abs_moment
+from lp_isoforge.numeric import as_rational, count_real_roots, det_exact
 from lp_isoforge.p4 import match_three_valued
 from lp_isoforge.solver import (
     HValues,
@@ -34,6 +34,7 @@ MU2 = default_base_point(2)
 TARGET2 = target_h(MU2)
 HALF = Fraction(1, 2)
 DIST = DiscreteDistribution(((Fraction(-1), HALF), (Fraction(1), HALF)))
+PROJ = build_projection([IndependentSumSpec([SymmetricAtomVariable(1, HALF)])])
 
 BOUNDARIES = {
     "as_rational": lambda x: as_rational(x),
@@ -55,6 +56,8 @@ BOUNDARIES = {
     "count_real_roots.coeffs": lambda x: count_real_roots([1, x], -1, 1),
     "count_real_roots.lo": lambda x: count_real_roots([1, -1], x, 1),
     "count_real_roots.hi": lambda x: count_real_roots([1, -1], 0, x),
+    "ProjectionOperator.apply": lambda x: PROJ.apply([x] * PROJ.atom_count),
+    "det_exact": lambda x: det_exact([[x, 1], [1, 2]]),
 }
 INEXACT = {
     "float": 0.5,
