@@ -49,7 +49,9 @@ generators and produces evidence:
   that diverges iff 4/(p-2) <= 1, i.e. p >= 6.  For p = 4 the
   comparator converges and the certificate says so instead of guessing.
   The weights and comparator values that only the `verify` JSON shows
-  are computed by `serialize.uncomplemented_to_dict`.
+  are computed by `serialize.uncomplemented_to_dict`; its 10^6-term
+  comparator sum is computed once per (exponent, N) per process, so a
+  one-shot CLI call still pays it (ROADMAP item 7 deletes it).
 
 * `verify_certificate` rechecks a certificate from its stored values
   alone and returns a `VerifyReport`; the `verify` command renders it.

@@ -215,7 +215,10 @@ def cmd_verify(args) -> int:
         lines.append(f"note  {report.weights.divergence_note}")
     verdict = "PASS" if report.passed else "FAIL"
     lines.append("verdict: " + verdict)
-    payload = None  # text output never reads it, and its weights cost a 10^6-term loop
+    # text output never reads the payload; its weights cost a 10^6-term loop,
+    # run once per (exponent, N) per process, so a one-shot call still pays
+    # it (ROADMAP item 7 deletes it)
+    payload = None
     if args.fmt == "json":
         prec = cert.precision_bits
         payload = {

@@ -27,6 +27,7 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from math import log
 
 import mpmath
@@ -314,10 +315,34 @@ def isometry_to_dict(res, precision: int) -> dict:
     }
 
 
+@cache
+def _comparator_sums(exponent: Fraction, n: int) -> tuple[float, float]:
+    """The float partial sum of j^(-exponent) over j = 1..n and its integral
+    reference.  Both depend on p alone, so a process computes them once per
+    (exponent, n); the key holds n so a changed _COMPARATOR_N is never served
+    a stale sum."""
+    # a plain running sum on purpose: math.fsum or builtin sum() (compensated
+    # from Python 3.12) would change the float bits of comparator_partial_sum
+    neg_exponent = -float(exponent)
+    partial = 0.0
+    for j in range(1, n + 1):
+        partial += j ** neg_exponent
+    if exponent == 1:
+        reference = log(n)
+    elif exponent < 1:
+        reference = ((n + 1) ** (1 - float(exponent)) - 1) / (1 - float(exponent))
+    else:
+        reference = 0.0
+    return partial, reference
+
+
 def uncomplemented_to_dict(res, precision: int) -> dict:
     """The weight certificate plus display values that prove nothing, at
     `precision` bits: mpf weights w_j = nu_j^(-1/p) / j with their bracket,
-    and the comparator's constant and float partial sum."""
+    and the comparator's constant and float partial sum.  The 10^6-term
+    partial sum depends on p alone and is computed once per (exponent, N)
+    per process, so a one-shot CLI call still pays it; ROADMAP item 7
+    deletes it."""
     p = res.p
     delta = res.delta
     exponent = res.comparator_exponent
@@ -341,18 +366,7 @@ def uncomplemented_to_dict(res, precision: int) -> dict:
                 }
             )
         constant = to_mpf(1 / delta) ** (Fraction(2, p - 2))
-    # a plain running sum on purpose: math.fsum or builtin sum() (compensated
-    # from Python 3.12) would change the float bits of comparator_partial_sum
-    neg_exponent = -float(exponent)
-    partial = 0.0
-    for j in range(1, _COMPARATOR_N + 1):
-        partial += j ** neg_exponent
-    if exponent == 1:
-        reference = log(_COMPARATOR_N)
-    elif exponent < 1:
-        reference = ((_COMPARATOR_N + 1) ** (1 - float(exponent)) - 1) / (1 - float(exponent))
-    else:
-        reference = 0.0
+    partial, reference = _comparator_sums(exponent, _COMPARATOR_N)
     return {
         "p": p,
         "delta": frac_to_str(delta),

@@ -274,7 +274,8 @@ def pinned_run(tmp_path, capsys, construct_argv, argv):
 
 @pytest.mark.parametrize("fmt, calls", [("text", 0), ("json", 1)])
 def test_verify_renders_weights_only_for_json(tmp_path, capsys, monkeypatch, cert_p4, fmt, calls):
-    # the weight payload runs a 10^6-term float loop that text output never shows
+    # the weight payload costs mpf weights and, once per p, a 10^6-term float
+    # loop that text output never shows
     path = tmp_path / "cert.json"
     save_certificate(cert_p4, path)
     seen = []
@@ -341,7 +342,13 @@ PINNED_PAYLOADS = {
     "construct_argv, argv, exit_code, digest", list(PINNED_PAYLOADS.values()), ids=list(PINNED_PAYLOADS)
 )
 def test_json_payload_bytes_pinned(tmp_path, capsys, construct_argv, argv, exit_code, digest):
+    # a verify payload renders twice in one process: the first computes the
+    # comparator sum, the second reads it from serialize's per-process cache
+    lp_isoforge.serialize._comparator_sums.cache_clear()
     assert pinned_run(tmp_path, capsys, construct_argv, [*argv, "--format", "json"]) == (exit_code, digest)
+    if argv[0] == "verify":
+        assert pinned_run(tmp_path, capsys, None, [*argv, "--format", "json"]) == (exit_code, digest)
+        assert lp_isoforge.serialize._comparator_sums.cache_info().misses == 1
 
 
 # the same for the default text report of verify

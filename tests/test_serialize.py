@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import workprec
 
+from lp_isoforge import serialize
 from lp_isoforge.analysis import isometry_check, uncomplemented_certificate
 from lp_isoforge.errors import SchemaError
 from lp_isoforge.momentpoly import MuVector
@@ -255,6 +256,47 @@ def test_report_payload_shapes(cert_p4):
     assert dt["rows"][0]["n"] == rows[0].n
     assert dt["rows"][0]["residual_2_printed"] == "0/1"
     json.loads(dumps_json(dt))
+
+
+@pytest.fixture
+def comparator_sums():
+    serialize._comparator_sums.cache_clear()
+    yield serialize._comparator_sums
+    serialize._comparator_sums.cache_clear()
+
+
+@pytest.mark.parametrize("p", [4, 6, 8, 10, 12, 16])
+def test_comparator_sums_cached_bit_for_bit(comparator_sums, p):
+    exponent = Fraction(4, p - 2)
+    uncached = comparator_sums.__wrapped__(exponent, serialize._COMPARATOR_N)
+    for _ in range(2):  # a miss, then a hit
+        cached = comparator_sums(exponent, serialize._COMPARATOR_N)
+        assert [x.hex() for x in cached] == [x.hex() for x in uncached]
+    assert comparator_sums.cache_info().misses == 1
+
+
+def test_comparator_sums_once_per_p(comparator_sums):
+    # two different p = 6 certificates render the same comparator values
+    certs = [construct_pair(6, 3), construct_pair(6, 5, nu_fraction=Fraction(5, 9))]
+    payloads = [uncomplemented_to_dict(uncomplemented_certificate(c), 256) for c in certs]
+    assert comparator_sums.cache_info().misses == 1
+    assert comparator_sums.cache_info().hits == 1
+    assert payloads[0]["rows"] != payloads[1]["rows"]
+    for key in ("comparator_partial_N", "comparator_partial_sum", "comparator_reference"):
+        assert payloads[0][key] == payloads[1][key]
+
+
+def test_comparator_sums_key_holds_n(comparator_sums, monkeypatch, cert_p4):
+    uc = uncomplemented_certificate(cert_p4)
+    uncomplemented_to_dict(uc, 256)
+    monkeypatch.setattr(serialize, "_COMPARATOR_N", 10)
+    du = uncomplemented_to_dict(uc, 256)
+    partial = 0.0
+    for j in range(1, 11):
+        partial += j ** -2.0
+    assert du["comparator_partial_N"] == 10
+    assert du["comparator_partial_sum"] == repr(partial)
+    assert comparator_sums.cache_info().misses == 2
 
 
 def test_real_strings_carry_full_precision(cert_p4):
