@@ -1,7 +1,8 @@
 """Compute even moments of a symmetric sum two ways and watch them agree.
 
 The fast path folds per-atom moment tables into the table of the sum,
-every even order at once; the even multinomial coefficients listed at
+every even order at once (the fold reads the highest order from the
+tables' length, so only `term_tables` is told it); the even multinomial coefficients listed at
 the end are what that fold adds up.  The slow path convolves the
 underlying distributions and reads the moment off the support.  Both are
 exact over the rationals, so agreement here means equality, not
@@ -38,7 +39,7 @@ def main() -> None:
     print(f"convolved support has {len(dist.atoms)} points")
     print()
 
-    moments = fold_even_moments(term_tables(spec, 4), 4)
+    moments = fold_even_moments(term_tables(spec, 4))
     for order in (2, 4, 6, 8):
         formula = moments[order // 2]
         oracle = dist.moment(order)

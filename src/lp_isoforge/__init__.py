@@ -58,7 +58,6 @@ from .errors import (
     SingularJacobianError,
 )
 from .momentpoly import (
-    CmAlphaTable,
     MuVector,
     cm_alpha_table,
     grad_table,

@@ -149,7 +149,7 @@ def reference_generator(mu_bar: MuVector) -> IndependentSumSpec:
 
 def _moment_table(gen: IndependentSumSpec, k: int) -> tuple:
     """[E g^0, E g^2, ..., E g^(2k)] of one generator: one fold."""
-    return tuple(fold_even_moments(term_tables(gen, k), k))
+    return tuple(fold_even_moments(term_tables(gen, k)))
 
 
 def certificate_span(cert: ConstructionCertificate) -> tuple:
@@ -226,8 +226,8 @@ def _sampled_isometry(cert, ref_table, per, eps_hat: Fraction, trials: int, seed
     h_min = min(cert.target.values)
     bound = (1 + eps_hat / h_min) ** k - 1
 
-    ref_kappa = even_cumulants(ref_table, k)
-    per_kappa = [even_cumulants(t, k) for t in per]
+    ref_kappa = even_cumulants(ref_table)
+    per_kappa = [even_cumulants(t) for t in per]
     # order l: kappa_2l(f~_j) = nums[l][j] / dens[l], one denominator per order
     dens = [lcm(*(kappa[l].denominator for kappa in per_kappa)) for l in range(k + 1)]
     nums = [[kappa[l].numerator * (dens[l] // kappa[l].denominator) for kappa in per_kappa] for l in range(k + 1)]
@@ -235,8 +235,8 @@ def _sampled_isometry(cert, ref_table, per, eps_hat: Fraction, trials: int, seed
     # for f~; the relative residual |P_m/Q^per_m - R_m/Q^ref_m| / (R_m/Q^ref_m)
     # is |P_m r_m - R_m s_m| / (R_m s_m), (r_m, s_m) = (Q^ref_m, Q^per_m)
     # over their gcd, and the worst one is kept as a pair of integers
-    ref_q, ref_moments = integer_moment_map([x.denominator for x in ref_kappa], k)
-    per_q, per_moments = integer_moment_map(dens, k)
+    ref_q, ref_moments = integer_moment_map([x.denominator for x in ref_kappa])
+    per_q, per_moments = integer_moment_map(dens)
     ref_nums = [x.numerator for x in ref_kappa]
     cross = [(a // gcd(a, b), b // gcd(a, b)) for a, b in zip(ref_q, per_q)][1:]
 
@@ -282,8 +282,8 @@ def c_k_constant(k: int) -> int:
     """C_k = sum_{alpha=1}^{k} binom(k, alpha) C_{k,alpha}, an integer."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = cm_alpha_table(k)
-    return sum(comb(k, alpha) * table.get(k, alpha) for alpha in range(1, k + 1))
+    row = cm_alpha_table(k)[k]
+    return sum(comb(k, alpha) * row[alpha] for alpha in range(1, k + 1))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ This module only parses arguments and renders results; every check of a
 result lives in the library.  Each argument is checked once, while
 parsing: --precision, --p and --nu-fraction by the library's own rule
 (numeric.validate_precision, solver.validate_p,
-solver.validate_nu_fraction), the integer minimums by _at_least.
+solver.validate_nu_fraction, with --nu-fraction's text read by
+numeric.parse_rational), the integer minimums by _at_least.
 Only construct takes --precision: p4 and project run at
 DEFAULT_PRECISION_BITS, and verify at the certificate's precision.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 import mpmath
 
@@ -48,6 +48,7 @@ from .numeric import (
     MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
     frac_to_str,
+    parse_rational,
     real_to_str,
     validate_precision,
 )
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j-max", type=_at_least(1), default=20, help="largest scale to solve (default 20)")
     sp.add_argument(
         "--nu-fraction",
-        type=_arg(Fraction, validate_nu_fraction),
+        type=_arg(parse_rational, validate_nu_fraction),
         default=DEFAULT_NU_FRACTION,
         help="position of nu_j inside its bracket, strictly between 1/2 and 1 (default 3/4)",
     )
@@ -260,7 +261,7 @@ def cmd_moments(args) -> int:
 
     lines = [f"terms: {len(spec)}, atoms: {len(dist.atoms) if dist else 'over cap'}"]
     k = max(orders) // 2
-    moments = fold_even_moments(term_tables(spec, k), k)
+    moments = fold_even_moments(term_tables(spec, k))
     values = []
     for order in orders:
         formula = moments[order // 2]

@@ -55,7 +55,9 @@ mpmath precision on mpf inputs, except `mass_polynomial` and
 `vandermonde_check`, which take rationals only; `validate_scale` checks
 every j and nu.  None takes the order k: it is the number of masses (of
 targets, for `mass_polynomial`), and each call builds its own C_{m,alpha}
-table with `cm_alpha_table(k)`.
+table with `cm_alpha_table(k)`: a plain triangular tuple C of integers,
+C[m][alpha] = C_{m,alpha} for 0 <= alpha <= m <= k, so the determinant
+constant is math.prod(C[m][m] for m = 1..k).
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError, SingularJacobianError
-from .numeric import Scalar, as_rational, det_exact
+from .numeric import as_rational, det_exact
 
 __all__ = [
-    "CmAlphaTable",
     "MuVector",
     "JacobianF",
     "VandermondeCheck",
     "cm_alpha_table",
+    "strictly_decreasing",
     "validate_scale",
     "mass_polynomial",
     "h_vector",
@@ -83,37 +85,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CmAlphaTable:
-    """C_{m,alpha} for 1 <= alpha <= m <= k, plus the order k it was built for."""
+def cm_alpha_table(k: int) -> tuple:
+    """The triangle C with C[m][alpha] = C_{m,alpha} for 0 <= alpha <= m <= k.
 
-    k: int
-    entries: dict
-
-    def get(self, m: int, alpha: int) -> int:
-        if not (1 <= alpha <= m <= self.k):
-            raise KeyError(f"C_{{{m},{alpha}}} outside table of order {self.k}")
-        return self.entries[(m, alpha)]
-
-    def diagonal_product(self) -> int:
-        """prod_{m=1}^{k} C_{m,m}; the constant in the determinant identity."""
-        out = 1
-        for m in range(1, self.k + 1):
-            out *= self.entries[(m, m)]
-        return out
-
-
-def cm_alpha_table(k: int) -> CmAlphaTable:
+    The alpha = 0 column holds its true values, C_{0,0} = 1 and
+    C_{m,0} = 0 for m >= 1 (m >= 1 has no composition into zero parts).
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    entries = {}
+    C = [(1,)]
     for m in range(1, k + 1):
-        entries[(m, 1)] = 1
+        row = [0, 1]
         for alpha in range(2, m + 1):
-            entries[(m, alpha)] = sum(
-                math.comb(2 * m, 2 * n) * entries[(m - n, alpha - 1)] for n in range(1, m - alpha + 2)
-            )
-    return CmAlphaTable(k=k, entries=entries)
+            row.append(sum(math.comb(2 * m, 2 * n) * C[m - n][alpha - 1] for n in range(1, m - alpha + 2)))
+        C.append(tuple(row))
+    return tuple(C)
+
+
+def strictly_decreasing(values) -> bool:
+    """Whether values[0] > values[1] > ... > values[-1]: the one ordering test of mass vectors."""
+    return all(a > b for a, b in zip(values, values[1:]))
 
 
 @dataclass(frozen=True)
@@ -123,9 +114,9 @@ class MuVector:
     The masses pass `numeric.as_rational`, so a float, an mpf, a bool or a
     string raises TypeError and every mass vector can be rechecked exactly.
     Solver roots enter as the exact dyadic values of their binary floats.
-    `strictly_decreasing` tells whether mu_1 > mu_2 > ... > mu_k holds;
-    most of the solver's theory needs it, but evaluation does not, so it
-    is a flag rather than a hard precondition.
+    `strictly_decreasing(mu.values)` tells whether mu_1 > mu_2 > ... > mu_k
+    holds; most of the solver's theory needs it, but evaluation does not,
+    so it is a test rather than a hard precondition.
     """
 
     values: tuple
@@ -138,10 +129,6 @@ class MuVector:
             if not 0 < v <= 1:
                 raise DegenerateInputError(f"masses must lie in (0, 1], got {v}")
         object.__setattr__(self, "values", values)
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        return all(a > b for a, b in zip(self.values, self.values[1:]))
 
     @property
     def k(self) -> int:
@@ -187,18 +174,17 @@ def mass_polynomial(j: int, nu, target) -> tuple:
     nu = validate_scale(j, as_rational(nu))
     target = tuple(as_rational(t) for t in target)
     k = len(target)
-    table = cm_alpha_table(k)
+    C = cm_alpha_table(k)
     jsq = j * j
     e = [Fraction(1)]
     for m in range(1, k + 1):
         acc = target[m - 1] - nu * jsq ** m
         for alpha in range(1, m):
-            a = table.get(m, alpha) + nu * sum(
-                math.comb(2 * m, 2 * l) * jsq ** l * table.get(m - l, alpha)
-                for l in range(1, m - alpha + 1)
+            a = C[m][alpha] + nu * sum(
+                math.comb(2 * m, 2 * l) * jsq ** l * C[m - l][alpha] for l in range(1, m - alpha + 1)
             )
             acc -= a * e[alpha]
-        e.append(acc / table.get(m, m))
+        e.append(acc / C[m][m])
     return tuple(-v if alpha % 2 else v for alpha, v in enumerate(e))
 
 
@@ -212,18 +198,17 @@ def _excl_row(values: tuple, beta: int, e: list) -> list:
     return row
 
 
-def _h_from(e: list, table: CmAlphaTable) -> list:
+def _h_from(e: list, C: tuple) -> list:
     return [Fraction(1)] + [
-        sum((table.get(m, a) * e[a] for a in range(1, m + 1)), Fraction(0))
-        for m in range(1, table.k + 1)
+        sum((C[m][a] * e[a] for a in range(1, m + 1)), Fraction(0)) for m in range(1, len(C))
     ]
 
 
-def _grad_from(values: tuple, e: list, table: CmAlphaTable) -> list:
+def _grad_from(values: tuple, e: list, C: tuple) -> list:
     excl = [_excl_row(values, beta, e) for beta in range(1, len(values) + 1)]
     return [[Fraction(0)] * len(values)] + [
-        [sum((table.get(m, a) * row[a - 1] for a in range(1, m + 1)), Fraction(0)) for row in excl]
-        for m in range(1, table.k + 1)
+        [sum((C[m][a] * row[a - 1] for a in range(1, m + 1)), Fraction(0)) for row in excl]
+        for m in range(1, len(C))
     ]
 
 
@@ -263,8 +248,6 @@ class JacobianF:
     dF_m/dnu.  Entries share the scalar type of the inputs.
     """
 
-    j: int
-    nu: Scalar
     matrix: tuple
     nu_column: tuple
 
@@ -277,11 +260,11 @@ def jacobian_F(j: int, mu, nu) -> JacobianF:
     validate_scale(j, nu)
     values = tuple(mu)
     k = len(values)
-    table = cm_alpha_table(k)
+    C = cm_alpha_table(k)
     # one elementary-symmetric table serves both H and its gradient
     e = _elem_sym_all(values)
-    gradH = _grad_from(values, e, table)
-    hvals = _h_from(e, table)
+    gradH = _grad_from(values, e, C)
+    hvals = _h_from(e, C)
     jsq = j * j
     matrix = []
     nu_column = []
@@ -298,7 +281,7 @@ def jacobian_F(j: int, mu, nu) -> JacobianF:
                     row[b] = row[b] + nu * c * jpow * gradH[m - l][b]
         matrix.append(tuple(row))
         nu_column.append(dnu)
-    return JacobianF(j=j, nu=nu, matrix=tuple(matrix), nu_column=tuple(nu_column))
+    return JacobianF(matrix=tuple(matrix), nu_column=tuple(nu_column))
 
 
 @dataclass(frozen=True)
@@ -317,7 +300,7 @@ def vandermonde_check(mu) -> VandermondeCheck:
     """
     values = tuple(mu)
     k = len(values)
-    if any(values[i] <= values[i + 1] for i in range(k - 1)):
+    if not strictly_decreasing(values):
         raise DegenerateInputError("mu must be strictly decreasing for this check")
     det_j = det_exact(jacobian_F(1, values, Fraction(0)).matrix)
     det_v = Fraction(1)
@@ -326,4 +309,5 @@ def vandermonde_check(mu) -> VandermondeCheck:
             det_v *= values[jj] - values[i]
     if det_j == 0:
         raise SingularJacobianError("exact Jacobian determinant is zero")
-    return VandermondeCheck(det_j, det_v, det_j / det_v, cm_alpha_table(k).diagonal_product())
+    C = cm_alpha_table(k)
+    return VandermondeCheck(det_j, det_v, det_j / det_v, math.prod(C[m][m] for m in range(1, k + 1)))

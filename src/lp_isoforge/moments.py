@@ -34,7 +34,9 @@ cost one conversion per summand and then O(n k) per sum instead of a
 fold each.  The way back is `integer_moment_map`: with each order's
 cumulants over one denominator, it runs on integer numerators and
 returns the moments times fixed common denominators, so such sums build
-no Fraction at all.
+no Fraction at all.  Only `term_tables` takes the order k; the fold, the
+cumulants and the integer map read it from their input, a table of
+length k + 1 (all of one length, for the fold), and reject empty input.
 
 `convolve` is the independent oracle for the same quantity: it builds the
 full distribution of the sum by direct convolution (atoms merged on equal
@@ -142,18 +144,25 @@ def term_tables(spec: IndependentSumSpec, k: int) -> list:
     ]
 
 
-def fold_even_moments(tables, k: int) -> list:
+def _order(*tables) -> int:
+    """k of tables [x_0, ..., x_k] (index l, order 2l); none, an empty or a ragged one is a ValueError."""
+    if not tables or not tables[0] or any(len(t) != len(tables[0]) for t in tables):
+        raise ValueError("need nonempty tables [x_0, ..., x_k], all of one length")
+    return len(tables[0]) - 1
+
+
+def fold_even_moments(tables) -> list:
     """[E S^0, E S^2, ..., E S^(2k)] for S the sum of independent terms.
 
-    tables[i][l] = E f_i^(2l) for l = 1..k.  The entries need not come
-    from probability-valid variables; the fold only consumes the numbers.
-    tables[i][0] is ignored (every summand has E f^0 = 1) but must be
-    present so that index l addresses order 2l.  Each table is folded in
-    with E (S + X)^(2m) = sum_l binom(2m, 2l) E S^(2(m-l)) E X^(2l), so
-    the cost is O(len(tables) * k^2) multiplications.
+    tables[i][l] = E f_i^(2l) for l = 1..k, k + 1 the length every table
+    shares.  The entries need not come from probability-valid variables;
+    the fold only consumes the numbers.  tables[i][0] is ignored (every
+    summand has E f^0 = 1) but must be present so that index l addresses
+    order 2l.  Each table is folded in with
+    E (S + X)^(2m) = sum_l binom(2m, 2l) E S^(2(m-l)) E X^(2l), so the
+    cost is O(len(tables) * k^2) multiplications.
     """
-    if any(len(t) < k + 1 for t in tables):
-        raise ValueError(f"each table must cover orders up to {2 * k}")
+    k = _order(*tables)
     binoms = [[math.comb(2 * m, 2 * l) for l in range(m + 1)] for m in range(k + 1)]
     acc = [Fraction(1)] + [Fraction(0)] * k
     for table in tables:
@@ -167,7 +176,7 @@ def fold_even_moments(tables, k: int) -> list:
     return acc
 
 
-def even_cumulants(table, k: int) -> list:
+def even_cumulants(table) -> list:
     """[0, kappa_2, ..., kappa_2k]: the even cumulants of an even-moment table.
 
     table[l] = E g^(2l) as in `fold_even_moments` (table[0] is taken as
@@ -176,23 +185,23 @@ def even_cumulants(table, k: int) -> list:
 
         kappa_2m = E g^(2m) - sum_{l=1}^{m-1} binom(2m-1, 2l-1) kappa_2l E g^(2m-2l).
 
-    Index l addresses order 2l, like the tables; kappa_0 = 0.  Exact for
-    rational tables, O(k^2) operations.
+    Index l addresses order 2l, like the tables, up to k = len(table) - 1;
+    kappa_0 = 0.  Exact for rational tables, O(k^2) operations.
     """
-    if len(table) < k + 1:
-        raise ValueError(f"table must cover orders up to {2 * k}")
+    k = _order(table)
     kappa = [0] * (k + 1)
     for m in range(1, k + 1):
         kappa[m] = table[m] - sum(math.comb(2 * m - 1, 2 * l - 1) * kappa[l] * table[m - l] for l in range(1, m))
     return kappa
 
 
-def integer_moment_map(dens, k: int) -> tuple:
+def integer_moment_map(dens) -> tuple:
     """(Q, to_moments): the cumulant-to-moment map on integers.
 
-    For cumulants kappa_2l = N_l / dens[l], l = 1..k (dens[0] is
-    ignored), put Q_0 = 1 and Q_m = lcm_{l=1..m} dens[l] Q_{m-l}.  Then
-    Q_m E g^(2m) is an integer, and the inverse of `even_cumulants`,
+    For cumulants kappa_2l = N_l / dens[l], l = 1..k = len(dens) - 1
+    (dens[0] is ignored), put Q_0 = 1 and
+    Q_m = lcm_{l=1..m} dens[l] Q_{m-l}.  Then Q_m E g^(2m) is an integer,
+    and the inverse of `even_cumulants`,
     E g^(2m) = sum_{l=1}^{m} binom(2m-1, 2l-1) kappa_2l E g^(2m-2l),
     becomes
 
@@ -204,6 +213,7 @@ def integer_moment_map(dens, k: int) -> tuple:
     [Q_0 E g^0, ..., Q_k E g^(2k)], O(k^2) integer operations and no
     gcd, so many sums that share the denominators cost no Fraction each.
     """
+    k = _order(dens)
     q = [1]
     for m in range(1, k + 1):
         q.append(math.lcm(*(dens[l] * q[m - l] for l in range(1, m + 1))))

@@ -72,15 +72,21 @@ MIN_PRECISION_BITS = 128
 # real_to_str writes prec_to_dps(prec) + 6 mantissa digits, and parse_real reads
 # them through int(str), which refuses more than 4300; 8192 bits need 2471
 MAX_PRECISION_BITS = 8192
+# the largest |e| parse_rational reads in a decimal exponent: Fraction("1e-N")
+# builds 10^N, and the same int(str) limit bounds the other digits of the text
+MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
 __all__ = [
     "Scalar",
     "DEFAULT_PRECISION_BITS",
     "MIN_PRECISION_BITS",
     "MAX_PRECISION_BITS",
+    "MAX_DECIMAL_EXPONENT",
     "workprec",
     "validate_precision",
     "as_rational",
+    "parse_rational",
     "to_mpf",
     "mpf_to_fraction",
     "frac_to_str",
@@ -110,6 +116,23 @@ def as_rational(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
+
+
+def parse_rational(value) -> Fraction:
+    """Fraction(value) for a number or its text, with a decimal exponent of at most MAX_DECIMAL_EXPONENT.
+
+    The bound is checked on the text before any Fraction is built, so an
+    exponent like 1e-10000000 fails at once (ValueError) instead of
+    spending seconds on a ten-million-digit power of ten.  Anything within
+    it parses as Fraction does: "0.75" is 3/4, a float its exact binary
+    fraction, and an int, a "num/den" string or bad text as Fraction has it.
+    """
+    if isinstance(value, str):
+        match = _DECIMAL_EXPONENT.search(value)
+        # int() reads the exponent as Fraction would, and refuses over 4300 digits itself
+        if match and abs(int(match[1])) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
+    return Fraction(value)
 
 
 def to_mpf(x: Scalar, prec: int | None = None) -> mpmath.mpf:

@@ -87,7 +87,7 @@ def rosenthal_moments(n: int) -> tuple:
     A = mass_g + Fraction(1, n)
     table_g = [Fraction(1), mass_g, mass_g]
     table_gp = [Fraction(1), Fraction(1, n), Fraction(1, n ** 2)]
-    B = fold_even_moments([table_g, table_gp], 2)[2]
+    B = fold_even_moments([table_g, table_gp])[2]
     return A, B
 
 

@@ -40,6 +40,7 @@ from .numeric import (
     MAX_PRECISION_BITS,
     frac_to_str,
     mpf_to_fraction,
+    parse_rational,
     parse_real,
     real_to_str,
     to_mpf,
@@ -88,7 +89,7 @@ def load_json(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # malformed JSON, bad UTF-8, an integer over 4300 digits
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -266,7 +267,7 @@ def _rational(value, name: str) -> Fraction:
     if type(value) not in (int, float, str):
         raise SchemaError(f"{name} must be a number or a 'num/den' string")
     try:
-        return Fraction(value)
+        return parse_rational(value)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise SchemaError(f"{name}: not a rational value: {value!r}") from None
 

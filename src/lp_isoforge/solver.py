@@ -100,6 +100,7 @@ from .momentpoly import (
     h_vector,
     mass_polynomial,
     moment_vector_F,
+    strictly_decreasing,
     validate_scale,
 )
 from .numeric import (
@@ -216,7 +217,7 @@ def ball_params(mu_bar: MuVector) -> BallParams:
     if k < 2:
         raise DegenerateInputError("need k >= 2 (k-1 appears as a divisor)")
     values = mu_bar.values
-    if not mu_bar.strictly_decreasing:
+    if not strictly_decreasing(values):
         raise DegenerateInputError("mu_bar must be strictly decreasing")
     gaps = [values[i] - values[i + 1] for i in range(k - 1)]
     bound = Fraction(1, 2) * min(gaps + [values[-1]])
@@ -267,8 +268,7 @@ class _RawSystem:
         rnd = round_nearest
         self.k = k
         self.prec = prec
-        table = cm_alpha_table(k)
-        self.cm = [None] + [[None] + [table.get(m, a) for a in range(1, m + 1)] for m in range(1, k + 1)]
+        self.cm = cm_alpha_table(k)
         jsq = j * j
         self.coef = [None]  # coef[m][l] = nu * binom(2m, 2l) * j^(2l), 1 <= l <= m
         for m in range(1, k + 1):
@@ -551,7 +551,7 @@ def max_abs_residual(rows) -> Fraction:
 
 def decreasing_above(mu: tuple, delta: Fraction) -> bool:
     """mu_1 > ... > mu_k > delta on exact values: the ordering every certified scale must meet."""
-    return all(a > b for a, b in zip(mu, mu[1:])) and mu[-1] > delta
+    return strictly_decreasing(mu) and mu[-1] > delta
 
 
 def _exact_residuals(j: int, nu: Fraction, mu_values, target: HValues) -> tuple:

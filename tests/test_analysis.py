@@ -51,12 +51,12 @@ def build_span(masses):
 
 
 def moment_table(gen, k):
-    return fold_even_moments(term_tables(gen, k), k)
+    return fold_even_moments(term_tables(gen, k))
 
 
 def combination_moments(tables, c, k):
     """[1, ||sum c_i g_i||_2^2, ..., ||sum c_i g_i||_2k^2k]: scaled tables, one fold."""
-    return fold_even_moments([[ci ** (2 * l) * t[l] for l in range(k + 1)] for ci, t in zip(c, tables)], k)
+    return fold_even_moments([[ci ** (2 * l) * t[l] for l in range(k + 1)] for ci, t in zip(c, tables)])
 
 
 def fold_isometry_oracle(cert, trials, seed):
@@ -258,7 +258,7 @@ def test_c_k_frozen():
     assert c_k_constant(2) == 8
     t3 = cm_alpha_table(3)
     want = (
-        3 * t3.get(3, 1) + 3 * t3.get(3, 2) + t3.get(3, 3)
+        3 * t3[3][1] + 3 * t3[3][2] + t3[3][3]
     )
     assert c_k_constant(3) == want
 

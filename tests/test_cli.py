@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -460,6 +461,47 @@ def test_moments_rejects_unknown_term_key(tmp_path, capsys, term):
     assert code == 2
     assert err.startswith("error:") and "unknown keys" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ("moments", write_moment_spec(tmp, [{"scale": 1, "mass": "1e-1000000"}], [2])),
+        lambda tmp: ("construct", "--p", "6", "--nu-fraction", "1e-10000000"),
+    ],
+    ids=["moment spec mass 1e-1000000", "nu-fraction 1e-10000000"],
+)
+def test_huge_decimal_exponent_exits_two_at_once(tmp_path, capsys, argv):
+    # Fraction("1e-N") builds 10^N; the exponent is bounded on the text first
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert time.monotonic() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_decimal_exponent_bound_keeps_values_inside_it(tmp_path, capsys):
+    spec = write_moment_spec(tmp_path, [{"scale": "1e-4300", "mass": "5e-1"}], [2])
+    code, text, _ = run(capsys, "moments", spec)
+    assert code == 0
+    assert "order 2: formula 1/2" + "0" * 8600 + "  oracle" in text
+    out = str(tmp_path / "cert.json")
+    assert run(capsys, "construct", "--p", "6", "--j-max", "1", "--nu-fraction", "0.75e0", "--out", out)[0] == 0
+
+
+def test_over_long_json_integer_exits_two(tmp_path, capsys, cert_p4):
+    # json refuses an integer over 4300 digits with a bare ValueError
+    cert = tmp_path / "cert.json"
+    save_certificate(cert_p4, cert)
+    text = cert.read_text()
+    assert text.count('"precision_bits": 256,') == 1
+    cert.write_text(text.replace('"precision_bits": 256,', '"precision_bits": 1' + "0" * 5000 + ","))
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"terms": [{"scale": 1' + "0" * 5000 + ', "mass": "1/2"}], "orders": [2]}')
+    for argv in (("verify", str(cert)), ("moments", str(spec))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not valid JSON" in err
 
 
 def test_p4_row_counts(tmp_path, capsys):

@@ -30,7 +30,7 @@ def spec_of(pairs):
 
 def sum_moments(spec, k):
     """[E S^0, E S^2, ..., E S^(2k)] by the even-moment fold."""
-    return fold_even_moments(term_tables(spec, k), k)
+    return fold_even_moments(term_tables(spec, k))
 
 
 def test_single_moment_values():
@@ -149,8 +149,19 @@ def test_abs_moment_point_mass_at_zero():
 
 
 def test_from_tables_covers_orders():
+    assert fold_even_moments([[Fraction(1), Fraction(1, 2)]]) == [1, Fraction(1, 2)]
+    # tables of unequal length, or none, or an empty one, have no order
     with pytest.raises(ValueError):
-        fold_even_moments([[Fraction(1), Fraction(1, 2)]], 2)
+        fold_even_moments([[Fraction(1), Fraction(1, 2)], [Fraction(1), Fraction(1, 2), Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        fold_even_moments([])
+    with pytest.raises(ValueError):
+        fold_even_moments([[]])
+
+
+def test_integer_moment_map_rejects_empty_input():
+    with pytest.raises(ValueError):
+        integer_moment_map([])
 
 
 rational = st.fractions(min_value=Fraction(1, 30), max_value=1, max_denominator=30)
@@ -211,7 +222,7 @@ table_entry = st.fractions(min_value=-5, max_value=5, max_denominator=12)
     tables=st.lists(st.lists(table_entry, min_size=5, max_size=5), min_size=1, max_size=6),
 )
 def test_fold_matches_multinomial_expansion(k, tables):
-    folded = fold_even_moments(tables, k)
+    folded = fold_even_moments([t[: k + 1] for t in tables])
     assert len(folded) == k + 1
     assert folded[0] == 1
     for m in range(1, k + 1):
@@ -225,17 +236,20 @@ def test_fold_matches_multinomial_expansion(k, tables):
     zeroth=st.lists(table_entry, min_size=4, max_size=4),
 )
 def test_from_tables_ignores_zeroth_entry(k, tables, zeroth):
+    tables = [t[: k + 1] for t in tables]
     mangled = [[z] + t[1:] for z, t in zip(zeroth, tables)]
-    assert fold_even_moments(mangled, k) == fold_even_moments(tables, k)
+    assert fold_even_moments(mangled) == fold_even_moments(tables)
 
 
 def test_even_cumulants_frozen():
     # Rademacher (scale 1, mass 1): kappa_2 = 1, kappa_4 = 1 - 3 = -2, kappa_6 = 16
-    assert even_cumulants([1, 1, 1, 1], 3) == [0, 1, -2, 16]
+    assert even_cumulants([1, 1, 1, 1]) == [0, 1, -2, 16]
     # a centred Gaussian table (1, 3, 15) has kappa_2 alone
-    assert even_cumulants([1, 1, 3, 15], 3) == [0, 1, 0, 0]
+    assert even_cumulants([1, 1, 3, 15]) == [0, 1, 0, 0]
+    # the order is the table's: k = 1 keeps kappa_2 alone, and an empty table has none
+    assert even_cumulants([1, 1]) == [0, 1]
     with pytest.raises(ValueError):
-        even_cumulants([1, 1], 2)
+        even_cumulants([])
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,22 +262,22 @@ def test_cumulants_add_to_the_fold(k, tables, coeffs):
     def q_scaled_moments(kappa):
         # the integer map on the cumulants' own denominators: (Q, [Q_m E g^(2m)])
         kappa = [Fraction(x) for x in kappa]
-        q, to_moments = integer_moment_map([x.denominator for x in kappa], k)
+        q, to_moments = integer_moment_map([x.denominator for x in kappa])
         return q, to_moments([x.numerator for x in kappa])
 
     def q_times(q, table):
         return [q_m * e for q_m, e in zip(q, table)]
 
-    tables = [[Fraction(1)] + t[1:] for t in tables]
-    kappas = [even_cumulants(t, k) for t in tables]
+    tables = [[Fraction(1)] + t[1 : k + 1] for t in tables]
+    kappas = [even_cumulants(t) for t in tables]
     for t, kappa in zip(tables, kappas):
         q, moments = q_scaled_moments(kappa)
-        assert moments == q_times(q, fold_even_moments([t], k))
+        assert moments == q_times(q, fold_even_moments([t]))
     # independent terms add cumulants, and c g has kappa_2l(c g) = c^(2l) kappa_2l(g)
     summed = [sum(c ** (2 * l) * kappa[l] for c, kappa in zip(coeffs, kappas)) for l in range(k + 1)]
     scaled = [[c ** (2 * l) * t[l] for l in range(k + 1)] for c, t in zip(coeffs, tables)]
     q, moments = q_scaled_moments(summed)
-    assert moments == q_times(q, fold_even_moments(scaled, k))
+    assert moments == q_times(q, fold_even_moments(scaled))
 
 
 # a centred Gaussian table v^l (2l-1)!! has kappa_2 = v and no higher cumulant
@@ -283,13 +297,13 @@ gaussian_table = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denomi
 @example(k=3, tables=[[1, 1, 3, 15, 105, 945, 10395]], coeffs=[2, 0, 0, 0, 0])
 def test_integer_moment_map_is_q_times_the_fold(k, tables, coeffs):
     # summed cumulants over one denominator per order, as isometry_check holds them
-    tables = [[Fraction(1)] + list(map(Fraction, t[1:])) for t in tables]
-    kappas = [even_cumulants(t, k) for t in tables]
+    tables = [[Fraction(1)] + list(map(Fraction, t[1 : k + 1])) for t in tables]
+    kappas = [even_cumulants(t) for t in tables]
     dens = [math.lcm(*(kappa[l].denominator for kappa in kappas)) for l in range(k + 1)]
     nums = [sum(c ** (2 * l) * kappa[l] * dens[l] for c, kappa in zip(coeffs, kappas)) for l in range(k + 1)]
     assert all(n.denominator == 1 for n in map(Fraction, nums))
-    q, to_moments = integer_moment_map(dens, k)
+    q, to_moments = integer_moment_map(dens)
     scaled = [[c ** (2 * l) * t[l] for l in range(k + 1)] for c, t in zip(coeffs, tables)]
     moments = to_moments([int(n) for n in nums])
     assert all(type(x) is int for x in q + moments)
-    assert moments == [q_m * e for q_m, e in zip(q, fold_even_moments(scaled, k))]
+    assert moments == [q_m * e for q_m, e in zip(q, fold_even_moments(scaled))]

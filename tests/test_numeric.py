@@ -11,11 +11,13 @@ from mpmath import workprec
 
 from lp_isoforge.errors import SingularJacobianError
 from lp_isoforge.numeric import (
+    MAX_DECIMAL_EXPONENT,
     MAX_PRECISION_BITS,
     count_real_roots,
     det_exact,
     frac_to_str,
     mpf_to_fraction,
+    parse_rational,
     parse_real,
     raw_elimination,
     real_to_str,
@@ -90,6 +92,23 @@ def test_fraction_strings():
     assert frac_to_str(Fraction(-7, 3)) == "-7/3"
     assert frac_to_str(5) == "5/1"
     assert Fraction(frac_to_str(Fraction(-7, 3))) == Fraction(-7, 3)
+
+
+def test_parse_rational_bounds_the_decimal_exponent():
+    # inside the bound it is Fraction: decimals exact, floats their binary value
+    for value in ("0.75", "3/4", " 1.5E-3 ", "1e0_0_1", "-2e+3", 0.1, 7):
+        assert parse_rational(value) == Fraction(value)
+    assert parse_rational("0.75") == Fraction(3, 4)
+    t0 = time.monotonic()
+    assert parse_rational(f"1e-{MAX_DECIMAL_EXPONENT}") == Fraction(1, 10 ** MAX_DECIMAL_EXPONENT)
+    assert parse_rational(f"1e{MAX_DECIMAL_EXPONENT}") == 10 ** MAX_DECIMAL_EXPONENT
+    # past it, or with an exponent too long to read, it fails before any Fraction
+    for text in ("1e-4301", "1e4301", "1e-10000000", "1e-0_0_0_5000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    assert time.monotonic() - t0 < 1
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
 
 
 def test_validate_precision():

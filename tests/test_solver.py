@@ -16,7 +16,7 @@ from lp_isoforge.errors import (
     LpIsoforgeError,
     NoSolutionError,
 )
-from lp_isoforge.momentpoly import MuVector, grad_table, jacobian_F, moment_vector_F
+from lp_isoforge.momentpoly import MuVector, grad_table, jacobian_F, moment_vector_F, strictly_decreasing
 from lp_isoforge.numeric import mpf_to_fraction, to_mpf
 from lp_isoforge.solver import (
     HValues,
@@ -70,7 +70,7 @@ def test_default_base_point():
     )
     for k in range(2, 9):
         bp = default_base_point(k)
-        assert bp.strictly_decreasing
+        assert strictly_decreasing(bp.values)
         assert bp.values[0] < 1
     with pytest.raises(DegenerateInputError):
         default_base_point(1)
