@@ -152,10 +152,10 @@ def to_mpf(x: Scalar, prec: int | None = None) -> mpmath.mpf:
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
-def mpf_to_fraction(x: Scalar) -> Fraction:
-    """Exact rational value of a finite mpf (or pass rationals through)."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
+    """Exact rational value of a finite mpf; anything else is a TypeError."""
+    if not isinstance(x, mpmath.mpf):
+        raise TypeError(f"expected an mpf, got {type(x).__name__}")
     if not mpmath.isfinite(x):
         raise ValueError(f"cannot convert non-finite value {x} to Fraction")
     sign, man, exp, _ = x._mpf_

@@ -268,16 +268,21 @@ def _rational(value, name: str) -> Fraction:
         raise SchemaError(f"{name} must be a number or a 'num/den' string")
     try:
         return parse_rational(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise SchemaError(f"{name}: not a rational value: {value!r}") from None
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SchemaError(f"{name}: not a rational value: {value!r} ({exc})") from None
+
+
+# the largest order a moment spec may ask for: the fold costs O(n·k²) exact
+# operations in k = order/2, and the oracle's moments grow with the order too
+_MAX_MOMENT_ORDER = 256
 
 
 def load_moment_spec(path) -> tuple:
     """(IndependentSumSpec, orders) from a moment spec file; any deviation raises SchemaError.
 
     The file is {"terms": [{"scale": .., "mass": ..}, ...], "orders": [..]},
-    both lists nonempty and each term with exactly those two keys; see the
-    README.
+    both lists nonempty, each term with exactly those two keys and each
+    order even and at most _MAX_MOMENT_ORDER; see the README.
     """
     data = load_json(path)
     if type(data) is not dict or any(type(data.get(key)) is not list or not data[key] for key in ("terms", "orders")):
@@ -294,8 +299,8 @@ def load_moment_spec(path) -> tuple:
             )
         )
     for order in data["orders"]:
-        if type(order) is not int or order < 0 or order % 2 != 0:
-            raise SchemaError(f"orders must be even integers >= 0, got {order!r}")
+        if type(order) is not int or not 0 <= order <= _MAX_MOMENT_ORDER or order % 2 != 0:
+            raise SchemaError(f"orders must be even integers in [0, {_MAX_MOMENT_ORDER}], got {order!r}")
     return IndependentSumSpec(terms), tuple(data["orders"])
 
 

@@ -180,7 +180,7 @@ class BallParams:
 
 def validate_p(p: int) -> int:
     """The order check of construct_pair: p an even integer >= 4."""
-    if p % 2 != 0 or p < 4:
+    if type(p) is not int or p % 2 != 0 or p < 4:
         raise ValueError(f"p must be an even integer >= 4, got {p}")
     return p
 

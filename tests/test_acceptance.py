@@ -48,7 +48,7 @@ from lp_isoforge.moments import (
     fold_even_moments,
     term_tables,
 )
-from lp_isoforge.numeric import mpf_to_fraction, parse_real, to_mpf
+from lp_isoforge.numeric import parse_real, to_mpf
 from lp_isoforge.p4 import build_p4_table, log_sq, render_p4_report
 from lp_isoforge.serialize import load_certificate, uncomplemented_to_dict
 from lp_isoforge.solver import (
@@ -146,8 +146,7 @@ def test_criterion_04_p6_certificate_residuals_bracket_ordering(cert_p6_timed):
     for e in cert.entries:
         assert all(abs(r) < tol for r in e.residuals)
         assert delta / 2 / Fraction(e.j) ** 4 < e.nu < delta / Fraction(e.j) ** 4
-        mu = [mpf_to_fraction(v) for v in e.mu]
-        assert mu[0] > mu[1] > mu[2] > delta
+        assert e.mu[0] > e.mu[1] > e.mu[2] > delta
     assert build_seconds < 60
 
 
@@ -336,11 +335,19 @@ def test_construct_p6_frontier_certificate_bytes_pinned(tmp_path, capsys):
 
 
 # the raw Newton kernel's loops run over k = p/2, so these pin the bytes at
-# k = 4, 6 and 8 and at other precisions and schedule positions; refresh
-# them only for an intended change to the solve
+# k = 4, 6 and 8 and at other precisions and schedule positions, and each
+# pinned certificate verifies (the reader converts each mass at the
+# certificate's own precision); refresh them only for an intended change to
+# the solve
 @pytest.mark.parametrize(
     "args, digest",
     [
+        # a decimal flag is read exactly as 3/4, the default, never through
+        # a float: the bytes of test_construct_p6_certificate_bytes_pinned
+        (
+            ["--p", "6", "--j-max", "5", "--nu-fraction", "0.75"],
+            "6c2773002ff763922cddd6052deac9ea60c2e18876d976a7b528b36410f3c85a",
+        ),
         (["--p", "8", "--j-max", "10"], "87f5234cbec9c9ff701ee8d351dd302ee90d67ffbfb35c7786d34a55579d854a"),
         (["--p", "12", "--j-max", "5"], "0fb1c93fe2bc5fc3969747ce96f8854b084692d96057ee4ceb005ea7f1c69ab2"),
         (["--p", "16", "--j-max", "3"], "a13e0835e1eaae110b4cda318996aa7e58dbc220005b7e689b7563c3c489f276"),
@@ -357,10 +364,12 @@ def test_construct_p6_frontier_certificate_bytes_pinned(tmp_path, capsys):
             "7ace89f9d4168aa3b3710d9aa65e141bf21329efdc86cff8d136445a72b721e5",
         ),
     ],
-    ids=["p8", "p12", "p16", "p8-prec128", "p8-prec512", "p8-nu19/20"],
+    ids=["p6-nu0.75", "p8", "p12", "p16", "p8-prec128", "p8-prec512", "p8-nu19/20"],
 )
 def test_construct_certificate_bytes_pinned_across_k(tmp_path, capsys, args, digest):
     out = tmp_path / "cert.json"
     assert main(["construct", *args, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert main(["verify", str(out)]) == 0
+    capsys.readouterr()

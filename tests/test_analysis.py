@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import multiprocessing
+import os
 import random
 import threading
 from fractions import Fraction
@@ -551,6 +552,15 @@ def test_norm_bound_leaves_no_workers_and_matches_serial(monkeypatch):
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(analysis, "_cpu_count", lambda: 1)
     assert projection_norm_lower_bound(P, 4, seed=3)._mpf_ == pooled._mpf_
+
+
+def test_cpu_count_reads_the_affinity_mask(monkeypatch):
+    # `taskset -c 0` confines the ascent to one worker through this mask;
+    # every other test sets the count itself
+    if hasattr(os, "sched_getaffinity"):
+        assert analysis._cpu_count() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert analysis._cpu_count() == 3
 
 
 def bound_in_daemon(_):

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -208,7 +209,11 @@ def test_verify_rejects_inconsistent_shape(tmp_path, capsys, cert_p6, edit):
 
 
 def test_verify_rejects_malformed_value(tmp_path, capsys, cert_p6, malformed_edit):
+    # at once: a mass of 1e-400000 read past the reader's bound stalls the
+    # verifier on its exact rational for minutes
+    t0 = time.monotonic()
     code, out, err = _verify_edited(tmp_path, capsys, cert_p6, malformed_edit)
+    assert time.monotonic() - t0 < 1
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
@@ -247,6 +252,21 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_pyproject_installs_the_script_and_the_package():
+    # what `pip install` wires up: the lp-isoforge script calls cli.main,
+    # and the package finder's directories hold the package
+    import tomllib
+
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    module, _, attr = config["project"]["scripts"]["lp-isoforge"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+    where = config["tool"]["setuptools"]["packages"]["find"]["where"]
+    assert any((root / d / "lp_isoforge" / "__init__.py").is_file() for d in where)
 
 
 def test_verify_json_payload(tmp_path, capsys, cert_p4):
@@ -397,6 +417,20 @@ def test_moments_formula_vs_oracle(tmp_path, capsys):
     assert code == 0
     assert "order 2: formula 5/6  oracle 5/6" in text
     assert "order 4: formula 11/6  oracle 11/6" in text
+    # the README's sum.json example and the lines it documents
+    spec = write_moment_spec(
+        tmp_path,
+        [{"scale": 1, "mass": "2/3"}, {"scale": "1/2", "mass": "1/3"}],
+        [2, 4, 6],
+    )
+    assert run(capsys, "moments", spec) == (
+        0,
+        "terms: 2, atoms: 7\n"
+        "order 2: formula 3/4  oracle 3/4\n"
+        "order 4: formula 49/48  oracle 49/48\n"
+        "order 6: formula 329/192  oracle 329/192\n",
+        "",
+    )
 
 
 def test_moments_order_zero(tmp_path, capsys):
@@ -434,12 +468,21 @@ def test_moments_rejects_bool_mass(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "term",
-    [{"scale": 1, "mass": 2}, {"scale": 1, "mass": float("inf")}, {"scale": "1/0", "mass": "1/2"}],
-    ids=["mass 2", "mass Infinity", "scale 1/0"],
+    "term, order",
+    [
+        ({"scale": 1, "mass": 2}, 2),
+        ({"scale": 1, "mass": float("inf")}, 2),
+        ({"scale": "1/0", "mass": "1/2"}, 2),
+        # the fold's cost grows as the square of the order; it is refused
+        # before any moment is computed
+        ({"scale": 1, "mass": "1/2"}, 20000),
+    ],
+    ids=["mass 2", "mass Infinity", "scale 1/0", "order 20000"],
 )
-def test_moments_rejects_bad_value(tmp_path, capsys, term):
-    code, out, err = run(capsys, "moments", write_moment_spec(tmp_path, [term], [2]))
+def test_moments_rejects_bad_value(tmp_path, capsys, term, order):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "moments", write_moment_spec(tmp_path, [term], [order]))
+    assert time.monotonic() - t0 < 1
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
@@ -477,7 +520,7 @@ def test_huge_decimal_exponent_exits_two_at_once(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv(tmp_path))
     assert time.monotonic() - t0 < 1
     assert code == 2 and out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "decimal exponent" in err
 
 
 def test_decimal_exponent_bound_keeps_values_inside_it(tmp_path, capsys):

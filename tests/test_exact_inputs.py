@@ -3,7 +3,8 @@
 numeric.as_rational takes an int or a Fraction and nothing else; each
 boundary below goes through it, so a float, a bool, an mpf, a string or a
 Decimal raises TypeError instead of becoming a binary expansion or a
-parsed rational.
+parsed rational.  The conversion the other way, numeric.mpf_to_fraction,
+takes an mpf and nothing else.
 """
 
 from decimal import Decimal
@@ -16,7 +17,7 @@ from lp_isoforge import solver
 from lp_isoforge.analysis import build_projection, vpl_check
 from lp_isoforge.momentpoly import MuVector, jacobian_F, mass_polynomial
 from lp_isoforge.moments import DiscreteDistribution, IndependentSumSpec, SymmetricAtomVariable, abs_moment
-from lp_isoforge.numeric import as_rational, count_real_roots, det_exact
+from lp_isoforge.numeric import as_rational, count_real_roots, det_exact, mpf_to_fraction
 from lp_isoforge.p4 import match_three_valued
 from lp_isoforge.solver import (
     HValues,
@@ -73,6 +74,16 @@ INEXACT = {
 def test_exact_boundaries_reject_inexact_inputs(boundary, value):
     with pytest.raises(TypeError):
         boundary(value)
+
+
+# mpf_to_fraction's own input is the mpf; the exact values are refused too
+NOT_MPF = {**{name: x for name, x in INEXACT.items() if name != "mpf"}, "int": 1, "Fraction": HALF}
+
+
+@pytest.mark.parametrize("value", NOT_MPF.values(), ids=NOT_MPF.keys())
+def test_mpf_to_fraction_rejects_anything_but_an_mpf(value):
+    with pytest.raises(TypeError):
+        mpf_to_fraction(value)
 
 
 def test_as_rational_passes_exact_values():
