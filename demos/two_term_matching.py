@@ -8,18 +8,18 @@ and the residual you would see if you took the shorthand literally.
 """
 
 from lp_isoforge.p4 import (
+    build_p4_row,
     build_p4_table,
     render_p4_report,
     render_p4_text,
-    rosenthal_moments,
 )
 
 
 def main() -> None:
     n = 10
-    A, B = rosenthal_moments(n)
-    print(f"reference moments at n = {n}: A = {A}")
-    print(f"                              B = {B}")
+    row = build_p4_row(n)
+    print(f"reference moments at n = {n}: A = {row.A}")
+    print(f"                              B = {row.B}")
     print()
 
     rows = build_p4_table(12)

@@ -86,7 +86,7 @@ from .numeric import (
     mpf_to_fraction,
     to_mpf,
 )
-from .p4 import P4PairRow, build_p4_row, build_p4_table, match_three_valued, rosenthal_moments
+from .p4 import P4PairRow, build_p4_row, build_p4_table, match_three_valued
 from .serialize import (
     CERT_SCHEMA_ID,
     cert_from_dict,

@@ -10,16 +10,17 @@ generators and produces evidence:
   `moments` layer (`certificate_span` gives the f~_j tables), turned once
   into its even cumulants, O(n k^2) for n entries.  Cumulants of
   independent terms add and scale as c^(2l), so every order of a
-  combination costs one integer dot product, O(n k) per trial, and one
-  integer cumulant-to-moment map (`moments.integer_moment_map`) returns
-  its table times per-order denominators fixed once per check.  A trial
-  builds no Fraction: the worst ratio is kept as a pair of integers and
-  becomes one Fraction at the end.  Both sides are exact rationals,
-  equal to a fold of the scaled tables, so the reported maximum relative
-  residual is exact, and it is accompanied by a propagation bound:
-  every term of the even-moment expansion is positive, so the relative
-  error of the sum is at most the worst relative error of a factor,
-  giving  max_rel <= (1 + eps_hat/H_min)^k - 1  with eps_hat the largest
+  combination costs one integer dot product, O(n k) per trial.  h's
+  cumulants share the f~_j's per-order denominators, fixed once per
+  check, so one integer cumulant-to-moment map
+  (`moments.integer_moment_map`) returns the tables of both sides times
+  the same integer Q_m.  A trial builds no Fraction: the worst ratio is
+  kept as a pair of integers and becomes one Fraction at the end.  Both
+  sides are exact rationals, equal to a fold of the scaled tables, so the
+  reported maximum relative residual is exact, and it is accompanied by a
+  propagation bound: every term of the even-moment expansion is
+  positive, so the relative error of the sum is at most the worst
+  relative error of a factor, giving  max_rel <= (1 + eps_hat/H_min)^k - 1  with eps_hat the largest
   certificate residual and H_min the smallest moment target.
 
 * `build_projection` realizes the orthogonal L_2 projection onto the
@@ -201,15 +202,15 @@ def isometry_check(cert: ConstructionCertificate, trials: int = 100, seed: int =
     (the relative residual is homogeneous, so this costs nothing and
     keeps the arithmetic in integers).  Every generator's moment table
     becomes its even cumulants once, O(n k^2) exact operations for n
-    entries, held over one common denominator D_l per order; cumulants
-    of independent terms add and scale as c^(2l), so a trial costs one
-    integer dot product per order, O(n k) in all, and two integer
-    cumulant-to-moment maps (`moments.integer_moment_map`, set up once
-    per check) yield Q_m times every order 2m = 2..p of both spans.  The
-    trial loop runs on integers alone, comparing ratios by
-    cross-multiplication; the one Fraction it builds is the reported
-    maximum, the same exact rational the fold of the scaled tables
-    gives.  The returned bound is the positivity propagation
+    entries, held with h's over one common denominator D_l per order;
+    cumulants of independent terms add and scale as c^(2l), so a trial
+    costs one integer dot product per order, O(n k) in all, and one
+    integer cumulant-to-moment map (`moments.integer_moment_map`, set up
+    once per check) yields Q_m times every order 2m = 2..p of both spans.
+    Over the shared Q_m the relative residual of order 2m is
+    |P_m - R_m| / R_m, so the trial loop runs on integers alone; the one
+    Fraction it builds is the reported maximum, the same exact rational
+    the fold of the scaled tables gives.  The returned bound is the positivity propagation
     constant (1 + eps_hat/H_min)^k - 1; the residual can never exceed it
     while the certificate is honest.
     """
@@ -226,19 +227,16 @@ def _sampled_isometry(cert, ref_table, per, eps_hat: Fraction, trials: int, seed
     h_min = min(cert.target.values)
     bound = (1 + eps_hat / h_min) ** k - 1
 
-    ref_kappa = even_cumulants(ref_table)
-    per_kappa = [even_cumulants(t) for t in per]
-    # order l: kappa_2l(f~_j) = nums[l][j] / dens[l], one denominator per order
-    dens = [lcm(*(kappa[l].denominator for kappa in per_kappa)) for l in range(k + 1)]
-    nums = [[kappa[l].numerator * (dens[l] // kappa[l].denominator) for kappa in per_kappa] for l in range(k + 1)]
-    # each side's map returns Q_m E S^(2m) as integers, R_m for h and P_m
-    # for f~; the relative residual |P_m/Q^per_m - R_m/Q^ref_m| / (R_m/Q^ref_m)
-    # is |P_m r_m - R_m s_m| / (R_m s_m), (r_m, s_m) = (Q^ref_m, Q^per_m)
-    # over their gcd, and the worst one is kept as a pair of integers
-    ref_q, ref_moments = integer_moment_map([x.denominator for x in ref_kappa])
-    per_q, per_moments = integer_moment_map(dens)
-    ref_nums = [x.numerator for x in ref_kappa]
-    cross = [(a // gcd(a, b), b // gcd(a, b)) for a, b in zip(ref_q, per_q)][1:]
+    # row 0 is h, rows 1..n the f~_j; order l: kappa_2l = nums[l][row] / dens[l],
+    # one denominator per order shared by both sides
+    kappas = [even_cumulants(t) for t in (ref_table, *per)]
+    dens = [lcm(*(kappa[l].denominator for kappa in kappas)) for l in range(k + 1)]
+    nums = [[kappa[l].numerator * (dens[l] // kappa[l].denominator) for kappa in kappas] for l in range(k + 1)]
+    ref_nums = [row[0] for row in nums]
+    per_nums = [row[1:] for row in nums]
+    # one map returns Q_m E S^(2m) as integers, R_m for h and P_m for f~;
+    # the relative residual is |P_m - R_m| / R_m, kept as a pair of integers
+    _, to_moments = integer_moment_map(dens)
 
     rng = random.Random(seed)
     worst_num, worst_den = 0, 1
@@ -259,12 +257,12 @@ def _sampled_isometry(cert, ref_table, per, eps_hat: Fraction, trials: int, seed
         powers = squares
         for l in range(1, k + 1):
             ref_sum[l] = ref_nums[l] * sum(powers)
-            per_sum[l] = sum(map(mul, powers, nums[l]))
+            per_sum[l] = sum(map(mul, powers, per_nums[l]))
             powers = list(map(mul, powers, squares))
-        for (r, s), ref_m, per_m in zip(cross, ref_moments(ref_sum)[1:], per_moments(per_sum)[1:]):
-            num, den = abs(per_m * r - ref_m * s), ref_m * s
-            if num * worst_den > worst_num * den:
-                worst_num, worst_den = num, den
+        for ref_m, per_m in zip(to_moments(ref_sum)[1:], to_moments(per_sum)[1:]):
+            num = abs(per_m - ref_m)
+            if num * worst_den > worst_num * ref_m:
+                worst_num, worst_den = num, ref_m
     return IsometryCheckResult(
         max_rel_residual=Fraction(worst_num, worst_den),
         bound=bound,

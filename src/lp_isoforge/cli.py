@@ -18,10 +18,11 @@ project     materialize the span projection on its product space, check
 
 This module only parses arguments and renders results; every check of a
 result lives in the library.  Each argument is checked once, while
-parsing: --precision, --p and --nu-fraction by the library's own rule
-(numeric.validate_precision, solver.validate_p,
-solver.validate_nu_fraction, with --nu-fraction's text read by
-numeric.parse_rational), the integer minimums by _at_least.
+parsing: --precision, --p, --j-max and --nu-fraction by the library's
+own rule (numeric.validate_precision, solver.validate_p,
+solver.validate_j_max, solver.validate_nu_fraction, with --nu-fraction's
+text read by numeric.parse_rational), the other integer minimums by
+_at_least.
 Only construct takes --precision: p4 and project run at
 DEFAULT_PRECISION_BITS, and verify at the certificate's precision.
 
@@ -62,7 +63,7 @@ from .serialize import (
     save_certificate,
     uncomplemented_to_dict,
 )
-from .solver import DEFAULT_NU_FRACTION, construct_pair, validate_nu_fraction, validate_p
+from .solver import DEFAULT_NU_FRACTION, construct_pair, validate_j_max, validate_nu_fraction, validate_p
 
 __all__ = ["build_parser", "main"]
 
@@ -80,7 +81,7 @@ def _arg(parse, check):
     def convert(text):
         try:
             return check(parse(text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("construct", help="solve all scales and write a certificate")
     sp.add_argument("--p", type=p_arg, required=True, help="even integer >= 4")
-    sp.add_argument("--j-max", type=_at_least(1), default=20, help="largest scale to solve (default 20)")
+    sp.add_argument("--j-max", type=_arg(int, validate_j_max), default=20, help="largest scale to solve (default 20)")
     sp.add_argument(
         "--nu-fraction",
         type=_arg(parse_rational, validate_nu_fraction),

@@ -33,11 +33,15 @@ round trip byte-for-byte: a mass written from its exact dyadic value and
 read back converts to the same rational.
 
 :func:`count_real_roots` counts the distinct real roots of a rational
-polynomial in an interval by a Sturm sequence, in exact arithmetic.
+polynomial in an interval by a Sturm sequence, in exact arithmetic: the
+denominators are cleared once, and the gcd and the chain run on integer
+polynomials by pseudo-division with positive multipliers, each remainder
+divided by its content, so no Fraction coefficient grows along the way.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -126,13 +130,20 @@ def parse_rational(value) -> Fraction:
     spending seconds on a ten-million-digit power of ten.  Anything within
     it parses as Fraction does: "0.75" is 3/4, a float its exact binary
     fraction, and an int, a "num/den" string or bad text as Fraction has it.
+    Every refusal is a ValueError with its reason, a zero denominator and
+    an infinite float included.
     """
     if isinstance(value, str):
         match = _DECIMAL_EXPONENT.search(value)
         # int() reads the exponent as Fraction would, and refuses over 4300 digits itself
         if match and abs(int(match[1])) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+    except OverflowError:
+        raise ValueError("not a finite number") from None
 
 
 def to_mpf(x: Scalar, prec: int | None = None) -> mpmath.mpf:
@@ -304,19 +315,28 @@ def raw_elimination(rows, rhs, prec: int) -> tuple:
 # real roots of rational polynomials (coefficients highest degree first)
 # ---------------------------------------------------------------------------
 
-def _poly_divmod(a: list, b: list) -> tuple:
-    """Quotient and remainder of a by b; b has a nonzero leading coefficient."""
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """(Q, R) with m a = Q b + R, m = |b[0]|^(deg a - deg b + 1), on integers.
+
+    Each step scales by |b[0]| > 0, so Q and R are positive multiples of
+    the quotient and remainder over Q and keep their signs everywhere.
+    """
+    scale, sign = abs(b[0]), (1 if b[0] > 0 else -1)
     rem = list(a)
     quot = []
     while len(rem) >= len(b):
-        q = rem[0] / b[0]
-        quot.append(q)
-        for i in range(1, len(b)):
-            rem[i] -= q * b[i]
-        rem.pop(0)
+        q = rem[0] * sign
+        quot = [c * scale for c in quot] + [q]
+        rem = [scale * r - q * c for r, c in zip(rem[1:], b[1:])] + [scale * r for r in rem[len(b):]]
     while rem and rem[0] == 0:
         rem.pop(0)
     return quot, rem
+
+
+def _primitive(p: list) -> list:
+    """p divided by its positive content: the same signs, the smallest integers."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
 def _derivative(p: list) -> list:
@@ -325,13 +345,19 @@ def _derivative(p: list) -> list:
 
 
 def _sign_changes(chain: list, x: Fraction) -> int:
-    """Sign changes of the chain's values at x, zeros skipped."""
+    """Sign changes of the chain's values at x, zeros skipped.
+
+    An integer polynomial of degree d is evaluated at x = u/v as
+    v^d P(u/v), which has the sign of P(x) since v > 0.
+    """
+    u, v = x.numerator, x.denominator
     changes = 0
     last = 0
     for poly in chain:
-        value = Fraction(0)
+        value, v_power = 0, 1
         for c in poly:
-            value = value * x + c
+            value = value * u + c * v_power
+            v_power *= v
         if value:
             if last and (value > 0) != (last > 0):
                 changes += 1
@@ -346,7 +372,10 @@ def count_real_roots(coeffs: Sequence, lo, hi) -> int:
     chain q, q', -rem(q, q'), ... the count of sign changes drops by one
     exactly where x passes a root of q and, at a root, already equals its
     value just right of it, so V(lo) - V(hi) counts the roots in (lo, hi]
-    even when lo or hi is one.
+    even when lo or hi is one.  The denominators are cleared once; the gcd
+    and the chain then run on integer polynomials, each remainder a
+    pseudo-remainder divided by its content.  Both scalings are positive,
+    so every sign, and with it the count, is that of the chain over Q.
     """
     p = [as_rational(c) for c in coeffs]
     while p and p[0] == 0:
@@ -356,12 +385,14 @@ def count_real_roots(coeffs: Sequence, lo, hi) -> int:
     lo, hi = as_rational(lo), as_rational(hi)
     if lo > hi:
         raise ValueError(f"empty interval ({lo}, {hi}]")
-    a, b = p, _derivative(p)
+    den = math.lcm(*(c.denominator for c in p))
+    p = _primitive([c.numerator * (den // c.denominator) for c in p])
+    a, b = p, _primitive(_derivative(p))
     while b:  # Euclid: a ends as gcd(p, p'), a nonzero constant when p is square-free
-        a, b = b, _poly_divmod(a, b)[1]
-    q = _poly_divmod(p, a)[0]
-    chain = [q, _derivative(q)]
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    q = _primitive(_pseudo_divmod(p, a)[0])
+    chain = [q, _primitive(_derivative(q))]
     while chain[-1]:
-        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+        chain.append([-c for c in _primitive(_pseudo_divmod(chain[-2], chain[-1])[1])])
     chain.pop()
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)

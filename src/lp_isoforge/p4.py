@@ -2,9 +2,9 @@
 
 The generator on the Y-side is f = g + n**-0.5 * g' where g, g' are
 independent symmetric three-valued variables with E|g| = 1/(n log^2 n)
-and E|g'| = 1 (log is natural; log^2 n is rationalized once at
-DEFAULT_PRECISION_BITS so everything downstream is an exact Fraction).  Its
-moments are
+and E|g'| = 1 (log is natural; `build_p4_row` rationalizes log^2 n once
+per row at DEFAULT_PRECISION_BITS, and builds every value of the row
+from that one exact Fraction).  Its moments are
 
     A = ||f||_2^2 = 1/(n log^2 n) + 1/n,
     B = ||f||_4^4 = 1/(n log^2 n) + 6/(n^2 log^2 n) + 1/n^2,
@@ -56,9 +56,7 @@ from .numeric import (
 __all__ = [
     "P4PairRow",
     "log_sq",
-    "rosenthal_moments",
     "match_three_valued",
-    "printed_closed_forms",
     "build_p4_row",
     "build_p4_table",
     "render_p4_text",
@@ -72,23 +70,6 @@ def log_sq(n: int) -> Fraction:
         raise ValueError(f"n must be >= 2 (log n must not vanish), got {n}")
     with workprec(DEFAULT_PRECISION_BITS):
         return mpf_to_fraction(mpmath.ln(n) ** 2)
-
-
-def rosenthal_moments(n: int) -> tuple:
-    """(A, B) = 2nd and 4th moments of g + n**-0.5 g', exact Fractions.
-
-    A is the closed form directly; B is assembled by the even-moment
-    engine from the per-term tables [1, m2, m4] with m2(g) = m4(g) =
-    1/(n log^2 n) and m_{2l}(g') = n^-l (only the square of the scale
-    enters even moments, and that square is exactly 1/n).
-    """
-    L = log_sq(n)
-    mass_g = 1 / (n * L)
-    A = mass_g + Fraction(1, n)
-    table_g = [Fraction(1), mass_g, mass_g]
-    table_gp = [Fraction(1), Fraction(1, n), Fraction(1, n ** 2)]
-    B = fold_even_moments([table_g, table_gp])[2]
-    return A, B
 
 
 def match_three_valued(A, B) -> tuple:
@@ -106,19 +87,6 @@ def match_three_valued(A, B) -> tuple:
     with workprec(DEFAULT_PRECISION_BITS):
         a = mpmath.sqrt(to_mpf(B / A))
     return a, nu
-
-
-def printed_closed_forms(n: int) -> tuple:
-    """(a_printed, nu_printed): the quoted closed forms, evaluated verbatim."""
-    L = log_sq(n)
-    nu_printed = (1 + 2 * L + L * L) / (n * L + 2 * L + L * L)
-    with workprec(DEFAULT_PRECISION_BITS):
-        a_printed = mpmath.sqrt(to_mpf(_printed_a_sq(n, L)))
-    return a_printed, nu_printed
-
-
-def _printed_a_sq(n: int, L: Fraction) -> Fraction:
-    return (n + 2 + L) / (n * (1 + L))
 
 
 @dataclass(frozen=True)
@@ -144,12 +112,24 @@ class P4PairRow:
 
 
 def build_p4_row(n: int) -> P4PairRow:
+    """Row n, every value from one rationalized L = log^2 n.
+
+    A is the closed form directly; B is assembled by the even-moment
+    engine from the per-term tables [1, m2, m4] with m2(g) = m4(g) =
+    1/(n L) and m_{2l}(g') = n^-l (only the square of the scale enters
+    even moments, and that square is exactly 1/n).  The printed forms
+    are evaluated verbatim from the same L.
+    """
     L = log_sq(n)
-    A, B = rosenthal_moments(n)
+    mass_g = 1 / (n * L)
+    A = mass_g + Fraction(1, n)
+    B = fold_even_moments([[Fraction(1), mass_g, mass_g], [Fraction(1), Fraction(1, n), Fraction(1, n ** 2)]])[2]
     a, nu = match_three_valued(A, B)
-    a_printed, nu_printed = printed_closed_forms(n)
     a_sq = B / A
-    ap_sq = _printed_a_sq(n, L)
+    ap_sq = (n + 2 + L) / (n * (1 + L))
+    nu_printed = (1 + 2 * L + L * L) / (n * L + 2 * L + L * L)
+    with workprec(DEFAULT_PRECISION_BITS):
+        a_printed = mpmath.sqrt(to_mpf(ap_sq))
     return P4PairRow(
         n=n,
         A=A,

@@ -47,7 +47,7 @@ from .numeric import (
     validate_precision,
     workprec,
 )
-from .solver import BallParams, CertEntry, ConstructionCertificate, HValues
+from .solver import MAX_SCALE, BallParams, CertEntry, ConstructionCertificate, HValues
 
 __all__ = [
     "CERT_SCHEMA_ID",
@@ -144,12 +144,15 @@ def _object(value, name: str, keys: tuple, optional: tuple = ()) -> dict:
     return value
 
 
-def _integer(value, name: str, minimum: int | None = None) -> int:
+def _integer(value, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
     # type() rather than isinstance(): JSON true loads as a bool, 6.0 as a float
-    if type(value) is not int or (minimum is not None and value < minimum):
-        least = "" if minimum is None else f" >= {minimum}"
-        raise SchemaError(f"{name} must be an integer{least}, got {value!r}")
-    return value
+    if type(value) is int and (minimum is None or value >= minimum) and (maximum is None or value <= maximum):
+        return value
+    least = "" if minimum is None else f" >= {minimum}"
+    most = "" if maximum is None else f" and <= {maximum}"
+    # an integer of thousands of digits is named by its size, not spelled out
+    got = f"an integer of {value.bit_length()} bits" if type(value) is int and value.bit_length() > 64 else repr(value)
+    raise SchemaError(f"{name} must be an integer{least}{most}, got {got}")
 
 
 def _list(value, name: str, k: int | None = None) -> list:
@@ -189,10 +192,10 @@ def cert_from_dict(data) -> ConstructionCertificate:
 
     Any deviation raises SchemaError naming the field: key sets, types and
     minima, string grammars, p = 2k, vector lengths k, and the domains
-    mu in [2^-MAX_PRECISION_BITS, 1], nu in (0, 1], target > 0 and ball
-    values > 0 (the verifier divides by nu and delta).  A mass is bounded
-    as a float, before it becomes an exact rational whose size grows with
-    its exponent.  Field invariants (ball, brackets, ordering, residual
+    j in [1, MAX_SCALE], mu in [2^-MAX_PRECISION_BITS, 1], nu in (0, 1],
+    target > 0 and ball values > 0 (the verifier divides by nu and delta).
+    A mass is bounded as a float, before it becomes an exact rational whose
+    size grows with its exponent.  Field invariants (ball, brackets, ordering, residual
     size) are the verifier's job: it must be able to load a bad
     certificate in order to reject it.
     """
@@ -225,7 +228,7 @@ def cert_from_dict(data) -> ConstructionCertificate:
     entries = []
     for i, e in enumerate(_list(data["entries"], "entries")):
         _object(e, f"entries[{i}]", _ENTRY_KEYS)
-        where = f"entry j={_integer(e['j'], f'entries[{i}].j', 1)}"
+        where = f"entry j={_integer(e['j'], f'entries[{i}].j', 1, MAX_SCALE)}"
         nu = _fraction(e["nu"], f"{where} nu")
         if not 0 < nu <= 1:
             raise SchemaError(f"{where} nu = {nu} lies outside (0, 1]")
@@ -249,7 +252,7 @@ def cert_from_dict(data) -> ConstructionCertificate:
         ),
         target=_checked("target", HValues, fractions(data["target"], "target")),
         entries=tuple(entries),
-        failed_js=tuple(_integer(j, "failed_js item", 1) for j in _list(data["failed_js"], "failed_js")),
+        failed_js=tuple(_integer(j, "failed_js item", 1, MAX_SCALE) for j in _list(data["failed_js"], "failed_js")),
         seed=seed,
     )
 
@@ -268,7 +271,7 @@ def _rational(value, name: str) -> Fraction:
         raise SchemaError(f"{name} must be a number or a 'num/den' string")
     try:
         return parse_rational(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{name}: not a rational value: {value!r} ({exc})") from None
 
 

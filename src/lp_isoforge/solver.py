@@ -120,6 +120,9 @@ DEFAULT_NU_FRACTION = Fraction(3, 4)
 MAX_NEWTON_ITERS = 200
 MAX_STEP_HALVINGS = 40
 CONTINUATION_STEPS = 16
+# the largest scale j construct solves and the certificate reader accepts:
+# the verifier's exact tables grow with the digits of j
+MAX_SCALE = 2 ** 32
 
 __all__ = [
     "HValues",
@@ -128,7 +131,9 @@ __all__ = [
     "CertEntry",
     "ConstructionCertificate",
     "DEFAULT_NU_FRACTION",
+    "MAX_SCALE",
     "validate_p",
+    "validate_j_max",
     "validate_nu_fraction",
     "default_base_point",
     "target_h",
@@ -183,6 +188,13 @@ def validate_p(p: int) -> int:
     if type(p) is not int or p % 2 != 0 or p < 4:
         raise ValueError(f"p must be an even integer >= 4, got {p}")
     return p
+
+
+def validate_j_max(j_max: int) -> int:
+    """The scale range check of construct_pair: j_max an integer in [1, MAX_SCALE]."""
+    if type(j_max) is not int or not 1 <= j_max <= MAX_SCALE:
+        raise ValueError(f"j_max must be an integer in [1, {MAX_SCALE}], got {j_max}")
+    return j_max
 
 
 def validate_nu_fraction(nu_fraction) -> Fraction:
@@ -577,8 +589,7 @@ def construct_pair(
     go to failed_js too; the certificate is then partial, not discarded.
     """
     validate_p(p)
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    validate_j_max(j_max)
     validate_precision(precision)
     nu_fraction = validate_nu_fraction(nu_fraction)
     k = p // 2

@@ -39,7 +39,8 @@ def cert_p4():
 # 2**40 once the first real is parsed), a zero or negative delta or a
 # zero nu, which the verifier divides by, and masses outside
 # [2^-MAX_PRECISION_BITS, 1], whose exact rationals grow with the exponent
-# (1e-400000 would stall the verifier, 1e400000000 the reader)
+# (1e-400000 would stall the verifier, 1e400000000 the reader), and scales
+# above MAX_SCALE
 MALFORMED_EDITS = {
     "precision_bits 2**40": lambda d: d.update(precision_bits=2 ** 40),
     "precision_bits 2**70": lambda d: d.update(precision_bits=2 ** 70),
@@ -55,6 +56,10 @@ MALFORMED_EDITS = {
     "entry nu 0/1": lambda d: d["entries"][0].update(nu="0/1"),
     "mu 1e-400000": lambda d: d["entries"][0]["mu"].__setitem__(0, "1e-400000"),
     "mu 1e400000000": lambda d: d["entries"][0]["mu"].__setitem__(0, "1e400000000"),
+    # scales above MAX_SCALE: the verifier's exact tables grow with the digits
+    # of j (j = 10**4000 took it 54 s)
+    "j 10**4000": lambda d: d["entries"][-1].update(j=10 ** 4000),
+    "failed_js item 2**32 + 1": lambda d: d.update(failed_js=[2 ** 32 + 1]),
 }
 
 

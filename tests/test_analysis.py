@@ -244,6 +244,20 @@ def test_isometry_check_equals_fold_oracle(small_certs, p, seed):
         assert 0 < res.max_rel_residual <= res.bound
 
 
+def test_isometry_check_maps_both_spans_through_one_moment_map(cert_p6, monkeypatch):
+    calls = []
+    real_map = analysis.integer_moment_map
+
+    def counting_map(dens):
+        calls.append(dens)
+        return real_map(dens)
+
+    monkeypatch.setattr(analysis, "integer_moment_map", counting_map)
+    res = isometry_check(cert_p6, trials=25, seed=1)
+    assert len(calls) == 1
+    assert res.max_rel_residual == Fraction(P6_SEED1_RESIDUAL_NUM, P6_SEED1_RESIDUAL_DEN)
+
+
 def test_isometry_requires_entries():
     cert = dataclasses.replace(degenerate_cert(), entries=())
     with pytest.raises(DegenerateInputError):

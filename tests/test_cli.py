@@ -286,7 +286,9 @@ def pinned_run(tmp_path, capsys, construct_argv, argv):
     """(exit code, sha256 of stdout with the certificate path replaced by "<cert>")."""
     cert = str(tmp_path / "cert.json")
     if construct_argv:
-        main(["construct", *construct_argv, "--out", cert])
+        # p = 4 has no admissible masses from j = 9, so that certificate is partial
+        partial = construct_argv == ["--p", "4", "--j-max", "10"]
+        assert main(["construct", *construct_argv, "--out", cert]) == (1 if partial else 0)
         capsys.readouterr()
     code, text, _ = run(capsys, *[cert if a == "<cert>" else a for a in argv])
     text = text.replace(json.dumps(cert), '"<cert>"')
@@ -523,6 +525,21 @@ def test_huge_decimal_exponent_exits_two_at_once(tmp_path, capsys, argv):
     assert err.startswith("error:") and "decimal exponent" in err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (lambda tmp: ("moments", write_moment_spec(tmp, [{"scale": "1/0", "mass": "1/2"}], [2])), "zero denominator"),
+        (lambda tmp: ("construct", "--p", "6", "--nu-fraction", "1/0"), "zero denominator"),
+        (lambda tmp: ("moments", write_moment_spec(tmp, [{"scale": 1, "mass": float("inf")}], [2])), "not a finite"),
+    ],
+    ids=["moment spec scale 1/0", "nu-fraction 1/0", "moment spec mass Infinity"],
+)
+def test_unparsable_rational_names_its_reason(tmp_path, capsys, argv, reason):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and reason in err and "Fraction(" not in err
+
+
 def test_decimal_exponent_bound_keeps_values_inside_it(tmp_path, capsys):
     spec = write_moment_spec(tmp_path, [{"scale": "1e-4300", "mass": "5e-1"}], [2])
     code, text, _ = run(capsys, "moments", spec)
@@ -594,13 +611,14 @@ def test_project_single_generator_json(capsys):
         ("construct", "--p", "6", "--precision", "8193"),
         ("construct", "--p", "6", "--nu-fraction", "1/4"),
         ("construct", "--p", "6", "--j-max", "0"),
+        ("construct", "--p", "6", "--j-max", "4294967297"),
         ("p4", "--n", "1"),
         ("project", "--n", "0"),
         ("project", "--trials", "-5"),
     ],
     ids=[
-        "odd p", "precision 127", "precision above cap", "nu-fraction 1/4", "j-max 0", "p4 n 1", "project n 0",
-        "trials -5",
+        "odd p", "precision 127", "precision above cap", "nu-fraction 1/4", "j-max 0", "j-max 2**32 + 1", "p4 n 1",
+        "project n 0", "trials -5",
     ],
 )
 def test_usage_error_exits_two(tmp_path, capsys, argv):

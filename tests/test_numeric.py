@@ -107,8 +107,12 @@ def test_parse_rational_bounds_the_decimal_exponent():
         with pytest.raises(ValueError):
             parse_rational(text)
     assert time.monotonic() - t0 < 1
-    with pytest.raises(ZeroDivisionError):
+    # every refusal is a ValueError that names its reason
+    with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+    for value in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_rational(value)
 
 
 def test_validate_precision():

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 from mpmath import workprec
 
+from lp_isoforge import p4
 from lp_isoforge.errors import InfeasibleMassError
 from lp_isoforge.moments import IndependentSumSpec, SymmetricAtomVariable, convolve
 from lp_isoforge.numeric import DEFAULT_PRECISION_BITS, to_mpf
@@ -15,10 +16,8 @@ from lp_isoforge.p4 import (
     build_p4_table,
     log_sq,
     match_three_valued,
-    printed_closed_forms,
     render_p4_report,
     render_p4_text,
-    rosenthal_moments,
 )
 
 
@@ -30,16 +29,16 @@ def test_log_sq():
 
 
 def test_rosenthal_a_frozen_n2():
-    A, _ = rosenthal_moments(2)
     with workprec(256):
         want = 1 / (2 * mpmath.ln(2) ** 2) + mpmath.mpf(1) / 2
-        assert abs(to_mpf(A) - want) < mpmath.mpf(2) ** -240
+        assert abs(to_mpf(build_p4_row(2).A) - want) < mpmath.mpf(2) ** -240
 
 
 def test_rosenthal_closed_forms_exact():
     for n in (2, 3, 10, 97):
         L = log_sq(n)
-        A, B = rosenthal_moments(n)
+        row = build_p4_row(n)
+        A, B = row.A, row.B
         mg = 1 / (n * L)
         assert A == mg + Fraction(1, n)
         assert B == mg + 6 * mg / n + Fraction(1, n * n)
@@ -50,10 +49,9 @@ def test_rosenthal_b_matches_convolution():
     # so the convolution oracle is exact and must agree to the digit
     for n in (4, 9, 16, 25):
         L = log_sq(n)
-        _, B = rosenthal_moments(n)
         g = SymmetricAtomVariable(1, 1 / (n * L))
         gp = SymmetricAtomVariable(Fraction(1, math.isqrt(n)), 1)
-        assert convolve(IndependentSumSpec([g, gp])).moment(4) == B
+        assert convolve(IndependentSumSpec([g, gp])).moment(4) == build_p4_row(n).B
 
 
 def test_rosenthal_limits_monotone():
@@ -62,9 +60,9 @@ def test_rosenthal_limits_monotone():
     prev_a = prev_b = None
     for n in (8, 16, 64, 256, 1024, 4096, 10000):
         L = log_sq(n)
-        A, B = rosenthal_moments(n)
-        an = A * n
-        bn = B * n * L
+        row = build_p4_row(n)
+        an = row.A * n
+        bn = row.B * n * L
         assert an > 1 and bn > 1
         if prev_a is not None:
             assert an < prev_a and bn < prev_b
@@ -95,7 +93,6 @@ def test_match_residuals_vanish_exactly():
 def test_printed_forms_identities():
     for n in (2, 3, 7, 40):
         L = log_sq(n)
-        A, B = rosenthal_moments(n)
         row = build_p4_row(n)
         # the printed pair matches the 2nd moment identically ...
         assert row.residual_2_printed == 0
@@ -104,17 +101,29 @@ def test_printed_forms_identities():
         # equivalently: its 4th moment carries the cross coefficient 2
         ap_sq = (n + 2 + L) / (n * (1 + L))
         assert ap_sq * ap_sq * row.nu_printed == 1 / (n * L) + 2 / (n * n * L) + Fraction(1, n * n)
-        assert ap_sq * row.nu_printed == A
+        assert ap_sq * row.nu_printed == row.A
 
 
 def test_printed_forms_numeric_n2():
-    a_printed, nu_printed = printed_closed_forms(2)
+    row = build_p4_row(2)
     with workprec(256):
         L = mpmath.ln(2) ** 2
         want_a = mpmath.sqrt((4 + L) / (2 * (1 + L)))
-        assert abs(a_printed - want_a) < mpmath.mpf(2) ** -240
+        assert abs(row.a_printed - want_a) < mpmath.mpf(2) ** -240
     # at n = 2 the printed mass is not even a probability
-    assert nu_printed > 1
+    assert row.nu_printed > 1
+
+
+def test_row_takes_log_sq_once(monkeypatch):
+    calls = []
+
+    def counting_log_sq(n):
+        calls.append(n)
+        return log_sq(n)
+
+    monkeypatch.setattr(p4, "log_sq", counting_log_sq)
+    rows = build_p4_table(100)
+    assert calls == list(range(2, 101)) == [r.n for r in rows]
 
 
 def test_table_shape_and_decay():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -16,9 +17,17 @@ from lp_isoforge.errors import (
     LpIsoforgeError,
     NoSolutionError,
 )
-from lp_isoforge.momentpoly import MuVector, grad_table, jacobian_F, moment_vector_F, strictly_decreasing
-from lp_isoforge.numeric import mpf_to_fraction, to_mpf
+from lp_isoforge.momentpoly import (
+    MuVector,
+    grad_table,
+    jacobian_F,
+    mass_polynomial,
+    moment_vector_F,
+    strictly_decreasing,
+)
+from lp_isoforge.numeric import count_real_roots, mpf_to_fraction, to_mpf
 from lp_isoforge.solver import (
+    DEFAULT_NU_FRACTION,
     HValues,
     ball_params,
     closed_form_k2,
@@ -242,8 +251,10 @@ def test_construct_validation():
     for bad_p in (3, 5, 2, 0, 6.0):
         with pytest.raises(ValueError, match="p must be an even integer >= 4"):
             construct_pair(bad_p, 2)
-    with pytest.raises(ValueError):
-        construct_pair(6, 0)
+    # a scale range past MAX_SCALE would write entries the reader refuses
+    for bad_j_max in (0, 2.0, solver.MAX_SCALE + 1):
+        with pytest.raises(ValueError, match="j_max must be an integer in"):
+            construct_pair(6, bad_j_max)
     with pytest.raises(ValueError):
         construct_pair(6, 2, precision=64)
 
@@ -313,6 +324,17 @@ def test_construct_p6_skips_ladder_past_frontier(monkeypatch):
     assert cert.failed_js == (48, 49, 50)
     assert [e.j for e in cert.entries] == list(range(1, 48))
     assert walked == [44, 45, 46, 47]
+
+
+def test_root_count_at_p38_is_prompt():
+    # the degree-19 P_1 of the default schedule: Euclid over Fractions
+    # stalled here for over a minute as its coefficients grew
+    mu_bar = default_base_point(19)
+    ball = ball_params(mu_bar)
+    P = mass_polynomial(1, nu_schedule_value(ball, 1, DEFAULT_NU_FRACTION), target_h(mu_bar))
+    t0 = time.monotonic()
+    assert count_real_roots(P, ball.delta, 1) == 19
+    assert time.monotonic() - t0 < 10
 
 
 def test_construct_rejects_bad_fraction():
