@@ -181,9 +181,10 @@ def cmd_construct(args) -> int:
         f"p = {cert.p} (k = {cert.k}), scales solved {len(cert.entries)}/{args.j_max}, "
         f"precision {cert.precision_bits} bits",
         f"delta = {frac_to_str(cert.ball.delta)}, nu_fraction = {frac_to_str(cert.nu_fraction)}",
-        f"worst exact |residual| = {real_to_str(worst, cert.precision_bits)} "
-        f"(tolerance 2^-{cert.precision_bits // 2})",
     ]
+    if cert.entries:  # with no scale solved there is no residual to report
+        summary.append(f"worst exact |residual| = {real_to_str(worst, cert.precision_bits)} "
+                       f"(tolerance 2^-{cert.precision_bits // 2})")
     if cert.failed_js:
         summary.append(f"FAILED scales: {list(cert.failed_js)} (certificate is partial)")
     payload = {

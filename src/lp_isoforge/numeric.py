@@ -33,10 +33,10 @@ round trip byte-for-byte: a mass written from its exact dyadic value and
 read back converts to the same rational.
 
 :func:`count_real_roots` counts the distinct real roots of a rational
-polynomial in an interval by a Sturm sequence, in exact arithmetic: the
-denominators are cleared once, and the gcd and the chain run on integer
-polynomials by pseudo-division with positive multipliers, each remainder
-divided by its content, so no Fraction coefficient grows along the way.
+polynomial in an interval by one Sturm chain on integer polynomials, built
+by pseudo-division with positive multipliers and each remainder divided by
+its content, so no coefficient grows as a Fraction's would; the chain is
+divided by its last member, gcd(p, p'), only when that has positive degree.
 """
 
 from __future__ import annotations
@@ -368,14 +368,13 @@ def _sign_changes(chain: list, x: Fraction) -> int:
 def count_real_roots(coeffs: Sequence, lo, hi) -> int:
     """Number of distinct real roots in (lo, hi] of a rational polynomial, exactly.
 
-    Sturm's theorem on the square-free part q = p / gcd(p, p'): along the
-    chain q, q', -rem(q, q'), ... the count of sign changes drops by one
-    exactly where x passes a root of q and, at a root, already equals its
-    value just right of it, so V(lo) - V(hi) counts the roots in (lo, hi]
-    even when lo or hi is one.  The denominators are cleared once; the gcd
-    and the chain then run on integer polynomials, each remainder a
-    pseudo-remainder divided by its content.  Both scalings are positive,
-    so every sign, and with it the count, is that of the chain over Q.
+    Sturm's theorem on the chain p, p', -rem(p, p'), ... of integer
+    polynomials (pseudo-remainders over their content: positive scalings),
+    which ends in g = c gcd(p, p').  Over g it is a Sturm chain of p / g: at
+    a root x its sign changes already equal their value just right of x and
+    drop by one as x passes it, so V(lo) - V(hi) counts (lo, hi] even when an
+    end is a root.  Off the roots of g the division scales every member
+    alike, so it runs only when deg g > 0, that is, at a multiple root.
     """
     p = [as_rational(c) for c in coeffs]
     while p and p[0] == 0:
@@ -387,12 +386,10 @@ def count_real_roots(coeffs: Sequence, lo, hi) -> int:
         raise ValueError(f"empty interval ({lo}, {hi}]")
     den = math.lcm(*(c.denominator for c in p))
     p = _primitive([c.numerator * (den // c.denominator) for c in p])
-    a, b = p, _primitive(_derivative(p))
-    while b:  # Euclid: a ends as gcd(p, p'), a nonzero constant when p is square-free
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    q = _primitive(_pseudo_divmod(p, a)[0])
-    chain = [q, _primitive(_derivative(q))]
+    chain = [p, _primitive(_derivative(p))]
     while chain[-1]:
         chain.append([-c for c in _primitive(_pseudo_divmod(chain[-2], chain[-1])[1])])
     chain.pop()
+    if len(chain[-1]) > 1:  # a multiple root: divide by g = gcd(p, p'), exactly
+        chain = [_pseudo_divmod(c, chain[-1])[0] for c in chain]
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)

@@ -80,6 +80,18 @@ def test_construct_p4_partial_exit(tmp_path, capsys):
     assert [e.j for e in cert.entries] == list(range(1, 9))
 
 
+def test_construct_with_no_scale_solved_reports_no_residual(tmp_path, capsys):
+    # at 256 bits the single scale of p = 38 is counted feasible but not solved
+    t0 = time.monotonic()
+    code, text, _ = run(
+        capsys, "construct", "--p", "38", "--j-max", "1", "--precision", "256", "--out", str(tmp_path / "c")
+    )
+    assert time.monotonic() - t0 < 5
+    assert code == 1
+    assert "scales solved 0/1" in text and "FAILED scales: [1]" in text
+    assert "worst exact" not in text
+
+
 def test_construct_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from mpmath import workprec
 
-from lp_isoforge import solver
+from lp_isoforge import numeric, solver
 from lp_isoforge.errors import (
     DegenerateInputError,
     LpIsoforgeError,
@@ -326,15 +326,32 @@ def test_construct_p6_skips_ladder_past_frontier(monkeypatch):
     assert walked == [44, 45, 46, 47]
 
 
-def test_root_count_at_p38_is_prompt():
-    # the degree-19 P_1 of the default schedule: Euclid over Fractions
-    # stalled here for over a minute as its coefficients grew
-    mu_bar = default_base_point(19)
+def _first_mass_polynomial(k):
+    """P_1 of the default schedule at k, with the ball it is counted in."""
+    mu_bar = default_base_point(k)
     ball = ball_params(mu_bar)
-    P = mass_polynomial(1, nu_schedule_value(ball, 1, DEFAULT_NU_FRACTION), target_h(mu_bar))
+    return mass_polynomial(1, nu_schedule_value(ball, 1, DEFAULT_NU_FRACTION), target_h(mu_bar)), ball
+
+
+def test_root_count_at_p38_is_prompt():
+    # the degree-19 P_1 of the default schedule: a remainder sequence over
+    # Fractions stalled here for over a minute as its coefficients grew
+    P, ball = _first_mass_polynomial(19)
     t0 = time.monotonic()
     assert count_real_roots(P, ball.delta, 1) == 19
     assert time.monotonic() - t0 < 10
+
+
+@pytest.mark.parametrize("k", [2, 6, 19])
+def test_root_count_runs_one_remainder_sequence(monkeypatch, k):
+    # P_1 is square-free, so its own chain is the Sturm chain: one
+    # pseudo-division per remainder, none for a gcd pass or a quotient
+    P, ball = _first_mass_polynomial(k)
+    calls = []
+    real = numeric._pseudo_divmod
+    monkeypatch.setattr(numeric, "_pseudo_divmod", lambda *a: calls.append(a) or real(*a))
+    assert count_real_roots(P, ball.delta, 1) == k
+    assert 0 < len(calls) <= len(P) - 1
 
 
 def test_construct_rejects_bad_fraction():
