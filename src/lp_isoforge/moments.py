@@ -12,7 +12,8 @@ vanishes, so the binomial expansion keeps only even parts:
 
 `fold_even_moments` folds the summands in one at a time with this rule,
 carrying the whole vector [E S^0, E S^2, ..., E S^(2k)] of the partial
-sum.  Each summand costs O(k^2) multiplications, so n summands cost
+sum as integers over one running denominator.  Each summand is an integer
+row and costs O(k^2) integer multiplications, so n summands cost
 O(n k^2), where expanding the multinomial
 
     E (sum f_j)^(2k)
@@ -21,9 +22,9 @@ O(n k^2), where expanding the multinomial
 term by term would visit O(n^k) supports.  Both give the same number;
 `moment_coefficients` still lists the multinomial coefficients, and the
 tests use it as a brute-force oracle for the fold.  Scales and masses are
-exact rationals, so everything here is exact: coefficients are integers
-and the per-term moments are Fractions.  Only `abs_moment` at a
-fractional order leaves them, through mpf powers.
+exact rationals, so everything here is exact: coefficients are integers,
+the fold adds integer rows and builds one Fraction per order.  Only
+`abs_moment` at a fractional order leaves them, through mpf powers.
 
 The layer exports whole tables, not single moments: `term_tables` gives
 each summand's [1, E f^2, ..., E f^(2k)], the fold gives the sum's, and
@@ -155,25 +156,24 @@ def fold_even_moments(tables) -> list:
     """[E S^0, E S^2, ..., E S^(2k)] for S the sum of independent terms.
 
     tables[i][l] = E f_i^(2l) for l = 1..k, k + 1 the length every table
-    shares.  The entries need not come from probability-valid variables;
-    the fold only consumes the numbers.  tables[i][0] is ignored (every
-    summand has E f^0 = 1) but must be present so that index l addresses
-    order 2l.  Each table is folded in with
-    E (S + X)^(2m) = sum_l binom(2m, 2l) E S^(2(m-l)) E X^(2l), so the
-    cost is O(len(tables) * k^2) multiplications.
+    shares: ints or Fractions (`as_rational`), not necessarily from a
+    probability-valid variable.  tables[i][0] is ignored (E f^0 = 1) but
+    must be present so that index l addresses order 2l.  Each table becomes
+    an integer row over the lcm d of its denominators (entry 0 is d), folded
+    in on integer numerators over the running product of the d's with
+    E (S + X)^(2m) = sum_l binom(2m, 2l) E S^(2(m-l)) E X^(2l):
+    O(len(tables) * k^2) integer multiplications, then one Fraction per order.
     """
     k = _order(*tables)
     binoms = [[math.comb(2 * m, 2 * l) for l in range(m + 1)] for m in range(k + 1)]
-    acc = [Fraction(1)] + [Fraction(0)] * k
+    acc, den = [1] + [0] * k, 1
     for table in tables:
-        # descending m reads acc[m - l] before it is overwritten
-        for m in range(k, 0, -1):
-            row = binoms[m]
-            total = acc[m]
-            for l in range(1, m + 1):
-                total = total + row[l] * acc[m - l] * table[l]
-            acc[m] = total
-    return acc
+        entries = [as_rational(x) for x in table[1:]]
+        d = math.lcm(*(x.denominator for x in entries))
+        row = [d] + [x.numerator * (d // x.denominator) for x in entries]
+        acc = [sum(c * acc[m - l] * row[l] for l, c in enumerate(binoms[m])) for m in range(k + 1)]
+        den *= d
+    return [Fraction(a, den) for a in acc]
 
 
 def even_cumulants(table) -> list:

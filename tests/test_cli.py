@@ -92,6 +92,25 @@ def test_construct_with_no_scale_solved_reports_no_residual(tmp_path, capsys):
     assert "worst exact" not in text
 
 
+def test_construct_and_verify_complete_certificate_at_k19(tmp_path, capsys):
+    # the precision is given: at 320 bits both scales of p = 38 are solved
+    cert = str(tmp_path / "cert.json")
+    t0 = time.monotonic()
+    code, text, _ = run(
+        capsys, "construct", "--p", "38", "--j-max", "2", "--precision", "320", "--out", cert, "--format", "json"
+    )
+    assert time.monotonic() - t0 < 15
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["complete"] and payload["k"] == 19 and payload["failed_js"] == []
+    t0 = time.monotonic()
+    code, text, _ = run(capsys, "verify", cert, "--format", "json")
+    assert time.monotonic() - t0 < 15
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["verdict"] == "PASS" and all(c["pass"] for c in payload["checks"])
+
+
 def test_construct_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

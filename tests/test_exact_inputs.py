@@ -16,7 +16,13 @@ import pytest
 from lp_isoforge import solver
 from lp_isoforge.analysis import build_projection, vpl_check
 from lp_isoforge.momentpoly import MuVector, jacobian_F, mass_polynomial
-from lp_isoforge.moments import DiscreteDistribution, IndependentSumSpec, SymmetricAtomVariable, abs_moment
+from lp_isoforge.moments import (
+    DiscreteDistribution,
+    IndependentSumSpec,
+    SymmetricAtomVariable,
+    abs_moment,
+    fold_even_moments,
+)
 from lp_isoforge.numeric import as_rational, count_real_roots, det_exact, mpf_to_fraction
 from lp_isoforge.p4 import match_three_valued
 from lp_isoforge.solver import (
@@ -45,6 +51,7 @@ BOUNDARIES = {
     "DiscreteDistribution.value": lambda x: DiscreteDistribution(((x, Fraction(1)),)),
     "DiscreteDistribution.prob": lambda x: DiscreteDistribution(((Fraction(0), x), (Fraction(1), HALF))),
     "abs_moment.r": lambda x: abs_moment(DIST, x),
+    "fold_even_moments.entry": lambda x: fold_even_moments([[Fraction(1), x]]),
     "HValues": lambda x: HValues((x, Fraction(1))),
     "validate_nu_fraction": lambda x: validate_nu_fraction(x),
     "solve_mu.nu": lambda x: solve_mu(1, x, TARGET2, MU2),
