@@ -19,8 +19,8 @@ Layout:
   H, dH and F come as whole tables (`h_vector`, `grad_table`,
   `moment_vector_F`); callers read the entries they need from one table.
 * `solver`: the solvable box around a base point, the damped Newton
-  solve for the perturbed masses (on raw libmp tuples, rounded as mpf
-  arithmetic rounds, returned as exact dyadic rationals), and
+  solve for the perturbed masses (on (m, e) integer pairs, rounded as
+  mpf arithmetic rounds, returned as exact dyadic rationals), and
   certificate construction.
 * `p4`: the closed-form two-generator pair at p = 4, matched column
   against the printed closed forms.

@@ -5,16 +5,18 @@ Two kinds of scalars flow through this package:
 * exact rationals (`fractions.Fraction`, admitted by :func:`as_rational`
   from ints and Fractions only), used wherever the result must be exact
   (moment identities, certificate masses and residuals, bracket checks);
-* binary floats of configurable precision (`mpmath.mpf`, or its raw
-  libmp tuple), used for the Newton iteration, square roots,
-  fractional powers and the decimal encoding.
+* binary floats of configurable precision (`mpmath.mpf`, its raw
+  libmp tuple, or the solver's (m, e) integer pairs), used for the
+  Newton iteration, square roots, fractional powers and the decimal
+  encoding.
 
 Precision discipline: every mpf computation runs inside an explicit
 ``workprec`` context and the precision in force is recorded alongside any
-serialized value.  The hot loops (the solver's Newton iteration,
-`raw_elimination` here, and the projection ascent in `analysis`) run on
-raw `mpmath.libmp` tuples instead, passing the precision to each libmp
-call explicitly; each operation rounds to nearest exactly as the mpf
+serialized value.  The hot loops run outside it: the solver's Newton
+iteration and its elimination on (m, e) integer pairs, the value m * 2^e
+(`solver` alone knows that format), and the projection ascent in
+`analysis` on raw `mpmath.libmp` tuples.  Each passes the precision to
+every operation explicitly and rounds to nearest exactly as the mpf
 operator would inside ``workprec``, so their values are the mpf values
 bit for bit.  Conversion from Fraction to mpf goes through
 :func:`to_mpf`, built on ``mpmath.libmp.from_rational`` which rounds
@@ -49,25 +51,7 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import (
-    fone,
-    from_rational,
-    fzero,
-    mpf_abs,
-    mpf_div,
-    mpf_gt,
-    mpf_le,
-    mpf_mul,
-    mpf_neg,
-    mpf_pos,
-    mpf_shift,
-    mpf_sub,
-    prec_to_dps,
-    round_nearest,
-    to_str,
-)
-
-from .errors import SingularJacobianError
+from mpmath.libmp import from_rational, mpf_pos, prec_to_dps, round_nearest
 
 Scalar = Union[int, Fraction, mpmath.mpf]
 
@@ -97,8 +81,6 @@ __all__ = [
     "real_to_str",
     "parse_real",
     "det_exact",
-    "raw_max_abs",
-    "raw_elimination",
     "count_real_roots",
 ]
 
@@ -245,70 +227,6 @@ def det_exact(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:
     for i in range(n):
         det *= a[i][i]
     return det
-
-
-def raw_max_abs(values, prec: int) -> tuple:
-    """max(|v|) of raw libmp tuples, fzero for none: the value max(abs(v) ...) gives on mpf."""
-    out = fzero
-    for v in values:
-        v = mpf_abs(v, prec, round_nearest)
-        if mpf_gt(v, out):
-            out = v
-    return out
-
-
-def raw_elimination(rows, rhs, prec: int) -> tuple:
-    """Partial-pivot Gaussian elimination on raw libmp tuples at `prec` bits.
-
-    Returns (det, solution), solution None when rhs is None.  Every +, -,
-    * and / is one libmp call rounded to nearest at `prec`, so each value
-    equals the one mpf arithmetic gives inside ``workprec(prec)``.  The
-    pivot is the first entry of largest magnitude in its column; a pivot
-    at or below 2^-(prec/2) times the largest entry raises
-    SingularJacobianError.
-    """
-    rnd = round_nearest
-    n = len(rows)
-    a = [list(row) for row in rows]
-    b = list(rhs) if rhs is not None else None
-    max_entry = raw_max_abs((v for row in a for v in row), prec)
-    guard = mpf_shift(max_entry if max_entry != fzero else fone, -(prec // 2))
-    det = fone
-    for col in range(n):
-        pivot_row, pivot_abs = col, mpf_abs(a[col][col], prec, rnd)
-        for r in range(col + 1, n):
-            v = mpf_abs(a[r][col], prec, rnd)
-            if mpf_gt(v, pivot_abs):
-                pivot_row, pivot_abs = r, v
-        if mpf_le(pivot_abs, guard):
-            raise SingularJacobianError(
-                f"pivot magnitude {to_str(pivot_abs, 8)} below guard band at {prec} bits"
-            )
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            if b is not None:
-                b[col], b[pivot_row] = b[pivot_row], b[col]
-            det = mpf_neg(det)
-        pivot = a[col][col]
-        det = mpf_mul(det, pivot, prec, rnd)
-        top = a[col]
-        # column col below the pivot is never read again, so it is not updated
-        for r in range(col + 1, n):
-            row = a[r]
-            factor = mpf_div(row[col], pivot, prec, rnd)
-            for c in range(col + 1, n):
-                row[c] = mpf_sub(row[c], mpf_mul(factor, top[c], prec, rnd), prec, rnd)
-            if b is not None:
-                b[r] = mpf_sub(b[r], mpf_mul(factor, b[col], prec, rnd), prec, rnd)
-    if b is None:
-        return det, None
-    solution = [fzero] * n
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, n):
-            acc = mpf_sub(acc, mpf_mul(a[i][j], solution[j], prec, rnd), prec, rnd)
-        solution[i] = mpf_div(acc, a[i][i], prec, rnd)
-    return det, solution
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,15 @@ configured binary precision, and from a continuation ladder in nu only
 where the root count says admissible masses exist; k = 2 additionally
 has a quadratic-formula closed form used as an independent cross-check.
 
-The iteration runs on raw `mpmath.libmp` tuples (sign, man, exp, bc):
-`_RawSystem` evaluates F^(j) and its Jacobian from one elementary-
-symmetric table per point, and `numeric.raw_elimination` solves each
-Newton system and gives the stored jac_det.  Every operation is one libmp
-call rounded to nearest at the working precision, on the operands of the
-mpf expression in its order, so each iterate is bit for bit what
+The iteration runs on (m, e) integer pairs, the value m * 2^e with
+|m| < 2^prec: `_RawSystem` evaluates F^(j) and its Jacobian from one
+elementary-symmetric table per point, and `_elimination` solves each
+Newton system and gives the stored jac_det.  Every +, -, * and / is
+rounded once, to nearest with ties to even at the working precision, on
+the operands of the mpf expression in its order.  Correct rounding gives
+one value per operation, so each iterate is bit for bit what
 `momentpoly.moment_vector_F` and `jacobian_F` give on mpf inside
-``workprec``; the tuples only skip mpf's per-operator overhead.
+``workprec``; the pairs only skip mpf's per-operator overhead.
 
 Everything that can be exact is exact: nu_j, delta, the targets, the
 masses, and the certificate residuals.  `solve_mu` and `closed_form_k2`
@@ -69,23 +70,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpf_add,
-    mpf_ge,
-    mpf_gt,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
-    to_str,
-)
 
 from .errors import (
     DegenerateInputError,
@@ -109,8 +93,6 @@ from .numeric import (
     as_rational,
     count_real_roots,
     mpf_to_fraction,
-    raw_elimination,
-    raw_max_abs,
     to_mpf,
     validate_precision,
     workprec,
@@ -265,19 +247,177 @@ class SolveResult:
     iterations: int
 
 
+# The Newton loop's numbers: (m, e) is m * 2^e, with ints and |m| < 2^prec.
+# Each operation rounds its exact result once, to nearest with ties to even,
+# so it gives the value mpf arithmetic gives at `prec` bits.  Zero is (0, e)
+# for any e; a value has many pairs, and only its value is ever read.
+_ZERO = (0, 0)
+_ONE = (1, 0)
+
+
+def _round(m: int, e: int, prec: int) -> tuple:
+    """m * 2^e rounded to nearest at `prec` bits, ties to even."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    a = -m if m < 0 else m
+    r = a >> (n - 1)  # the kept bits and the half bit below them
+    if r & 1 and (r & 2 or a & ((1 << (n - 1)) - 1)):
+        r = (r >> 1) + 1
+        if r >> prec:  # the round-up carried to 2^prec
+            r >>= 1
+            n += 1
+    else:
+        r >>= 1
+    return (-r if m < 0 else r), e + n
+
+
+def _add(x: tuple, y: tuple, prec: int) -> tuple:
+    m, e = x
+    n, f = y
+    if not n:
+        return x
+    if not m:
+        return y
+    if e < f:
+        m, e, n, f = n, f, m, e
+    d = e - f
+    # a term below half an ulp of the other leaves it as it is: skip the long shift
+    if d > prec + 4 and e + m.bit_length() - f - n.bit_length() > prec + 1:
+        return m, e
+    return _round((m << d) + n, f, prec)
+
+
+def _sub(x: tuple, y: tuple, prec: int) -> tuple:
+    return _add(x, (-y[0], y[1]), prec)
+
+
+def _mul(x: tuple, y: tuple, prec: int) -> tuple:
+    return _round(x[0] * y[0], x[1] + y[1], prec)
+
+
+def _mul_int(x: tuple, n: int, prec: int) -> tuple:
+    return _round(x[0] * n, x[1], prec)
+
+
+def _quotient(a: int, b: int, e: int, prec: int) -> tuple:
+    """a / b * 2^e rounded at `prec` bits, for ints a and b != 0.
+
+    The quotient keeps at least prec + 2 bits, and a nonzero remainder
+    becomes one sticky bit below them, so rounding it rounds a / b.
+    """
+    s = prec + 2 + b.bit_length() - a.bit_length()
+    q, r = divmod(abs(a) << s, abs(b)) if s >= 0 else divmod(abs(a), abs(b) << -s)
+    if r:
+        q = q << 1 | 1
+        s += 1
+    return _round(-q if (a < 0) != (b < 0) else q, e - s, prec)
+
+
+def _div(x: tuple, y: tuple, prec: int) -> tuple:
+    return _quotient(x[0], y[0], x[1] - y[1], prec)
+
+
+def _lt(x: tuple, y: tuple) -> bool:
+    """x < y, exactly."""
+    (m, e), (n, f) = x, y
+    return (m << (e - f)) < n if e >= f else m < (n << (f - e))
+
+
+def _abs(x: tuple) -> tuple:
+    return abs(x[0]), x[1]
+
+
+def _from_fraction(q: Fraction, prec: int) -> tuple:
+    """The pair nearest to q at `prec` bits: what to_mpf(q, prec) gives."""
+    return _quotient(q.numerator, q.denominator, 0, prec)
+
+
+def _to_fraction(x: tuple) -> Fraction:
+    m, e = x
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _to_str(x: tuple, prec: int, digits: int) -> str:
+    """x in `digits` significant decimal digits, through its exact mpf."""
+    return mpmath.nstr(to_mpf(_to_fraction(x), prec), digits)
+
+
+def _max_abs(values) -> tuple:
+    """max(|v|) of the pairs, zero for none: the value max(abs(v) ...) gives on mpf."""
+    out = _ZERO
+    for v in values:
+        v = _abs(v)
+        if _lt(out, v):
+            out = v
+    return out
+
+
+def _elimination(rows, rhs, prec: int) -> tuple:
+    """Partial-pivot Gaussian elimination on (m, e) pairs at `prec` bits.
+
+    Returns (det, solution), solution None when rhs is None.  Every +, -,
+    * and / is rounded once, to nearest at `prec`, so each value equals
+    the one mpf arithmetic gives inside ``workprec(prec)``.  The pivot is
+    the first entry of largest magnitude in its column; a pivot at or
+    below 2^-(prec/2) times the largest entry raises SingularJacobianError.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows]
+    b = list(rhs) if rhs is not None else None
+    max_entry = _max_abs(v for row in a for v in row)
+    guard_m, guard_e = max_entry if max_entry[0] else _ONE
+    guard = (guard_m, guard_e - prec // 2)
+    det = _ONE
+    for col in range(n):
+        pivot_row, pivot_abs = col, _abs(a[col][col])
+        for r in range(col + 1, n):
+            v = _abs(a[r][col])
+            if _lt(pivot_abs, v):
+                pivot_row, pivot_abs = r, v
+        if not _lt(guard, pivot_abs):
+            raise SingularJacobianError(
+                f"pivot magnitude {_to_str(pivot_abs, prec, 8)} below guard band at {prec} bits"
+            )
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            if b is not None:
+                b[col], b[pivot_row] = b[pivot_row], b[col]
+            det = (-det[0], det[1])
+        pivot = a[col][col]
+        det = _mul(det, pivot, prec)
+        top = a[col]
+        # column col below the pivot is never read again, so it is not updated
+        for r in range(col + 1, n):
+            row = a[r]
+            factor = _div(row[col], pivot, prec)
+            for c in range(col + 1, n):
+                row[c] = _sub(row[c], _mul(factor, top[c], prec), prec)
+            if b is not None:
+                b[r] = _sub(b[r], _mul(factor, b[col], prec), prec)
+    if b is None:
+        return det, None
+    solution = [_ZERO] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for j in range(i + 1, n):
+            acc = _sub(acc, _mul(a[i][j], solution[j], prec), prec)
+        solution[i] = _div(acc, a[i][i], prec)
+    return det, solution
+
+
 class _RawSystem:
-    """F^(j)(., nu) and its Jacobian in mu on raw libmp tuples at `prec` bits.
+    """F^(j)(., nu) and its Jacobian in mu on (m, e) pairs at `prec` bits.
 
     Each value equals moment_vector_F or jacobian_F evaluated on mpf
-    inside ``workprec(prec)``, bit for bit: every +, - and * is one libmp
-    call rounded to nearest at `prec`, on the same operands in the same
-    order as the mpf expression, and the exact 0 and 1 of the Fraction
-    code are fzero and fone.  So nu * binom(2m, 2l) * j^(2l) stays two
-    roundings, computed once per (m, l) instead of once per use.
+    inside ``workprec(prec)``, bit for bit: every +, - and * is rounded
+    once, to nearest at `prec`, on the same operands in the same order as
+    the mpf expression, and the exact 0 and 1 of the Fraction code are
+    _ZERO and _ONE.  So nu * binom(2m, 2l) * j^(2l) stays two roundings,
+    computed once per (m, l) instead of once per use.
     """
 
-    def __init__(self, j: int, nu, k: int, prec: int):
-        rnd = round_nearest
+    def __init__(self, j: int, nu: tuple, k: int, prec: int):
         self.k = k
         self.prec = prec
         self.cm = cm_alpha_table(k)
@@ -288,56 +428,56 @@ class _RawSystem:
             jpow = 1
             for l in range(1, m + 1):
                 jpow *= jsq
-                row.append(mpf_mul_int(mpf_mul_int(nu, math.comb(2 * m, 2 * l), prec, rnd), jpow, prec, rnd))
+                row.append(_mul_int(_mul_int(nu, math.comb(2 * m, 2 * l), prec), jpow, prec))
             self.coef.append(row)
 
     def elem_sym(self, mu) -> list:
         """[e_0, ..., e_k] of the masses: the one table both F and the Jacobian read."""
-        prec, rnd = self.prec, round_nearest
-        e = [fone] + [fzero] * len(mu)
+        prec = self.prec
+        e = [_ONE] + [_ZERO] * len(mu)
         top = 0
         for v in mu:
             top += 1
             for a in range(top, 0, -1):
-                e[a] = mpf_add(e[a], mpf_mul(v, e[a - 1], prec, rnd), prec, rnd)
+                e[a] = _add(e[a], _mul(v, e[a - 1], prec), prec)
         return e
 
     def moment_vector(self, e) -> list:
         """[F_1, ..., F_k] from the masses' elementary-symmetric table e."""
-        prec, rnd, cm = self.prec, round_nearest, self.cm
-        h = [fone]
+        prec, cm = self.prec, self.cm
+        h = [_ONE]
         for m in range(1, self.k + 1):
-            acc = fzero
+            acc = _ZERO
             for a in range(1, m + 1):
-                acc = mpf_add(acc, mpf_mul_int(e[a], cm[m][a], prec, rnd), prec, rnd)
+                acc = _add(acc, _mul_int(e[a], cm[m][a], prec), prec)
             h.append(acc)
         out = []
         for m in range(1, self.k + 1):
             acc = h[m]
             for l, c in enumerate(self.coef[m][1:], 1):
-                acc = mpf_add(acc, mpf_mul(c, h[m - l], prec, rnd), prec, rnd)
+                acc = _add(acc, _mul(c, h[m - l], prec), prec)
             out.append(acc)
         return out
 
     def jacobian(self, mu, e) -> list:
         """Rows dF_m/dmu_beta, m = 1..k, from the masses and their table e."""
-        prec, rnd, cm, k = self.prec, round_nearest, self.cm, self.k
+        prec, cm, k = self.prec, self.cm, self.k
         grad = [None] + [[] for _ in range(k)]  # grad[m][beta] = dH_m/dmu_beta
         for mu_beta in mu:
-            excl = [fone]  # P_{beta,alpha} = e_alpha - mu_beta P_{beta,alpha-1}
+            excl = [_ONE]  # P_{beta,alpha} = e_alpha - mu_beta P_{beta,alpha-1}
             for alpha in range(1, k):
-                excl.append(mpf_sub(e[alpha], mpf_mul(mu_beta, excl[alpha - 1], prec, rnd), prec, rnd))
+                excl.append(_sub(e[alpha], _mul(mu_beta, excl[alpha - 1], prec), prec))
             for m in range(1, k + 1):
-                acc = fzero
+                acc = _ZERO
                 for a in range(1, m + 1):
-                    acc = mpf_add(acc, mpf_mul_int(excl[a - 1], cm[m][a], prec, rnd), prec, rnd)
+                    acc = _add(acc, _mul_int(excl[a - 1], cm[m][a], prec), prec)
                 grad[m].append(acc)
         rows = []
         for m in range(1, k + 1):
             row = list(grad[m])
             for l in range(1, m):
                 c = self.coef[m][l]
-                row = [mpf_add(r, mpf_mul(c, g, prec, rnd), prec, rnd) for r, g in zip(row, grad[m - l])]
+                row = [_add(r, _mul(c, g, prec), prec) for r, g in zip(row, grad[m - l])]
             rows.append(row)
         return rows
 
@@ -352,7 +492,7 @@ def solve_mu(
 ) -> SolveResult:
     """Damped Newton for F^(j)(mu, nu) = target at exact nu, at `precision` bits.
 
-    `init` holds k = target.k masses.  Convergence means
+    `init` holds k = target.k masses, ints or Fractions.  Convergence means
     max_m |F_m - T_m| < 2^-(precision/2), within MAX_NEWTON_ITERS iterations.
     A start that already meets the tolerance is returned unchanged with
     iterations = 0, so nu = 0 costs nothing.  Steps are halved until the
@@ -365,7 +505,7 @@ def solve_mu(
     Newton's quadratic tail makes that nearly free and leaves a wide
     margin under the certificate threshold.
 
-    The iterates are raw libmp tuples (`_RawSystem`, `raw_elimination`),
+    The iterates are (m, e) integer pairs (`_RawSystem`, `_elimination`),
     rounded exactly as mpf arithmetic inside ``workprec(precision)``
     rounds them.  The returned masses are the exact dyadic values of the
     last iterate.
@@ -377,15 +517,15 @@ def solve_mu(
         raise ValueError(f"init must have length {k}")
     nu = validate_scale(j, as_rational(nu))
 
-    prec, rnd = precision, round_nearest
-    tol = mpf_shift(fone, -(precision // 2))
-    system = _RawSystem(j, to_mpf(nu, prec)._mpf_, k, prec)
-    tgt = [to_mpf(t, prec)._mpf_ for t in target]
-    mu_cur = [to_mpf(v, prec)._mpf_ for v in init_values]
+    prec = precision
+    tol = (1, -(precision // 2))
+    system = _RawSystem(j, _from_fraction(nu, prec), k, prec)
+    tgt = [_from_fraction(t, prec) for t in target]
+    mu_cur = [_from_fraction(as_rational(v), prec) for v in init_values]
     bounds = None
     if ball is not None:
         bounds = [
-            (to_mpf(v - ball.eps_bar, prec)._mpf_, to_mpf(v + ball.eps_bar, prec)._mpf_)
+            (_from_fraction(v - ball.eps_bar, prec), _from_fraction(v + ball.eps_bar, prec))
             for v in ball.mu_bar
         ]
 
@@ -394,65 +534,65 @@ def solve_mu(
             return vals
         out = []
         for v, (lo, hi) in zip(vals, bounds):
-            v = lo if mpf_gt(lo, v) else v
-            out.append(hi if mpf_lt(hi, v) else v)
+            v = lo if _lt(v, lo) else v
+            out.append(hi if _lt(hi, v) else v)
         return out
 
     def residual(vals):
         """(F - T, e) at vals; e serves the Jacobian of the next step at this point."""
         e = system.elem_sym(vals)
-        return [mpf_sub(f, t, prec, rnd) for f, t in zip(system.moment_vector(e), tgt)], e
+        return [_sub(f, t, prec) for f, t in zip(system.moment_vector(e), tgt)], e
 
     def newton_step(vals, e, g_vals):
-        return raw_elimination(system.jacobian(vals, e), [mpf_neg(v) for v in g_vals], prec)[1]
+        return _elimination(system.jacobian(vals, e), [(-m, x) for m, x in g_vals], prec)[1]
 
     mu_cur = clip(mu_cur)
     g, e = residual(mu_cur)
-    res = raw_max_abs(g, prec)
+    res = _max_abs(g)
     iterations = 0
 
-    while mpf_ge(res, tol):
+    while not _lt(res, tol):
         if iterations >= MAX_NEWTON_ITERS:
             raise NewtonDivergenceError(
                 f"no convergence after {MAX_NEWTON_ITERS} iterations (j={j}, residual "
-                f"{to_str(res, 6)})"
+                f"{_to_str(res, prec, 6)})"
             )
         delta = newton_step(mu_cur, e, g)
-        lam = fone
+        lam = _ONE
         accepted = None
         for _ in range(MAX_STEP_HALVINGS):
-            cand = clip([mpf_add(m, mpf_mul(lam, d, prec, rnd), prec, rnd) for m, d in zip(mu_cur, delta)])
+            cand = clip([_add(m, _mul(lam, d, prec), prec) for m, d in zip(mu_cur, delta)])
             g_cand, e_cand = residual(cand)
-            res_cand = raw_max_abs(g_cand, prec)
-            if mpf_lt(res_cand, res):
+            res_cand = _max_abs(g_cand)
+            if _lt(res_cand, res):
                 accepted = (cand, g_cand, e_cand, res_cand)
                 break
-            lam = mpf_shift(lam, -1)
+            lam = (lam[0], lam[1] - 1)
         if accepted is None:
-            raise NewtonDivergenceError(f"step halving stalled (j={j}, residual {to_str(res, 6)})")
+            raise NewtonDivergenceError(f"step halving stalled (j={j}, residual {_to_str(res, prec, 6)})")
         mu_cur, g, e, res = accepted
         iterations += 1
 
     # polish: one more full step if it helps (residual drops ~quadratically);
     # a start that already met the tolerance is returned untouched
-    if iterations and mpf_gt(res, fzero):
+    if iterations and res[0]:
         try:
             delta = newton_step(mu_cur, e, g)
-            cand = clip([mpf_add(m, d, prec, rnd) for m, d in zip(mu_cur, delta)])
+            cand = clip([_add(m, d, prec) for m, d in zip(mu_cur, delta)])
             g_cand, _ = residual(cand)
-            res_cand = raw_max_abs(g_cand, prec)
-            if mpf_lt(res_cand, res):
+            res_cand = _max_abs(g_cand)
+            if _lt(res_cand, res):
                 mu_cur, g, res = cand, g_cand, res_cand
                 iterations += 1
         except SingularJacobianError:
             pass
 
-    if any(mpf_le(v, fzero) or mpf_gt(v, fone) for v in mu_cur):
+    if any(v[0] <= 0 or _lt(_ONE, v) for v in mu_cur):
         raise NoSolutionError(
-            f"converged outside the mass domain (j={j}, mu={[to_str(v, 8) for v in mu_cur]})"
+            f"converged outside the mass domain (j={j}, mu={[_to_str(v, prec, 8) for v in mu_cur]})"
         )
     return SolveResult(
-        mu=MuVector(tuple(mpf_to_fraction(mp.make_mpf(v)) for v in mu_cur)),
+        mu=MuVector(tuple(_to_fraction(v) for v in mu_cur)),
         iterations=iterations,
     )
 
@@ -463,7 +603,7 @@ def closed_form_k2(j: int, nu: Fraction, target: HValues) -> MuVector:
     F_1 pins the sum s = e_1 = T_1 - nu j^2 and F_2 = e_1 + 6 e_2 + nu
     (6 j^2 e_1 + j^4) pins the product q = e_2, so mu_1, mu_2 are the
     roots of x^2 - s x + q.  Rejects nonpositive discriminants and roots
-    outside (0, 1).  The roots are taken at DEFAULT_PRECISION_BITS and
+    outside (0, 1].  The roots are taken at DEFAULT_PRECISION_BITS and
     returned as the exact dyadic values of those floats.
     """
     if target.k != 2:
@@ -481,9 +621,9 @@ def closed_form_k2(j: int, nu: Fraction, target: HValues) -> MuVector:
         root = mpmath.sqrt(to_mpf(disc))
         hi = (s_m + root) / 2
         lo = (s_m - root) / 2
-        if not (0 < lo < hi < 1):
+        if not (0 < lo < hi <= 1):
             raise NoSolutionError(
-                f"roots {mpmath.nstr(hi, 8)}, {mpmath.nstr(lo, 8)} not inside (0, 1)"
+                f"roots {mpmath.nstr(hi, 8)}, {mpmath.nstr(lo, 8)} not inside (0, 1]"
             )
         return MuVector((mpf_to_fraction(hi), mpf_to_fraction(lo)))
 
@@ -617,16 +757,16 @@ def construct_pair(
             failed.append(j)
             continue
         exact_res = _exact_residuals(j, nu_j, mu_sol.values, target)
-        mu_raw = [to_mpf(v, precision)._mpf_ for v in mu_sol.values]
-        system = _RawSystem(j, to_mpf(nu_j, precision)._mpf_, k, precision)
-        jac_det, _ = raw_elimination(system.jacobian(mu_raw, system.elem_sym(mu_raw)), None, precision)
+        mu_raw = [_from_fraction(v, precision) for v in mu_sol.values]
+        system = _RawSystem(j, _from_fraction(nu_j, precision), k, precision)
+        jac_det, _ = _elimination(system.jacobian(mu_raw, system.elem_sym(mu_raw)), None, precision)
         entries.append(
             CertEntry(
                 j=j,
                 nu=nu_j,
                 mu=mu_sol.values,
                 residuals=exact_res,
-                jac_det=mp.make_mpf(jac_det),
+                jac_det=to_mpf(_to_fraction(jac_det), precision),
                 newton_iters=result.iterations,
             )
         )

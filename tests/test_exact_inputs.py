@@ -55,6 +55,7 @@ BOUNDARIES = {
     "HValues": lambda x: HValues((x, Fraction(1))),
     "validate_nu_fraction": lambda x: validate_nu_fraction(x),
     "solve_mu.nu": lambda x: solve_mu(1, x, TARGET2, MU2),
+    "solve_mu.init": lambda x: solve_mu(1, Fraction(0), TARGET2, (x, Fraction(1, 3))),
     "closed_form_k2.nu": lambda x: closed_form_k2(1, x, TARGET2),
     "mass_polynomial.nu": lambda x: mass_polynomial(1, x, TARGET2.values),
     "mass_polynomial.target": lambda x: mass_polynomial(1, Fraction(0), (x, Fraction(1))),

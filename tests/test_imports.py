@@ -50,6 +50,26 @@ def test_momentpoly_imports_nothing_from_moments():
     assert not imported & {".moments", "lp_isoforge.moments"}
 
 
+def libmp_uses(path: Path) -> list:
+    """'file:line' for each import from mpmath.libmp and each name or attribute `libmp`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mpmath.libmp"))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("mpmath.libmp") for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "libmp")
+        or (isinstance(node, ast.Name) and node.id == "libmp")
+    ]
+
+
+def test_solver_uses_nothing_from_libmp():
+    # the Newton loop has one number format, the (m, e) integer pairs of
+    # solver, so no libmp tuple can enter it half converted
+    assert libmp_uses(PACKAGE_DIR / "solver.py") == []
+    assert libmp_uses(PACKAGE_DIR / "numeric.py") != []
+
+
 def uncalled_private_helpers(paths) -> list:
     """'file:line name' for each module-level `_`-prefixed def or class no other code in paths names.
 

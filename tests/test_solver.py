@@ -10,12 +10,25 @@ from itertools import product
 import mpmath
 import pytest
 from mpmath import workprec
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from lp_isoforge import numeric, solver
 from lp_isoforge.errors import (
     DegenerateInputError,
     LpIsoforgeError,
     NoSolutionError,
+    SingularJacobianError,
 )
 from lp_isoforge.momentpoly import (
     MuVector,
@@ -25,7 +38,7 @@ from lp_isoforge.momentpoly import (
     moment_vector_F,
     strictly_decreasing,
 )
-from lp_isoforge.numeric import count_real_roots, mpf_to_fraction, to_mpf
+from lp_isoforge.numeric import count_real_roots, det_exact, mpf_to_fraction, to_mpf
 from lp_isoforge.solver import (
     DEFAULT_NU_FRACTION,
     HValues,
@@ -43,6 +56,100 @@ MU2 = default_base_point(2)
 TARGET2 = target_h(MU2)
 
 
+def _pair(x):
+    """The (m, e) pair of an mpf: its value m * 2^e."""
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
+
+
+def _tup(x):
+    """The libmp tuple of an (m, e) pair, exact: how results meet the mpf oracle."""
+    return from_man_exp(*x)
+
+
+def _operands(rng, prec):
+    """Pairs with |m| < 2^prec: zeros, both signs, short and full mantissas,
+    and exponents near each other or more than 2 prec apart."""
+    out = [(0, 0), (0, 17), (1, 0), (-1, -3)]
+    for _ in range(36):
+        bits = rng.choice([1, 2, 40, prec // 2, prec - 1, prec])
+        m = rng.getrandbits(bits) | 1 << (bits - 1)
+        far = rng.choice([0, 0, -3 * prec, 3 * prec])
+        out.append((rng.choice([-1, 1]) * m, rng.randint(-4, 4) - bits + far))
+    for m, e in out[4:12]:
+        out.append((-m, e))  # exact cancellation against its negative
+        if abs(m).bit_length() + 3 <= prec:
+            out.append((m << 3, e - 3))  # the same value as another pair
+    return out
+
+
+def _pair_cases(prec):
+    """(x, y) operand pairs with the rounding edge cases among them."""
+    rng = random.Random(prec)
+    ops = _operands(rng, prec)
+    cases = [(x, y) for x in ops for y in ops]
+    half = 1 << (prec - 1)
+    for r in (6, 7):  # the exact sum lies halfway: kept bits even, then odd
+        cases.append(((half + r, 1), (1, 0)))
+        cases.append(((-(half + r), 1), (-1, 0)))
+    cases.append((((1 << prec) - 1, 1), (1, 0)))  # rounding up carries to 2^prec
+    cases.append((((1 << prec) - 1, 0), ((1 << prec) - 1, 0)))
+    for gap in (prec, prec + 1, prec + 2):  # a far term near half an ulp, at a power of two
+        for m in ((1 << prec) - 1, half + 1, -half - 1, 1 - (1 << prec)):
+            cases.append(((1, gap + prec - 1), (m, 0)))
+    return cases
+
+
+def _rationals(prec):
+    """Non-dyadic rationals of both signs and ties of both parities at prec bits."""
+    rng = random.Random(prec + 1)
+    out = [Fraction(0), Fraction(1, 3), Fraction(-2, 7)]
+    for _ in range(60):
+        den = rng.getrandbits(rng.choice([2, 30, prec])) | 1
+        out.append(Fraction(rng.choice([-1, 1]) * rng.getrandbits(rng.choice([1, prec, 3 * prec])), den))
+    for r in (0, 1):  # 2^(prec-1) + r + 1/2: ties whose kept bits are even, then odd
+        out.append(Fraction((1 << prec) + 2 * r + 1, 2))
+    out.append(Fraction((1 << (prec + 1)) - 1, 2))  # a tie that carries to 2^prec
+    out.append(Fraction((1 << (prec + 2)) - 1))  # above half, carries too
+    return out
+
+
+@pytest.mark.parametrize("prec", [128, 256, 320, 512])
+def test_pair_arithmetic_rounds_as_libmp(prec):
+    # each operation of the Newton loop's number format against its libmp
+    # counterpart rounded to nearest, compared as exact libmp tuples
+    rnd = round_nearest
+    results = []
+    for x, y in _pair_cases(prec):
+        tx, ty = _tup(x), _tup(y)
+        for got, want in (
+            (solver._add(x, y, prec), mpf_add(tx, ty, prec, rnd)),
+            (solver._sub(x, y, prec), mpf_sub(tx, ty, prec, rnd)),
+            (solver._mul(x, y, prec), mpf_mul(tx, ty, prec, rnd)),
+        ):
+            assert _tup(got) == want, (x, y)
+            results.append(got)
+        if y[0]:
+            got = solver._div(x, y, prec)
+            assert _tup(got) == mpf_div(tx, ty, prec, rnd), (x, y)
+            results.append(got)
+        assert solver._lt(x, y) == mpf_lt(tx, ty), (x, y)
+        assert solver._lt(y, x) == mpf_gt(tx, ty), (x, y)
+    rng = random.Random(prec + 2)
+    ints = [0, 1, -1, 3, 924, -(1 << prec) - 1] + [rng.getrandbits(2 * prec) for _ in range(5)]
+    for x in _operands(rng, prec):
+        for n in ints:
+            got = solver._mul_int(x, n, prec)
+            assert _tup(got) == mpf_mul_int(_tup(x), n, prec, rnd), (x, n)
+            results.append(got)
+    for q in _rationals(prec):
+        got = solver._from_fraction(q, prec)
+        assert _tup(got) == from_rational(q.numerator, q.denominator, prec, rnd), q
+        assert solver._to_fraction(got) == mpf_to_fraction(to_mpf(q, prec))
+        results.append(got)
+    assert all(abs(m) < 1 << prec for m, _ in results)
+
+
 @pytest.mark.parametrize("prec", [128, 256, 512])
 def test_raw_system_rounds_as_mpf_arithmetic(prec):
     # the solver's raw F rows and Jacobian entries against the exact layer's
@@ -55,11 +162,90 @@ def test_raw_system_rounds_as_mpf_arithmetic(prec):
                 nu = to_mpf(Fraction(rng.randint(0, 10 ** 6), 10 ** rng.randint(6, 12)))
                 want_f = [v._mpf_ for v in moment_vector_F(j, mu, nu)]
                 want_jac = [[to_mpf(v)._mpf_ for v in row] for row in jacobian_F(j, mu, nu).matrix]
-            system = solver._RawSystem(j, nu._mpf_, k, prec)
-            raw_mu = [v._mpf_ for v in mu]
+            system = solver._RawSystem(j, _pair(nu), k, prec)
+            raw_mu = [_pair(v) for v in mu]
             e = system.elem_sym(raw_mu)
-            assert system.moment_vector(e) == want_f
-            assert system.jacobian(raw_mu, e) == want_jac
+            assert [_tup(v) for v in system.moment_vector(e)] == want_f
+            assert [[_tup(v) for v in row] for row in system.jacobian(raw_mu, e)] == want_jac
+
+
+def _raw(rows):
+    return [[_pair(to_mpf(v, 256)) for v in row] for row in rows]
+
+
+def test_raw_elimination_det_matches_exact():
+    rng = random.Random(3)
+    for _ in range(10):
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+             for _ in range(3)]
+        want = det_exact(m)
+        got = mpmath.mp.make_mpf(_tup(solver._elimination(_raw(m), None, 256)[0]))
+        with workprec(256):
+            assert abs(got - to_mpf(want)) <= abs(to_mpf(want)) * mpmath.mpf(2) ** -200 + mpmath.mpf(2) ** -240
+
+
+def test_raw_elimination_rejects_singular():
+    with pytest.raises(SingularJacobianError):
+        solver._elimination(_raw([[1, 2], [2, 4]]), None, 256)
+
+
+def test_raw_elimination_solves():
+    _, x = solver._elimination(_raw([[1, 1], [3, 5]]), _raw([[3, 11]])[0], 256)
+    with workprec(256):
+        assert abs(mpmath.mp.make_mpf(_tup(x[0])) - 2) < mpmath.mpf(2) ** -250
+        assert abs(mpmath.mp.make_mpf(_tup(x[1])) - 1) < mpmath.mpf(2) ** -250
+
+
+def _mpf_elimination(rows, rhs):
+    """The elimination in mpf operators at the context precision: the oracle."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    b = list(rhs)
+    max_entry = max(abs(v) for row in a for v in row)
+    guard = mpmath.mpf(2) ** (-(mpmath.mp.prec // 2)) * (max_entry if max_entry > 0 else 1)
+    det = mpmath.mpf(1)
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[pivot_row][col]) <= guard:
+            raise SingularJacobianError("singular")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    x = [mpmath.mpf(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for j in range(i + 1, n):
+            acc -= a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    return det, x
+
+
+@pytest.mark.parametrize("prec", [128, 256, 512])
+def test_raw_elimination_rounds_as_mpf_arithmetic(prec):
+    # random k x k systems with ties in |a| (the first maximal row pivots)
+    rng = random.Random(prec)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        with workprec(prec):
+            rows = [[to_mpf(Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))) / 3
+                     for _ in range(n)] for _ in range(n)]
+            rhs = [to_mpf(Fraction(rng.randint(-50, 50), rng.randint(1, 7))) for _ in range(n)]
+            try:
+                want = _mpf_elimination(rows, rhs)
+            except SingularJacobianError:
+                with pytest.raises(SingularJacobianError):
+                    solver._elimination([[_pair(v) for v in row] for row in rows], [_pair(v) for v in rhs], prec)
+                continue
+        det, x = solver._elimination([[_pair(v) for v in row] for row in rows], [_pair(v) for v in rhs], prec)
+        assert _tup(det) == want[0]._mpf_
+        assert [_tup(v) for v in x] == [v._mpf_ for v in want[1]]
 
 
 def test_max_abs_residual():
@@ -184,6 +370,15 @@ def test_closed_form_recovers_base_point():
     mu = closed_form_k2(1, Fraction(0), TARGET2)
     assert abs(mu.values[0] - Fraction(2, 3)) < Fraction(1, 2 ** 250)
     assert abs(mu.values[1] - Fraction(1, 3)) < Fraction(1, 2 ** 250)
+
+
+def test_a_mass_of_exactly_one_is_in_the_domain():
+    # (1, 1/2) solves the k = 2 system for H = (3/2, 9/2) at nu = 0; masses
+    # lie in (0, 1], so the closed form and Newton both return it
+    target = HValues((Fraction(3, 2), Fraction(9, 2)))
+    assert closed_form_k2(1, Fraction(0), target).values == (1, Fraction(1, 2))
+    res = solve_mu(1, Fraction(0), target, (Fraction(1), Fraction(1, 2)))
+    assert (res.mu.values, res.iterations) == ((1, Fraction(1, 2)), 0)
 
 
 def test_closed_form_frozen_digits():
