@@ -18,6 +18,8 @@ Layout:
   their gradients and Jacobians, and the Vandermonde determinant check.
   H, dH and F come as whole tables (`h_vector`, `grad_table`,
   `moment_vector_F`); callers read the entries they need from one table.
+  Every function takes exact masses and nu only and computes on integer
+  rows over the masses' common denominator, one Fraction per entry.
 * `solver`: the solvable box around a base point, the damped Newton
   solve for the perturbed masses (on (m, e) integer pairs, rounded as
   mpf arithmetic rounds, returned as exact dyadic rationals), and

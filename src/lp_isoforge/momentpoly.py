@@ -47,17 +47,22 @@ The layer exports whole tables, not single entries: `h_vector` gives
 one elementary-symmetric table of the masses.  F, the Jacobian and the
 solver's targets and gradient bound are all reads of these two tables.
 The solver's Newton iteration evaluates F and the Jacobian on (m, e)
-integer pairs instead (`solver._RawSystem`); on mpf inputs the functions
-here are its bit-for-bit oracle in the tests.
+integer pairs instead (`solver._RawSystem`); its bit-for-bit oracle is a
+generic mpf copy of these formulas that the tests keep.
 
-All functions evaluate exactly on Fraction inputs and in the active
-mpmath precision on mpf inputs, except `mass_polynomial` and
-`vandermonde_check`, which take rationals only; `validate_scale` checks
-every j and nu.  None takes the order k: it is the number of masses (of
-targets, for `mass_polynomial`), and each call builds its own C_{m,alpha}
-table with `cm_alpha_table(k)`: a plain triangular tuple C of integers,
-C[m][alpha] = C_{m,alpha} for 0 <= alpha <= m <= k, so the determinant
-constant is math.prod(C[m][m] for m = 1..k).
+Every function is exact and takes exact inputs only: masses, nu and
+targets pass `numeric.as_rational`, so a float, a bool or an mpf raises
+TypeError, and `validate_scale` checks every j and nu.  The work is on
+integer rows: the masses are integers n_i over their lcm D, so
+e_alpha = E_alpha / D^alpha with E the elementary symmetric functions of
+n, H_m D^m and dH_m/dmu_beta D^(m-1) are integers, the extra atom's sum is
+one helper (`_shift`) shared by F, its Jacobian and `mass_polynomial`,
+and each output entry is one Fraction built at the end.  None takes the
+order k: it is the number of masses (of targets, for `mass_polynomial`),
+and each call builds its own C_{m,alpha} table with `cm_alpha_table(k)`:
+a plain triangular tuple C of integers, C[m][alpha] = C_{m,alpha} for
+0 <= alpha <= m <= k, so the determinant constant is
+math.prod(C[m][m] for m = 1..k).
 """
 
 from __future__ import annotations
@@ -141,17 +146,6 @@ class MuVector:
         return len(self.values)
 
 
-def _elem_sym_all(values: tuple) -> list:
-    """[e_0, e_1, ..., e_k] by the product recurrence, one pass, exact."""
-    e = [Fraction(1)] + [Fraction(0)] * len(values)
-    top = 0
-    for v in values:
-        top += 1
-        for a in range(top, 0, -1):
-            e[a] = e[a] + v * e[a - 1]
-    return e
-
-
 def validate_scale(j: int, nu=None):
     """The scale rules of F^(j): j a positive integer and, if given, nu in [0, 1], uncoerced; returns nu."""
     if type(j) is not int or j < 1:
@@ -161,83 +155,97 @@ def validate_scale(j: int, nu=None):
     return nu
 
 
+def _shift(rows: list, w: int) -> list:
+    """The extra atom's sum, entrywise: out[m] = sum_{l=1..m} binom(2m, 2l) w^l rows[m-l].
+
+    With rows = H and w = j^2, nu * out[m] is what an extra atom of scale j
+    and mass nu adds to H_m; rows scaled by D^m (or D^(m-1)) take w = j^2 D.
+    """
+    out = []
+    for m in range(len(rows)):
+        acc = [0] * len(rows[0])
+        for l in range(1, m + 1):
+            c = math.comb(2 * m, 2 * l) * w ** l
+            acc = [s + c * r for s, r in zip(acc, rows[m - l])]
+        out.append(acc)
+    return out
+
+
 def mass_polynomial(j: int, nu, target) -> tuple:
     """Coefficients (1, -e_1, e_2, ..., (-1)^k e_k) of P_j(x) = prod_i (x - mu_i), exact.
 
     F_m^(j)(mu, nu) = T_m reads sum_{alpha <= m} a_{m,alpha} e_alpha(mu)
-    = T_m - nu j^(2m) with a_{m,alpha} = C_{m,alpha} + nu sum_{l=1}^{m-alpha}
-    binom(2m,2l) j^(2l) C_{m-l,alpha}.  The system is triangular and
-    a_{m,m} = C_{m,m} != 0, so forward substitution gives the unique
-    e^(j) = (e_1, ..., e_k): mu solves the scale-j system exactly when its
-    masses are the k = len(target) roots of P_j, highest degree first here.
+    = T_m with e_0 = 1 and a = C + nu _shift(C, j^2), so a_{m,0} = nu j^(2m).
+    The system is triangular and a_{m,m} = C_{m,m} != 0, so forward
+    substitution gives the unique e^(j) = (e_1, ..., e_k): mu solves the
+    scale-j system exactly when its masses are the k = len(target) roots
+    of P_j, highest degree first here.
     """
     nu = validate_scale(j, as_rational(nu))
     target = tuple(as_rational(t) for t in target)
     k = len(target)
     C = cm_alpha_table(k)
-    jsq = j * j
+    S = _shift([row + (0,) * (k + 1 - len(row)) for row in C], j * j)
     e = [Fraction(1)]
     for m in range(1, k + 1):
-        acc = target[m - 1] - nu * jsq ** m
-        for alpha in range(1, m):
-            a = C[m][alpha] + nu * sum(
-                math.comb(2 * m, 2 * l) * jsq ** l * C[m - l][alpha] for l in range(1, m - alpha + 1)
-            )
-            acc -= a * e[alpha]
+        acc = target[m - 1] - sum((C[m][a] + nu * S[m][a]) * e[a] for a in range(m))
         e.append(acc / C[m][m])
     return tuple(-v if alpha % 2 else v for alpha, v in enumerate(e))
 
 
-def _excl_row(values: tuple, beta: int, e: list) -> list:
-    """[P_{beta,0}, ..., P_{beta,k-1}] sharing one e-table."""
-    mu_beta = values[beta - 1]
-    row = [Fraction(1)]
-    for alpha in range(1, len(values)):
-        # recurrence P_{beta,alpha} = e_alpha - mu_beta * P_{beta,alpha-1}
-        row.append(e[alpha] - mu_beta * row[alpha - 1])
-    return row
+def _integer_rows(mu) -> tuple:
+    """(C, D, n, E, h): the masses as integers n_i over their lcm D, and h[m] = H_m(mu) D^m.
+
+    E = [E_0, ..., E_k] are the elementary symmetric functions of n, so
+    e_alpha(mu) = E_alpha / D^alpha and every h[m] is an integer.
+    """
+    values = [as_rational(v) for v in mu]
+    C = cm_alpha_table(len(values))
+    D = math.lcm(*(v.denominator for v in values))
+    n = [v.numerator * (D // v.denominator) for v in values]
+    E = [1] + [0] * len(n)
+    for top, v in enumerate(n, 1):
+        for a in range(top, 0, -1):
+            E[a] += v * E[a - 1]
+    return C, D, n, E, [sum(c * E[a] * D ** (m - a) for a, c in enumerate(C[m])) for m in range(len(C))]
 
 
-def _h_from(e: list, C: tuple) -> list:
-    return [Fraction(1)] + [
-        sum((C[m][a] * e[a] for a in range(1, m + 1)), Fraction(0)) for m in range(1, len(C))
-    ]
+def _grad_rows(C: tuple, D: int, n: list, E: list) -> list:
+    """G[m][beta-1] = dH_m/dmu_beta D^(m-1), an integer; row 0 is zero (H_0 = 1).
 
-
-def _grad_from(values: tuple, e: list, C: tuple) -> list:
-    excl = [_excl_row(values, beta, e) for beta in range(1, len(values) + 1)]
-    return [[Fraction(0)] * len(values)] + [
-        [sum((C[m][a] * row[a - 1] for a in range(1, m + 1)), Fraction(0)) for row in excl]
-        for m in range(1, len(C))
+    The e's without mu_beta scale as E does: Q_alpha = P_{beta,alpha} D^alpha
+    follows Q_alpha = E_alpha - n_beta Q_{alpha-1}.
+    """
+    excl = []
+    for v in n:
+        q = [1]
+        for a in range(1, len(n)):
+            q.append(E[a] - v * q[-1])
+        excl.append(q)
+    return [[0] * len(n)] + [
+        [sum(C[m][a] * q[a - 1] * D ** (m - a) for a in range(1, m + 1)) for q in excl] for m in range(1, len(C))
     ]
 
 
 def h_vector(mu) -> list:
     """[H_0 = 1, H_1, ..., H_k] of the k = len(mu) masses, from one elementary-symmetric table."""
-    values = tuple(mu)
-    return _h_from(_elem_sym_all(values), cm_alpha_table(len(values)))
+    _, D, _, _, h = _integer_rows(mu)
+    return [Fraction(x, D ** m) for m, x in enumerate(h)]
 
 
 def grad_table(mu) -> list:
     """grad[m][beta-1] = dH_m/dmu_beta for m = 0..k, k = len(mu); row 0 is zero (H_0 = 1)."""
-    values = tuple(mu)
-    return _grad_from(values, _elem_sym_all(values), cm_alpha_table(len(values)))
+    C, D, n, E, _ = _integer_rows(mu)
+    return [[Fraction(g * D, D ** m) for g in row] for m, row in enumerate(_grad_rows(C, D, n, E))]
 
 
 def moment_vector_F(j: int, mu, nu) -> tuple:
-    """(F_1^(j), ..., F_k^(j))(mu, nu), every F_m read from one H vector."""
-    validate_scale(j, nu)
-    h = h_vector(mu)
-    jsq = j * j
-    out = []
-    for m in range(1, len(h)):
-        acc = h[m]
-        jpow = 1
-        for l in range(1, m + 1):
-            jpow *= jsq
-            acc = acc + nu * math.comb(2 * m, 2 * l) * jpow * h[m - l]
-        out.append(acc)
-    return tuple(out)
+    """(F_1^(j), ..., F_k^(j))(mu, nu): with nu = a/b, F_m b D^m = b h[m] + a _shift(h, j^2 D)[m]."""
+    nu = validate_scale(j, as_rational(nu))
+    _, D, _, _, h = _integer_rows(mu)
+    S = _shift([[x] for x in h], j * j * D)
+    a, b = nu.numerator, nu.denominator
+    return tuple(Fraction(b * h[m] + a * S[m][0], b * D ** m) for m in range(1, len(h)))
 
 
 @dataclass(frozen=True)
@@ -245,7 +253,7 @@ class JacobianF:
     """Jacobian of (F_1, ..., F_k) at (mu, nu) for a fixed extra scale j.
 
     `matrix[m-1][beta-1]` is dF_m/dmu_beta and `nu_column[m-1]` is
-    dF_m/dnu.  Entries share the scalar type of the inputs.
+    dF_m/dnu, every entry an exact Fraction.
     """
 
     matrix: tuple
@@ -257,31 +265,18 @@ class JacobianF:
 
 
 def jacobian_F(j: int, mu, nu) -> JacobianF:
-    validate_scale(j, nu)
-    values = tuple(mu)
-    k = len(values)
-    C = cm_alpha_table(k)
-    # one elementary-symmetric table serves both H and its gradient
-    e = _elem_sym_all(values)
-    gradH = _grad_from(values, e, C)
-    hvals = _h_from(e, C)
-    jsq = j * j
-    matrix = []
-    nu_column = []
-    for m in range(1, k + 1):
-        row = list(gradH[m])
-        dnu = Fraction(0)
-        jpow = 1
-        for l in range(1, m + 1):
-            jpow *= jsq
-            c = math.comb(2 * m, 2 * l)
-            dnu = dnu + c * jpow * hvals[m - l]
-            if m - l >= 1:
-                for b in range(k):
-                    row[b] = row[b] + nu * c * jpow * gradH[m - l][b]
-        matrix.append(tuple(row))
-        nu_column.append(dnu)
-    return JacobianF(matrix=tuple(matrix), nu_column=tuple(nu_column))
+    """dF/dmu = G + nu _shift(G) and dF/dnu = _shift(h), G and h the integer rows of one table."""
+    nu = validate_scale(j, as_rational(nu))
+    C, D, n, E, h = _integer_rows(mu)
+    G = _grad_rows(C, D, n, E)
+    S = _shift([[x] + g for x, g in zip(h, G)], j * j * D)
+    a, b = nu.numerator, nu.denominator
+    return JacobianF(
+        matrix=tuple(
+            tuple(Fraction(b * g + a * s, b * D ** (m - 1)) for g, s in zip(G[m], S[m][1:])) for m in range(1, len(h))
+        ),
+        nu_column=tuple(Fraction(S[m][0], D ** m) for m in range(1, len(h))),
+    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,11 @@ an admissible mass vector (strictly decreasing, above delta, inside
 (`numeric.count_real_roots`).  Under the default schedule p = 4 has none
 from j = 9 (a root crosses 0), p = 6 none from j = 48 (a complex pair),
 p = 8 none from j = 784 (a complex pair), and p = 10 has every scale up
-to j = 5000; `construct_pair` lists such scales in failed_js.
+to j = 5000; `construct_pair` lists such scales in failed_js.  Every p
+has a last admissible scale: the extra atom alone gives
+E f_j^p >= j^p nu_j = nu_fraction * delta * j^2 on the schedule, so no
+j with j^p nu_j >= T_k has admissible masses, and `construct_pair` fails
+such a scale by that one comparison before any solve (p = 4: j >= 13).
 
 nu_j is pinned at nu_fraction * delta * j^(2-p) (default 3/4, an exact
 rational strictly inside the bracket).  The masses themselves come from a
@@ -50,9 +54,10 @@ elementary-symmetric table per point, and `_elimination` solves each
 Newton system and gives the stored jac_det.  Every +, -, * and / is
 rounded once, to nearest with ties to even at the working precision, on
 the operands of the mpf expression in its order.  Correct rounding gives
-one value per operation, so each iterate is bit for bit what
-`momentpoly.moment_vector_F` and `jacobian_F` give on mpf inside
-``workprec``; the pairs only skip mpf's per-operator overhead.
+one value per operation, so each iterate is bit for bit what the same
+formulas give on mpf inside ``workprec``; the pairs only skip mpf's
+per-operator overhead.  `momentpoly` takes exact inputs only, so the
+tests keep a generic copy of its F and Jacobian as that mpf oracle.
 
 Everything that can be exact is exact: nu_j, delta, the targets, the
 masses, and the certificate residuals.  `solve_mu` and `closed_form_k2`
@@ -409,8 +414,9 @@ def _elimination(rows, rhs, prec: int) -> tuple:
 class _RawSystem:
     """F^(j)(., nu) and its Jacobian in mu on (m, e) pairs at `prec` bits.
 
-    Each value equals moment_vector_F or jacobian_F evaluated on mpf
-    inside ``workprec(prec)``, bit for bit: every +, - and * is rounded
+    Each value equals the tests' generic copy of moment_vector_F or
+    jacobian_F evaluated on mpf inside ``workprec(prec)``, bit for bit
+    (`momentpoly` itself is exact-only): every +, - and * is rounded
     once, to nearest at `prec`, on the same operands in the same order as
     the mpf expression, and the exact 0 and 1 of the Fraction code are
     _ZERO and _ONE.  So nu * binom(2m, 2l) * j^(2l) stays two roundings,
@@ -719,12 +725,15 @@ def construct_pair(
 ) -> ConstructionCertificate:
     """Solve every scale j = 1..j_max and assemble the certificate.
 
-    A direct solve from mu_bar is attempted first.  If Newton fails, the
-    exact root count of P_j in (delta, 1] decides: fewer than k distinct
-    roots means no admissible mass vector exists, and the scale goes to
-    failed_js at once.  Otherwise nu is walked up a geometric ladder
-    (nu_j * 2^(t - CONTINUATION_STEPS)) with each solution seeding the
-    next.  Scales the ladder cannot solve, and solutions that break
+    A scale with j^p nu_j >= T_k goes to failed_js before any solve: the
+    extra atom alone gives E f_j^p >= E (j Y)^p = j^p nu_j, and positive
+    masses add to it, so F_k^(j) > T_k for every admissible mu.  At any
+    other scale a direct solve from mu_bar is attempted first.  If Newton
+    fails, the exact root count of P_j in (delta, 1] decides: fewer than k
+    distinct roots means no admissible mass vector exists, and the scale
+    goes to failed_js at once.  Otherwise nu is walked up a geometric
+    ladder (nu_j * 2^(t - CONTINUATION_STEPS)) with each solution seeding
+    the next.  Scales the ladder cannot solve, and solutions that break
     mu_1 > ... > mu_k > delta (checked before any residual is computed),
     go to failed_js too; the certificate is then partial, not discarded.
     """
@@ -741,6 +750,9 @@ def construct_pair(
     failed = []
     for j in range(1, j_max + 1):
         nu_j = nu_schedule_value(ball, j, nu_fraction)
+        if j ** p * nu_j >= target.values[-1]:
+            failed.append(j)
+            continue
         try:
             result = solve_mu(j, nu_j, target, mu_bar, precision, ball=ball)
         except (NewtonDivergenceError, SingularJacobianError, NoSolutionError):

@@ -15,7 +15,14 @@ import pytest
 
 from lp_isoforge import solver
 from lp_isoforge.analysis import build_projection, vpl_check
-from lp_isoforge.momentpoly import MuVector, jacobian_F, mass_polynomial
+from lp_isoforge.momentpoly import (
+    MuVector,
+    grad_table,
+    h_vector,
+    jacobian_F,
+    mass_polynomial,
+    moment_vector_F,
+)
 from lp_isoforge.moments import (
     DiscreteDistribution,
     IndependentSumSpec,
@@ -57,6 +64,12 @@ BOUNDARIES = {
     "solve_mu.nu": lambda x: solve_mu(1, x, TARGET2, MU2),
     "solve_mu.init": lambda x: solve_mu(1, Fraction(0), TARGET2, (x, Fraction(1, 3))),
     "closed_form_k2.nu": lambda x: closed_form_k2(1, x, TARGET2),
+    "h_vector.mu": lambda x: h_vector((x, HALF)),
+    "grad_table.mu": lambda x: grad_table((x, HALF)),
+    "moment_vector_F.mu": lambda x: moment_vector_F(1, (x, HALF), HALF),
+    "moment_vector_F.nu": lambda x: moment_vector_F(1, MU2.values, x),
+    "jacobian_F.mu": lambda x: jacobian_F(1, (x, HALF), HALF),
+    "jacobian_F.nu": lambda x: jacobian_F(1, MU2.values, x),
     "mass_polynomial.nu": lambda x: mass_polynomial(1, x, TARGET2.values),
     "mass_polynomial.target": lambda x: mass_polynomial(1, Fraction(0), (x, Fraction(1))),
     "vpl_check": lambda x: vpl_check((x,)),

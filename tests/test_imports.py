@@ -35,19 +35,42 @@ def test_no_module_imports_a_private_name_of_another():
     assert [hit for path in paths for hit in private_imports(path)] == []
 
 
+def imported_names(path: Path) -> set:
+    """Each name a module imports, dotted after its module, with the package prefix and relative dots dropped."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.removeprefix("lp_isoforge.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("lp_isoforge")
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
 def test_momentpoly_imports_nothing_from_moments():
     # the solver's polynomial layer shares no code with the moment layer
     # that rechecks its certificates
-    tree = ast.parse((PACKAGE_DIR / "momentpoly.py").read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            base = "." * node.level + (node.module or "")
-            imported.add(base)
-            imported.update(base.rstrip(".") + "." + alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert not imported & {".moments", "lp_isoforge.moments"}
+    assert not [n for n in imported_names(PACKAGE_DIR / "momentpoly.py") if n.split(".")[0] == "moments"]
+
+
+def test_momentpoly_has_one_number_type():
+    # exact rationals only: nothing from mpmath, and from numeric only the
+    # exactness rule and the exact determinant, so no mpf path can return
+    names = imported_names(PACKAGE_DIR / "momentpoly.py")
+    assert not [n for n in names if n.split(".")[0] == "mpmath"]
+    assert {n for n in names if n.split(".")[0] == "numeric"} <= {"numeric.as_rational", "numeric.det_exact"}
+
+
+def test_imported_names_sees_every_import_form(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import mpmath\nimport lp_isoforge.numeric\nfrom mpmath import mpf\n"
+        "from . import numeric\nfrom .numeric import to_mpf\nfrom lp_isoforge.moments import convolve\n",
+        encoding="utf-8",
+    )
+    assert imported_names(module) == {
+        "mpmath", "numeric", "mpmath.mpf", "numeric.to_mpf", "moments.convolve",
+    }
 
 
 def libmp_uses(path: Path) -> list:

@@ -35,6 +35,8 @@ from lp_isoforge.momentpoly import (
 from lp_isoforge.numeric import count_real_roots, to_mpf
 from lp_isoforge.solver import ball_params, closed_form_k2, default_base_point, nu_schedule_value, target_h
 
+import momentpoly_oracle as oracle
+
 
 def rand_mu(rng, k, max_den=40):
     return tuple(
@@ -227,12 +229,14 @@ def finite_diff(fn, x, h):
 
 
 def test_grad_h_finite_differences():
+    # an exact rational step: the difference quotient is exact (polynomials
+    # at rational points), and only the final comparison is rounded
     rng = random.Random(17)
+    step = Fraction(1, 2 ** 64)
     with workprec(256):
-        h = mpmath.mpf(2) ** -64
         for k in (2, 3, 4):
             for _ in range(3):
-                mu = [to_mpf(v) for v in rand_mu(rng, k)]
+                mu = list(rand_mu(rng, k))
                 for beta in range(1, k + 1):
                     m = rng.randint(1, k)
 
@@ -241,10 +245,9 @@ def test_grad_h_finite_differences():
                         pt[_beta - 1] = x
                         return h_vector(pt)[_m]
 
-                    want = finite_diff(h_of, mu[beta - 1], h)
-                    # m = 1 rows are the exact constant 1; normalize types
-                    got = to_mpf(grad_table(mu)[m][beta - 1])
-                    assert abs(got - want) < mpmath.mpf(10) ** -20
+                    want = finite_diff(h_of, mu[beta - 1], step)
+                    got = grad_table(mu)[m][beta - 1]
+                    assert abs(to_mpf(got - want)) < mpmath.mpf(10) ** -20
 
 
 def test_jacobian_frozen():
@@ -258,20 +261,59 @@ def test_jacobian_frozen():
 
 
 def test_jacobian_nu_column_finite_differences():
+    # an exact rational step, as in test_grad_h_finite_differences
     rng = random.Random(19)
+    step = Fraction(1, 2 ** 64)
     with workprec(256):
-        h = mpmath.mpf(2) ** -64
         for k in (2, 3):
-            mu = [to_mpf(v) for v in rand_mu(rng, k)]
+            mu = rand_mu(rng, k)
             j = rng.randint(1, 4)
-            nu0 = to_mpf(Fraction(1, 50))
+            nu0 = Fraction(1, 50)
             jac = jacobian_F(j, mu, nu0)
             for m in range(1, k + 1):
                 def f_of(x, _m=m):
                     return moment_vector_F(j, mu, x)[_m - 1]
 
-                want = finite_diff(f_of, nu0, h)
-                assert abs(to_mpf(jac.nu_column[m - 1]) - want) < mpmath.mpf(10) ** -20
+                want = finite_diff(f_of, nu0, step)
+                assert abs(to_mpf(jac.nu_column[m - 1] - want)) < mpmath.mpf(10) ** -20
+
+
+def _oracle_case(rng):
+    """Masses of every kind the integer rows meet: zero, one, dyadic, non-dyadic."""
+    def mass():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(rng.randint(0, 1))
+        if kind == 1:
+            return Fraction(rng.randint(1, 2 ** 70), 2 ** rng.randint(60, 80))
+        return Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9))
+
+    k = rng.randint(1, 9)
+    nu = rng.choice([Fraction(0), Fraction(1), Fraction(rng.randint(1, 99), rng.randint(100, 999))])
+    j = rng.choice([1, rng.randint(2, 100), rng.randint(1, 10 ** 6), 10 ** 6])
+    return j, tuple(mass() for _ in range(k)), nu
+
+
+def test_integer_rows_equal_the_generic_oracle():
+    # one Fraction per entry from integer rows, against the scalar-generic
+    # formulas term by term on Fractions: equal exactly
+    rng = random.Random(36)
+    ks = set()
+    for _ in range(120):
+        j, mu, nu = _oracle_case(rng)
+        ks.add(len(mu))
+        assert h_vector(mu) == oracle.h_vector(mu)
+        assert grad_table(mu) == oracle.grad_table(mu)
+        F = moment_vector_F(j, mu, nu)
+        assert F == oracle.moment_vector_F(j, mu, nu)
+        jac, want = jacobian_F(j, mu, nu), oracle.jacobian_F(j, mu, nu)
+        assert (jac.matrix, jac.nu_column) == (want.matrix, want.nu_column)
+        assert all(type(v) is Fraction for v in F + jac.nu_column + sum(jac.matrix, ()))
+        want_P = [Fraction(1)]
+        for v in mu:
+            want_P = [a - v * b for a, b in zip(want_P + [0], [0] + want_P)]
+        assert mass_polynomial(j, nu, F) == tuple(want_P)
+    assert ks == set(range(1, 10))
 
 
 def test_vandermonde_frozen():

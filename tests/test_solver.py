@@ -33,7 +33,6 @@ from lp_isoforge.errors import (
 from lp_isoforge.momentpoly import (
     MuVector,
     grad_table,
-    jacobian_F,
     mass_polynomial,
     moment_vector_F,
     strictly_decreasing,
@@ -51,6 +50,8 @@ from lp_isoforge.solver import (
     solve_mu,
     target_h,
 )
+
+import momentpoly_oracle as oracle
 
 MU2 = default_base_point(2)
 TARGET2 = target_h(MU2)
@@ -152,16 +153,17 @@ def test_pair_arithmetic_rounds_as_libmp(prec):
 
 @pytest.mark.parametrize("prec", [128, 256, 512])
 def test_raw_system_rounds_as_mpf_arithmetic(prec):
-    # the solver's raw F rows and Jacobian entries against the exact layer's
-    # moment_vector_F and jacobian_F run on mpf inside workprec, bit for bit
+    # the solver's raw F rows and Jacobian entries against the tests' generic
+    # copy of moment_vector_F and jacobian_F run on mpf inside workprec, bit
+    # for bit (momentpoly itself takes exact inputs only)
     rng = random.Random(prec)
     for k in range(2, 9):
         for j in sorted({1, 60, *rng.sample(range(2, 60), 3)}):
             with workprec(prec):
                 mu = [to_mpf(Fraction(rng.randint(1, 2 ** prec), 2 ** prec)) for _ in range(k)]
                 nu = to_mpf(Fraction(rng.randint(0, 10 ** 6), 10 ** rng.randint(6, 12)))
-                want_f = [v._mpf_ for v in moment_vector_F(j, mu, nu)]
-                want_jac = [[to_mpf(v)._mpf_ for v in row] for row in jacobian_F(j, mu, nu).matrix]
+                want_f = [v._mpf_ for v in oracle.moment_vector_F(j, mu, nu)]
+                want_jac = [[to_mpf(v)._mpf_ for v in row] for row in oracle.jacobian_F(j, mu, nu).matrix]
             system = solver._RawSystem(j, _pair(nu), k, prec)
             raw_mu = [_pair(v) for v in mu]
             e = system.elem_sym(raw_mu)
@@ -503,14 +505,32 @@ def _ladder_spy(monkeypatch):
 
 
 def test_construct_p4_marks_infeasible_scales_partial(monkeypatch):
-    # j = 5..8 leave the box and need the ladder; from j = 9 the exact root
-    # count rules the scale out before any ladder step
+    # j = 5..8 leave the box and need the ladder; at j = 9..12 the exact
+    # root count rules the scale out before any ladder step, and from
+    # j = 13 the top moment (j^4 nu_j >= T_2) fails it before any solve
     walked = _ladder_spy(monkeypatch)
+    solved = []
+    real_solve = solver.solve_mu
+    monkeypatch.setattr(solver, "solve_mu", lambda j, *args, **kw: solved.append(j) or real_solve(j, *args, **kw))
     cert = construct_pair(4, 20, 256)
     assert cert.failed_js == tuple(range(9, 21))
     assert [e.j for e in cert.entries] == list(range(1, 9))
     assert not cert.complete
     assert walked == [5, 6, 7, 8]
+    assert sorted(set(solved)) == list(range(1, 13))
+
+
+@pytest.mark.parametrize("p, first, scales", [(4, 13, 8), (6, 355, 20), (8, 14519, 20)])
+def test_top_moment_bound_agrees_with_the_root_count(p, first, scales):
+    # the README's first scale with j^p nu_j >= T_k under the default
+    # schedule, and the Sturm count finds no admissible masses from there
+    k = p // 2
+    mu_bar = default_base_point(k)
+    ball, target = ball_params(mu_bar), target_h(mu_bar)
+    nus = {j: nu_schedule_value(ball, j) for j in range(first - 1, first + scales)}
+    assert [j for j, nu in nus.items() if j ** p * nu >= target.values[-1]] == list(range(first, first + scales))
+    for j in range(first, first + scales):
+        assert count_real_roots(mass_polynomial(j, nus[j], target), ball.delta, 1) < k
 
 
 def test_construct_p6_skips_ladder_past_frontier(monkeypatch):
